@@ -56,6 +56,7 @@ from .verifier import (
     VerifierReport,
     map_failures_to_annotations,
     spec_key,
+    tie_break_annotation,
 )
 from .refine import (
     Paradigm,

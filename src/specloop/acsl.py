@@ -184,12 +184,9 @@ _NAME_AFTER_KEYWORD = re.compile(r"^\s*(\w+)")
 
 def _declared_name(kind: ConstructKind, text: str) -> str | None:
     body = text.strip()
-    if kind in (ConstructKind.LEMMA, ConstructKind.AXIOM, ConstructKind.PREDICATE):
+    if kind in (ConstructKind.LEMMA, ConstructKind.AXIOM, ConstructKind.PREDICATE,
+                ConstructKind.BEHAVIOR):
         rest = body[len(kind.keyword):]
-        m = _NAME_AFTER_KEYWORD.match(rest)
-        return m.group(1) if m else None
-    if kind is ConstructKind.BEHAVIOR:
-        rest = body[len("behavior"):]
         m = _NAME_AFTER_KEYWORD.match(rest)
         return m.group(1) if m else None
     if kind is ConstructKind.LOGIC:
@@ -375,19 +372,6 @@ class _FunctionInfo:
     loop_offsets: list[int] = field(default_factory=list)
 
 
-def _match_brace(masked: str, open_pos: int) -> int:
-    depth = 0
-    for k in range(open_pos, len(masked)):
-        c = masked[k]
-        if c == "{":
-            depth += 1
-        elif c == "}":
-            depth -= 1
-            if depth == 0:
-                return k
-    raise MalformedAnnotation(f"unbalanced braces after offset {open_pos}")
-
-
 def _function_at_brace(masked: str, brace_pos: int) -> tuple[str, int] | None:
     """If the top-level '{' at brace_pos opens a function body, return
     (name, decl_start); otherwise None."""
@@ -475,7 +459,7 @@ def _scan_layout(masked: str) -> list[_FunctionInfo]:
                 hit = _function_at_brace(masked, i)
                 if hit is not None:
                     name, decl_start = hit
-                    body_end = _match_brace(masked, i)
+                    body_end = _match_block(masked, i)
                     info = _FunctionInfo(name, decl_start, i, body_end)
                     info.loop_offsets = _collect_loops(masked, i + 1, body_end)
                     functions.append(info)
@@ -639,6 +623,8 @@ def _skip_ws(text: str, i: int) -> int:
 
 
 def _match_block(content: str, open_pos: int) -> int:
+    """Offset of the '}' closing the '{' at open_pos, skipping string
+    literals."""
     depth = 0
     i = open_pos
     n = len(content)
@@ -655,7 +641,7 @@ def _match_block(content: str, open_pos: int) -> int:
             while i < n and content[i] != '"':
                 i += 2 if content[i] == "\\" else 1
         i += 1
-    raise MalformedAnnotation("axiomatic block has no matching '}'")
+    raise MalformedAnnotation(f"unbalanced '{{' at offset {open_pos}")
 
 
 # --------------------------------------------------------------------------

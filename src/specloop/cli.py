@@ -15,8 +15,8 @@ from .config import TemplateStore
 from .errors import SpecloopError
 from .metrics import emit_reports
 from .oracle import HttpChatOracle, HttpOracleSettings, Oracle, ReplayOracle
-from .refine import Paradigm, RunLimits, RunOutcome, RunRecord
-from .runner import ExperimentPlan, load_dataset, run_experiment
+from .refine import Paradigm, RunLimits, RunOutcome
+from .runner import ExperimentPlan, RecordStore, load_dataset, run_experiment
 from .verifier import FramaCSettings, FramaCVerifier, MockVerifier, Verifier
 
 _PARADIGMS = {"delete": Paradigm.DELETION, "modify": Paradigm.MODIFICATION}
@@ -111,8 +111,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         runs_per_cell=args.runs,
         limits=RunLimits(max_repair_iterations=args.max_iters,
                          wall_budget=args.run_wall_budget),
-        oracle_id=args.oracle,
-        verifier_id=args.verifier,
         workers=args.workers,
     )
     oracle = _build_oracle(args.oracle)
@@ -139,13 +137,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    records_path = Path(args.records)
-    records = []
-    with records_path.open(encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                records.append(RunRecord.from_dict(json.loads(line)))
+    store = RecordStore(args.records)
+    if not store.path.is_file():
+        raise SpecloopError(f"no records file at {store.path}")
+    records = store.load()
     configs = tuple(name.strip() for name in args.configs.split(",") if name.strip())
     emit_reports(records, args.out, configs=configs)
     print(f"reports in {Path(args.out) / 'report'}")

@@ -70,15 +70,17 @@ class Oracle(ABC):
 
     def propose(self, program, prompt: str, *, config_name: str,
                 attempt_index: int = 0) -> OracleResponse:
-        request = OracleRequest(OraclePhase.GENERATE, _program_id(program),
-                                config_name, attempt_index, prompt)
-        started = time.perf_counter()
-        raw = self.complete(request)
-        return _respond(raw, time.perf_counter() - started)
+        return self._ask(OraclePhase.GENERATE, program, prompt,
+                         config_name, attempt_index)
 
     def repair(self, program, spec: SpecificationSet, report, prompt: str, *,
                config_name: str, attempt_index: int) -> OracleResponse:
-        request = OracleRequest(OraclePhase.REPAIR, _program_id(program),
+        return self._ask(OraclePhase.REPAIR, program, prompt,
+                         config_name, attempt_index)
+
+    def _ask(self, phase: OraclePhase, program, prompt: str,
+             config_name: str, attempt_index: int) -> OracleResponse:
+        request = OracleRequest(phase, _program_id(program),
                                 config_name, attempt_index, prompt)
         started = time.perf_counter()
         raw = self.complete(request)

@@ -39,7 +39,7 @@ from .verifier import (
     Verifier,
     VerifierReport,
     map_failures_to_annotations,
-    _goal_kind_hint,
+    tie_break_annotation,
 )
 
 
@@ -167,30 +167,19 @@ def refine_delete(spec: SpecificationSet, report: VerifierReport) -> Specificati
     """Deletion step: drop the annotations blamed for the failure.
 
     Always removes at least one annotation, so the specification set
-    shrinks strictly. When no failing goal maps to an annotation, the most
-    recently added annotation of the failing goal's kind (or the last
-    annotation overall) is removed instead. Removing a predicate or logic
+    shrinks strictly. When no failing goal maps to an annotation, the blame
+    chain's tie-break picks the one to remove. Removing a predicate or logic
     function also removes lemmas/axioms that reference its name, keeping
     the woven result well-formed.
     """
     if not spec:
         raise ValueError("refine_delete requires a non-empty specification set")
     try:
-        doomed = list(map_failures_to_annotations(report, spec))
+        doomed = map_failures_to_annotations(report, spec)
     except UnmappableFailure:
-        doomed = [_tie_break_annotation(spec, report)]
+        doomed = [tie_break_annotation(report, spec)]
     doomed = _close_over_dependents(spec, doomed)
     return spec.without(doomed)
-
-
-def _tie_break_annotation(spec: SpecificationSet, report: VerifierReport) -> Annotation:
-    failing_kinds = {k for k in
-                     (_goal_kind_hint(g.goal_name) for g in report.failing_goals())
-                     if k is not None}
-    for ann in reversed(spec.annotations):
-        if ann.kind in failing_kinds:
-            return ann
-    return spec.annotations[-1]
 
 
 def _close_over_dependents(spec: SpecificationSet,

@@ -77,8 +77,6 @@ class ExperimentPlan:
     paradigms: tuple[Paradigm, ...] = (Paradigm.DELETION, Paradigm.MODIFICATION)
     runs_per_cell: int = 5
     limits: RunLimits = field(default_factory=RunLimits)
-    oracle_id: str = "default"
-    verifier_id: str = "mock"
     workers: int = 0  # 0 = one worker per processor
 
     def __post_init__(self) -> None:

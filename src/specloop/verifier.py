@@ -156,26 +156,31 @@ def map_failures_to_annotations(report: VerifierReport,
     """Resolve a failed report's unproved goals to the annotations that
     produced them (the erroneous subset of the specification).
 
-    Resolution order per goal: explicit linkage from the adapter, declared
-    name embedded in the goal name, source-line within an annotation span,
-    then clause-kind category (most recent annotation of that kind not
-    known to have proved). Raises UnmappableFailure when no failing goal
-    resolves at all.
+    The blame chain, per goal: explicit linkage from the adapter, declared
+    name embedded in the goal name, source line within an annotation's span
+    in the spec's own text, then clause-kind category (most recent
+    annotation of that kind not known to have proved). Adapters whose
+    verifier reads another file (Frama-C reads the woven program) run the
+    link steps against that file's spans themselves and pass only linked
+    goals' lines on. Raises UnmappableFailure when no failing goal resolves
+    at all; `tie_break_annotation` is the chain's last step.
     """
     if report.status is not ReportStatus.FAILED:
         raise ValueError("map_failures_to_annotations requires a Failed report")
 
-    by_key = {a.key(): a for a in spec.annotations}
+    link = _linker(spec, spec)
     proved_keys = {
         g.source_annotation.key()
         for g in report.goals
         if g.status is GoalStatus.PROVED and g.source_annotation is not None
     }
-    named = [(a.declared_name(), a) for a in spec.annotations]
-
     resolved: dict[tuple, Annotation] = {}
     for goal in report.failing_goals():
-        ann = _resolve_one(goal, spec, by_key, named, proved_keys)
+        ann = link(goal)
+        if ann is None and (kind := _goal_kind_hint(goal.goal_name)) is not None:
+            candidates = [a for a in spec.annotations
+                          if a.kind is kind and a.key() not in proved_keys]
+            ann = candidates[-1] if candidates else None
         if ann is not None:
             resolved[ann.key()] = ann
 
@@ -186,26 +191,42 @@ def map_failures_to_annotations(report: VerifierReport,
     return [a for a in spec.annotations if a.key() in resolved]
 
 
-def _resolve_one(goal: GoalResult, spec: SpecificationSet,
-                 by_key: dict, named: list, proved_keys: set) -> Annotation | None:
-    if goal.source_annotation is not None:
-        hit = by_key.get(goal.source_annotation.key())
-        if hit is not None:
-            return hit
-    for name, ann in named:
-        if name and re.search(rf"\b{re.escape(name)}\b", goal.goal_name):
+def tie_break_annotation(report: VerifierReport,
+                         spec: SpecificationSet) -> Annotation:
+    """Last step of the blame chain, for a failure no goal maps back from:
+    the most recently added annotation of a failing goal's kind, or the
+    last annotation overall (Houdini's "drop an unproved candidate")."""
+    failing_kinds = {_goal_kind_hint(g.goal_name) for g in report.failing_goals()}
+    for ann in reversed(spec.annotations):
+        if ann.kind in failing_kinds:
             return ann
-    if goal.source_line is not None:
-        for ann in spec.annotations:
-            if ann.span.contains_line(goal.source_line):
+    return spec.annotations[-1]
+
+
+def _linker(spec: SpecificationSet, read: SpecificationSet):
+    """The link steps of the blame chain over `spec`: explicit linkage,
+    declared name, then the goal's source line within the span an
+    annotation has in `read`, the parsed text the verifier read."""
+    by_key = {a.key(): a for a in spec.annotations}
+    named = [(name, a) for a in spec.annotations if (name := a.declared_name())]
+    read_spans = {a.key(): a.span for a in read.annotations}
+    spans = [(read_spans[a.key()], a) for a in spec.annotations
+             if a.key() in read_spans]
+
+    def link(goal: GoalResult) -> Annotation | None:
+        if goal.source_annotation is not None:
+            hit = by_key.get(goal.source_annotation.key())
+            if hit is not None:
+                return hit
+        for name, ann in named:
+            if re.search(rf"\b{re.escape(name)}\b", goal.goal_name):
                 return ann
-    kind = _goal_kind_hint(goal.goal_name)
-    if kind is not None:
-        candidates = [a for a in spec.annotations
-                      if a.kind is kind and a.key() not in proved_keys]
-        if candidates:
-            return candidates[-1]
-    return None
+        if goal.source_line is not None:
+            for span, ann in spans:
+                if span.contains_line(goal.source_line):
+                    return ann
+        return None
+    return link
 
 
 # --------------------------------------------------------------------------
@@ -458,42 +479,18 @@ class FramaCVerifier(Verifier):
         wall = time.perf_counter() - started
         output = proc.stdout + ("\n" + proc.stderr if proc.stderr else "")
         goals, summary = parse_wp_output(output)
-        goals = _link_goals(goals, spec, woven_spans)
-        if not goals and summary is not None:
+        link = _linker(spec, woven_spans)
+        linked = []
+        for goal in goals:
+            # a woven-file line must not reach the spec-span line step, so
+            # only a linked goal keeps it
+            ann = link(goal)
+            line = goal.source_line if ann is not None else None
+            linked.append(GoalResult(goal.goal_name, goal.status, ann, line))
+        if not linked and summary is not None and summary[1] >= summary[0]:
             proved, total = summary
-            if total > 0 and proved == total:
-                goals = [GoalResult(f"goal_{i+1}", GoalStatus.PROVED)
-                         for i in range(total)]
-            elif total > proved:
-                goals = [GoalResult(f"goal_{i+1}", GoalStatus.PROVED)
-                         for i in range(proved)]
-                goals += [GoalResult(f"unidentified_goal_{i+1}", GoalStatus.UNKNOWN)
-                          for i in range(total - proved)]
-        if not goals:
-            if proc.returncode != 0:
-                return VerifierReport(ReportStatus.TOOL_ERROR, (), output, wall)
-            return report_from_goals((), raw_output=output, wall_time=wall)
-        return report_from_goals(goals, raw_output=output, wall_time=wall)
-
-
-def _link_goals(goals: list[GoalResult], spec: SpecificationSet,
-                woven_spans: SpecificationSet) -> list[GoalResult]:
-    """Attach source annotations to parsed goals via declared names and
-    woven line spans."""
-    span_by_key = {a.key(): a.span for a in woven_spans.annotations}
-    named = [(a.declared_name(), a) for a in spec.annotations]
-    linked = []
-    for goal in goals:
-        ann = None
-        for name, cand in named:
-            if name and re.search(rf"\b{re.escape(name)}\b", goal.goal_name):
-                ann = cand
-                break
-        if ann is None and goal.source_line is not None:
-            for cand in spec.annotations:
-                span = span_by_key.get(cand.key())
-                if span is not None and span.contains_line(goal.source_line):
-                    ann = cand
-                    break
-        linked.append(GoalResult(goal.goal_name, goal.status, ann, goal.source_line))
-    return linked
+            linked = [GoalResult(f"goal_{i+1}", GoalStatus.PROVED)
+                      for i in range(proved)]
+            linked += [GoalResult(f"unidentified_goal_{i+1}", GoalStatus.UNKNOWN)
+                       for i in range(total - proved)]
+        return report_from_goals(linked, raw_output=output, wall_time=wall)

@@ -14,9 +14,13 @@ from specloop import (
     Loop,
     ReportStatus,
     SpecificationSet,
+    extract_spec,
     map_failures_to_annotations,
+    refine_delete,
+    tie_break_annotation,
+    weave,
 )
-from specloop.errors import VerifierNotInstalled
+from specloop.errors import UnmappableFailure, VerifierNotInstalled
 
 K = ConstructKind
 
@@ -105,6 +109,55 @@ def test_goal_line_links_to_woven_span(fake_framac):
     assert failing.source_annotation.kind is K.ENSURES
 
 
+TWO_FUNCTIONS = (
+    "int g(int y) {\n"
+    "  int z = y + 1;\n"
+    "  return z;\n"
+    "}\n"
+    "\n"
+    "int f(int x) {\n"
+    "  return g(x);\n"
+    "}\n")
+
+# the reply's first line is prose, so `requires` sits on completion line 2
+COMPLETION_WITH_NOTE = """\
+```c
+// g is a helper and needs no contract
+/*@ requires x >= 0;
+    ensures \\result == x + 1;
+    assigns \\nothing; */
+int f(int x) {
+  return g(x);
+}
+```"""
+
+
+def test_woven_line_outside_every_span_blames_nothing(fake_framac):
+    program = FakeProgram(source=TWO_FUNCTIONS)
+    spec = extract_spec(COMPLETION_WITH_NOTE)
+    requires = spec.annotations[0]
+    woven_lines = weave(program.source, spec).splitlines()
+    line = woven_lines.index("  int z = y + 1;") + 1
+    # the coincidence under test: g's statement and the completion's
+    # `requires` share a line number in their own files
+    assert requires.kind is K.REQUIRES and requires.span.contains_line(line)
+    overflow_in_g = (
+        "[wp] Running WP plugin...\n"
+        f"Goal Assertion 'rte,signed_overflow' (file woven.c, line {line}) in 'g':\n"
+        "Prover Alt-Ergo returns Unknown\n"
+        "\n"
+        "[wp] Proved goals:    0 / 1")
+    report = FramaCVerifier(fake_framac(overflow_in_g)).verify(program, spec)
+    assert report.status is ReportStatus.FAILED
+    assert report.failing_goals()[0].source_annotation is None
+    with pytest.raises(UnmappableFailure):
+        map_failures_to_annotations(report, spec)
+    remaining = refine_delete(spec, report)
+    assert requires.key() in remaining.keys()
+    assert remaining == spec.without([tie_break_annotation(report, spec)])
+    assert len(remaining) == len(spec) - 1
+
+
 def test_wall_budget_exceeded_is_timeout(fake_framac):
     settings = fake_framac(ALL_VALID, sleep=3.0)
     settings.wall_budget = 0.2
@@ -141,3 +194,13 @@ def test_summary_only_success_synthesizes_goals(fake_framac):
     report = verifier.verify(FakeProgram(), contract())
     assert report.status is ReportStatus.VERIFIED
     assert len(report.goals) == 2
+
+    verifier = FramaCVerifier(fake_framac("[wp] Proved goals:    1 / 3"))
+    report = verifier.verify(FakeProgram(), contract())
+    assert report.status is ReportStatus.FAILED
+    assert len(report.goals) == 3
+    assert len(report.failing_goals()) == 2
+
+    verifier = FramaCVerifier(fake_framac("", exit_code=1))
+    report = verifier.verify(FakeProgram(), contract())
+    assert report.status is ReportStatus.TOOL_ERROR

@@ -1,6 +1,10 @@
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from specloop import (
     Annotation,
@@ -15,6 +19,7 @@ from specloop import (
     SpecificationSet,
     VerifierReport,
     map_failures_to_annotations,
+    refine_delete,
     spec_key,
 )
 from specloop.errors import UnmappableFailure
@@ -226,6 +231,66 @@ def test_mapping_is_exact_on_rule_mock_ground_truth(rule_verifier):
     assert report.status is ReportStatus.FAILED
     mapped = map_failures_to_annotations(report, spec)
     assert {a.key() for a in mapped} == {a.key() for a in bad}
+
+
+_POOL = [
+    Annotation(K.REQUIRES, "requires x >= 0;", FunctionContract("f")),
+    Annotation(K.ENSURES, "ensures \\result >= x;", FunctionContract("f")),
+    Annotation(K.ASSIGNS, "assigns \\nothing;", FunctionContract("f")),
+    Annotation(K.BEHAVIOR, "behavior pos: assumes x > 0; ensures \\result > 0;",
+               FunctionContract("f")),
+    Annotation(K.LOOP_INVARIANT, "loop invariant 0 <= i;", Loop("f", 1)),
+    Annotation(K.LOOP_VARIANT, "loop variant x - i;", Loop("f", 1)),
+    Annotation(K.PREDICATE, "predicate small(integer v) = v < 10;"),
+    Annotation(K.LEMMA, "lemma small_zero: small(0);"),
+    Annotation(K.AXIOM, "axiom pre_post: \\true;"),
+]
+# annotations of no drawn spec, for links to strangers
+_STRANGERS = [
+    Annotation(K.ENSURES, "ensures \\result == 7;", FunctionContract("h")),
+    Annotation(K.LEMMA, "lemma small: \\true;"),
+]
+_GOAL_WORDS = ["typed_f", "ensures", "requires", "post", "pre", "assigns",
+               "loop_invariant", "loop variant", "lemma", "behavior", "positive",
+               "pos", "small", "small_zero", "pre_post", "rte", "mystery", "_", " "]
+
+
+@st.composite
+def _adversarial_failure(draw):
+    spec = SpecificationSet(
+        replace(a, span=SourceSpan("c.c", line, line + draw(st.integers(0, 2))))
+        for a, line in draw(st.lists(
+            st.tuples(st.sampled_from(_POOL), st.integers(1, 12)),
+            min_size=1, max_size=len(_POOL))))
+    links = st.one_of(st.none(), st.sampled_from(spec.annotations),
+                      st.sampled_from(_STRANGERS))
+    goal = st.builds(
+        GoalResult,
+        goal_name=st.lists(st.sampled_from(_GOAL_WORDS), max_size=4).map("".join),
+        status=st.sampled_from(GoalStatus),
+        source_annotation=links,
+        source_line=st.one_of(st.none(), st.integers(0, 16)))
+    goals = draw(st.lists(goal, max_size=5))
+    goals.append(draw(goal.filter(lambda g: g.status is not GoalStatus.PROVED)))
+    goals = draw(st.permutations(goals))
+    return spec, VerifierReport(ReportStatus.FAILED, tuple(goals))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_adversarial_failure())
+def test_blame_chain_total_on_adversarial_reports(case):
+    spec, report = case
+    order = [a.key() for a in spec.annotations]
+    try:
+        mapped = map_failures_to_annotations(report, spec)
+    except UnmappableFailure:
+        pass
+    else:
+        positions = [order.index(a.key()) for a in mapped]
+        assert positions and positions == sorted(set(positions))
+    remaining = refine_delete(spec, report)
+    assert len(remaining) < len(spec)
+    assert remaining.keys() <= spec.keys()
 
 
 # --------------------------------------------------------------------------
