@@ -428,7 +428,7 @@ def _collect_loops(masked: str, body_start: int, body_end: int) -> list[int]:
             while pending_do and pending_do[-1] > depth:
                 pending_do.pop()
             i += 1
-        elif c.isalpha() or c == "_":
+        elif c == "_" or (c.isascii() and c.isalpha()):
             m = _WORD.match(masked, i)
             word = m.group(0)
             if word == "for":

@@ -57,6 +57,10 @@ class NoAnnotationsFound(OracleError):
     EmptyCompletion by the propose/repair entry points)."""
 
 
+class UnparseableCompletion(OracleError):
+    """A completion's annotations are malformed or use an unsupported construct."""
+
+
 class FixtureMissing(OracleError):
     """The replay oracle has no fixture for the requested key."""
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 import json
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -30,130 +30,7 @@ _METRIC_COLUMNS = ("nvp", "nsvp", "nvtc", "rt")
 
 
 # --------------------------------------------------------------------------
-# Grid validation
-# --------------------------------------------------------------------------
-
-def _grid(records: Sequence[RunRecord]) -> tuple[list[str], list[int]]:
-    """Validate that records form a full program x run grid; return the
-    program ids and run indexes."""
-    if not records:
-        raise IncompleteGrid("no records in cell")
-    runs_by_program: dict[str, set[int]] = defaultdict(set)
-    for r in records:
-        if r.run_index in runs_by_program[r.program_id]:
-            raise IncompleteGrid(
-                f"duplicate record for {r.program_id!r} run {r.run_index}")
-        runs_by_program[r.program_id].add(r.run_index)
-    index_sets = {frozenset(v) for v in runs_by_program.values()}
-    if len(index_sets) != 1:
-        raise IncompleteGrid("programs cover different run indexes")
-    runs = sorted(next(iter(index_sets)))
-    return sorted(runs_by_program), runs
-
-
-def _is_verified(record: RunRecord) -> bool:
-    return record.outcome is RunOutcome.VERIFIED
-
-
-# --------------------------------------------------------------------------
-# Core metrics
-# --------------------------------------------------------------------------
-
-def csccr(records: Sequence[RunRecord]) -> float:
-    """Share of samples whose initially proposed specification complied
-    with the configuration's construct constraints."""
-    _grid(records)
-    return sum(1 for r in records if r.compliant) / len(records)
-
-
-def csccr_per_program(records: Sequence[RunRecord]) -> float:
-    """Strict per-program variant: share of programs compliant in every run."""
-    programs, _ = _grid(records)
-    ok = {p: True for p in programs}
-    for r in records:
-        if not r.compliant:
-            ok[r.program_id] = False
-    return sum(ok.values()) / len(programs)
-
-
-def verified_program_set(records: Sequence[RunRecord]) -> frozenset[str]:
-    """Programs verified in at least one run."""
-    _grid(records)
-    return frozenset(r.program_id for r in records if _is_verified(r))
-
-
-def nvp(records: Sequence[RunRecord]) -> int:
-    """Number of programs verified in at least one of the N runs."""
-    return len(verified_program_set(records))
-
-
-def nsvp(records: Sequence[RunRecord]) -> int:
-    """Number of programs verified in at least two of the N runs."""
-    _grid(records)
-    wins: dict[str, int] = defaultdict(int)
-    for r in records:
-        if _is_verified(r):
-            wins[r.program_id] += 1
-    return sum(1 for count in wins.values() if count >= 2)
-
-
-def nvtc(records: Sequence[RunRecord]) -> float:
-    """Mean over runs of the total verifier calls across the dataset,
-    including the initial check of every guess-verify-refine loop."""
-    _, runs = _grid(records)
-    totals = {idx: 0 for idx in runs}
-    for r in records:
-        totals[r.run_index] += r.tool_calls
-    return sum(totals.values()) / len(runs)
-
-
-def rt(records: Sequence[RunRecord]) -> float:
-    """Mean over runs of the total elapsed seconds across the dataset
-    (generation start through verification end, per program)."""
-    _, runs = _grid(records)
-    totals = {idx: 0.0 for idx in runs}
-    for r in records:
-        totals[r.run_index] += r.elapsed
-    return sum(totals.values()) / len(runs)
-
-
-def reduction_rate(nvp_value: float, nsvp_value: float) -> float:
-    """Relative loss when requiring stable verification: (NVP-NSVP)/NVP."""
-    if nvp_value < nsvp_value or nsvp_value < 0:
-        raise ValueError("expected nvp >= nsvp >= 0")
-    if nvp_value == 0:
-        return 0.0
-    return (nvp_value - nsvp_value) / nvp_value
-
-def improvement_ratio(modify_value: float, delete_value: float) -> float:
-    """Relative change of the modification paradigm over deletion."""
-    if delete_value == 0:
-        raise UndefinedMetric("improvement ratio undefined for a zero baseline")
-    return (modify_value - delete_value) / delete_value
-
-
-def sample_distribution(records: Sequence[RunRecord]) -> dict[str, int]:
-    """Quadrant counts over samples: compliance x verification outcome.
-    Errored samples land in the failed quadrants and are also tallied."""
-    _grid(records)
-    dist = {
-        "compliant_verified": 0,
-        "compliant_failed": 0,
-        "noncompliant_verified": 0,
-        "noncompliant_failed": 0,
-        "errored": 0,
-    }
-    for r in records:
-        side = "compliant" if r.compliant else "noncompliant"
-        state = "verified" if _is_verified(r) else "failed"
-        dist[f"{side}_{state}"] += 1
-        if r.outcome is RunOutcome.ERRORED:
-            dist["errored"] += 1
-    return dist
-
-
-# --------------------------------------------------------------------------
-# Cell aggregation
+# Cell aggregation: one validated pass computes everything the reports use
 # --------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -169,6 +46,10 @@ class CellMetrics:
     reduction_rate: float
     verified_program_set: frozenset[str]
     errored: int
+    distribution: Mapping[str, int] = field(hash=False)
+    # per-program means over runs in program order, for the optimal shares
+    mean_tool_calls: Mapping[str, float] = field(hash=False, repr=False)
+    mean_elapsed: Mapping[str, float] = field(hash=False, repr=False)
 
     def value(self, column: str) -> float:
         return getattr(self, column)
@@ -193,25 +74,125 @@ class CellMetrics:
 
 
 def compute_cell(records: Sequence[RunRecord]) -> CellMetrics:
-    cells = {(r.config_name, r.paradigm) for r in records}
+    """Validate that records are one (config, paradigm) cell over a full
+    program x run grid without duplicates, and compute all of its metrics
+    in the same pass."""
+    if not records:
+        raise IncompleteGrid("no records in cell")
+    cells: set[tuple[str, Paradigm]] = set()
+    duplicate: RunRecord | None = None
+    runs_by_program: dict[str, set[int]] = defaultdict(set)
+    noncompliant: set[str] = set()
+    wins: dict[str, int] = defaultdict(int)
+    elapsed_by_run: dict[int, float] = defaultdict(float)
+    calls_by_program: dict[str, int] = defaultdict(int)
+    elapsed_by_program: dict[str, float] = defaultdict(float)
+    dist = dict.fromkeys(("compliant_verified", "compliant_failed",
+                          "noncompliant_verified", "noncompliant_failed", "errored"), 0)
+    for r in records:
+        cells.add((r.config_name, r.paradigm))
+        seen = runs_by_program[r.program_id]
+        if r.run_index in seen and duplicate is None:
+            duplicate = r
+        seen.add(r.run_index)
+        verified = r.outcome is RunOutcome.VERIFIED
+        if verified:
+            wins[r.program_id] += 1
+        if not r.compliant:
+            noncompliant.add(r.program_id)
+        side = "compliant" if r.compliant else "noncompliant"
+        dist[f"{side}_{'verified' if verified else 'failed'}"] += 1
+        dist["errored"] += r.outcome is RunOutcome.ERRORED
+        elapsed_by_run[r.run_index] += r.elapsed
+        calls_by_program[r.program_id] += r.tool_calls
+        elapsed_by_program[r.program_id] += r.elapsed
     if len(cells) != 1:
         raise IncompleteGrid(f"records span {len(cells)} cells, expected exactly 1")
+    if duplicate is not None:
+        raise IncompleteGrid(
+            f"duplicate record for {duplicate.program_id!r} run {duplicate.run_index}")
+    index_sets = {frozenset(v) for v in runs_by_program.values()}
+    if len(index_sets) != 1:
+        raise IncompleteGrid("programs cover different run indexes")
+    runs = sorted(next(iter(index_sets)))
+    programs = sorted(runs_by_program)
     config_name, paradigm = next(iter(cells))
-    n = nvp(records)
-    s = nsvp(records)
+    stable = sum(1 for count in wins.values() if count >= 2)
     return CellMetrics(
         config_name=config_name,
         paradigm=paradigm,
-        csccr=csccr(records),
-        csccr_per_program=csccr_per_program(records),
-        nvp=n,
-        nsvp=s,
-        nvtc=nvtc(records),
-        rt=rt(records),
-        reduction_rate=reduction_rate(n, s),
-        verified_program_set=verified_program_set(records),
-        errored=sum(1 for r in records if r.outcome is RunOutcome.ERRORED),
+        csccr=(dist["compliant_verified"] + dist["compliant_failed"]) / len(records),
+        csccr_per_program=(len(programs) - len(noncompliant)) / len(programs),
+        nvp=len(wins),
+        nsvp=stable,
+        nvtc=sum(calls_by_program.values()) / len(runs),
+        rt=sum(elapsed_by_run[i] for i in runs) / len(runs),
+        reduction_rate=reduction_rate(len(wins), stable),
+        verified_program_set=frozenset(wins),
+        errored=dist["errored"],
+        distribution=dist,
+        mean_tool_calls={p: calls_by_program[p] / len(runs) for p in programs},
+        mean_elapsed={p: elapsed_by_program[p] / len(runs) for p in programs},
     )
+
+
+def csccr(records: Sequence[RunRecord]) -> float:
+    """Share of samples whose initially proposed specification complied
+    with the configuration's construct constraints."""
+    return compute_cell(records).csccr
+
+
+def csccr_per_program(records: Sequence[RunRecord]) -> float:
+    """Strict per-program variant: share of programs compliant in every run."""
+    return compute_cell(records).csccr_per_program
+
+
+def verified_program_set(records: Sequence[RunRecord]) -> frozenset[str]:
+    """Programs verified in at least one run."""
+    return compute_cell(records).verified_program_set
+
+
+def nvp(records: Sequence[RunRecord]) -> int:
+    """Number of programs verified in at least one of the N runs."""
+    return compute_cell(records).nvp
+
+
+def nsvp(records: Sequence[RunRecord]) -> int:
+    """Number of programs verified in at least two of the N runs."""
+    return compute_cell(records).nsvp
+
+
+def nvtc(records: Sequence[RunRecord]) -> float:
+    """Mean over runs of the total verifier calls across the dataset,
+    including the initial check of every guess-verify-refine loop."""
+    return compute_cell(records).nvtc
+
+
+def rt(records: Sequence[RunRecord]) -> float:
+    """Mean over runs of the total elapsed seconds across the dataset
+    (generation start through verification end, per program)."""
+    return compute_cell(records).rt
+
+
+def sample_distribution(records: Sequence[RunRecord]) -> dict[str, int]:
+    """Quadrant counts over samples: compliance x verification outcome.
+    Errored samples land in the failed quadrants and are also tallied."""
+    return dict(compute_cell(records).distribution)
+
+
+def reduction_rate(nvp_value: float, nsvp_value: float) -> float:
+    """Relative loss when requiring stable verification: (NVP-NSVP)/NVP."""
+    if nvp_value < nsvp_value or nsvp_value < 0:
+        raise ValueError("expected nvp >= nsvp >= 0")
+    if nvp_value == 0:
+        return 0.0
+    return (nvp_value - nsvp_value) / nvp_value
+
+def improvement_ratio(modify_value: float, delete_value: float) -> float:
+    """Relative change of the modification paradigm over deletion."""
+    if delete_value == 0:
+        raise UndefinedMetric("improvement ratio undefined for a zero baseline")
+    return (modify_value - delete_value) / delete_value
 
 
 def split_cells(records: Iterable[RunRecord]) -> dict[tuple[str, Paradigm], list[RunRecord]]:
@@ -221,36 +202,61 @@ def split_cells(records: Iterable[RunRecord]) -> dict[tuple[str, Paradigm], list
     return dict(cells)
 
 
+def _compute_cells(records: Iterable[RunRecord]) -> dict[tuple[str, Paradigm], CellMetrics]:
+    return {key: compute_cell(cell) for key, cell in split_cells(records).items()}
+
+
 # --------------------------------------------------------------------------
 # Verified-set algebra and optimal-configuration proportions
 # --------------------------------------------------------------------------
+
+def _named_cells(records: Iterable[RunRecord], configs: Sequence[str],
+                 paradigm: Paradigm) -> dict[str, CellMetrics]:
+    cells = split_cells(records)
+    for name in configs:
+        if (name, paradigm) not in cells:
+            raise IncompleteGrid(f"no records for {name} under {paradigm.value}")
+    return {name: compute_cell(cells[(name, paradigm)]) for name in configs}
+
+
+def _venn(named: Mapping[str, CellMetrics], paradigm: Paradigm) -> dict:
+    configs = list(named)
+    sets = {name: cell.verified_program_set for name, cell in named.items()}
+    regions: dict[str, int] = {}
+    for k in range(1, len(configs) + 1):
+        for members in itertools.combinations(configs, k):
+            inside = frozenset.intersection(*(sets[m] for m in members))
+            outside = frozenset().union(*(sets[m] for m in configs if m not in members))
+            regions["&".join(members)] = len(inside - outside)
+    return {
+        "configs": configs,
+        "paradigm": paradigm.value,
+        "sets": {name: sorted(programs) for name, programs in sets.items()},
+        "regions": regions,
+    }
+
 
 def venn_sets(records: Iterable[RunRecord],
               configs: Sequence[str] = ("CB", "CV", "CA"),
               paradigm: Paradigm = Paradigm.DELETION) -> dict:
     """Exclusive region cardinalities of the verified-program sets for the
     named configurations under one paradigm, plus the raw sets."""
-    cells = split_cells(records)
-    sets: dict[str, frozenset[str]] = {}
-    for name in configs:
-        cell = cells.get((name, paradigm))
-        if cell is None:
-            raise IncompleteGrid(f"no records for {name} under {paradigm.value}")
-        sets[name] = verified_program_set(cell)
-    regions: dict[str, int] = {}
-    for k in range(1, len(configs) + 1):
-        for members in itertools.combinations(configs, k):
-            inside = frozenset.intersection(*(sets[m] for m in members))
-            outside = frozenset.union(
-                frozenset(),
-                *(sets[m] for m in configs if m not in members))
-            regions["&".join(members)] = len(inside - outside)
-    return {
-        "configs": list(configs),
-        "paradigm": paradigm.value,
-        "sets": {name: sorted(programs) for name, programs in sets.items()},
-        "regions": regions,
-    }
+    return _venn(_named_cells(records, configs, paradigm), paradigm)
+
+
+def _optimal(named: Mapping[str, CellMetrics], metric: str) -> dict[str, float]:
+    means = {name: (cell.mean_tool_calls if metric == "nvtc" else cell.mean_elapsed)
+             for name, cell in named.items()}
+    programs = list(next(iter(means.values())))
+    if any(list(m) != programs for m in means.values()):
+        raise IncompleteGrid("configurations cover different program sets")
+    shares = {name: 0.0 for name in named}
+    for p in programs:
+        best = min(m[p] for m in means.values())
+        winners = [name for name, m in means.items() if m[p] == best]
+        for name in winners:
+            shares[name] += 1.0 / len(winners)
+    return {name: shares[name] / len(programs) for name in named}
 
 
 def optimal_config_proportions(records: Iterable[RunRecord],
@@ -261,31 +267,7 @@ def optimal_config_proportions(records: Iterable[RunRecord],
     of the metric wins; ties split fractionally. Proportions sum to 1."""
     if metric not in ("nvtc", "rt"):
         raise ValueError("metric must be 'nvtc' or 'rt'")
-    field = "tool_calls" if metric == "nvtc" else "elapsed"
-    cells = split_cells(records)
-    per_config: dict[str, dict[str, float]] = {}
-    program_sets = []
-    for name in configs:
-        cell = cells.get((name, paradigm))
-        if cell is None:
-            raise IncompleteGrid(f"no records for {name} under {paradigm.value}")
-        programs, runs = _grid(cell)
-        totals: dict[str, float] = defaultdict(float)
-        for r in cell:
-            totals[r.program_id] += getattr(r, field)
-        per_config[name] = {p: totals[p] / len(runs) for p in programs}
-        program_sets.append(set(programs))
-    if any(s != program_sets[0] for s in program_sets):
-        raise IncompleteGrid("configurations cover different program sets")
-    shares = {name: 0.0 for name in configs}
-    programs = sorted(program_sets[0])
-    for p in programs:
-        means = {name: per_config[name][p] for name in configs}
-        best = min(means.values())
-        winners = [name for name in configs if means[name] == best]
-        for name in winners:
-            shares[name] += 1.0 / len(winners)
-    return {name: shares[name] / len(programs) for name in configs}
+    return _optimal(_named_cells(records, configs, paradigm), metric)
 
 
 # --------------------------------------------------------------------------
@@ -319,16 +301,11 @@ class MetricsTable:
 def build_table(persona_records: Mapping[str, Iterable[RunRecord]],
                 configs: Sequence[str] = _CONFIG_ORDER,
                 average_exclude: Sequence[str] = ()) -> MetricsTable:
-    cells: dict[str, dict[tuple[str, Paradigm], CellMetrics]] = {}
-    for persona, records in persona_records.items():
-        cells[persona] = {
-            key: compute_cell(cell_records)
-            for key, cell_records in split_cells(records).items()
-        }
     return MetricsTable(
         personas=tuple(persona_records),
         configs=tuple(configs),
-        cells=cells,
+        cells={persona: _compute_cells(records)
+               for persona, records in persona_records.items()},
         average_exclude=tuple(average_exclude),
     )
 
@@ -340,46 +317,35 @@ def render_table(table: MetricsTable) -> str:
     col_w = 10
 
     def fmt(value: float, column: str) -> str:
-        text = f"{value:g}" if column in ("nvp", "nsvp") else f"{value:.2f}"
-        return text.rjust(col_w)
+        return f"{value:g}" if column in ("nvp", "nsvp") else f"{value:.2f}"
 
-    header_top = " " * label_w + "".join(
-        ("| " + name).ljust(1 + 4 * col_w + 1) for name in table.configs)
-    header_sub = " " * label_w + "".join(
-        "|" + "".join(c.upper().rjust(col_w) for c in _METRIC_COLUMNS) + " "
-        for _ in table.configs)
+    def improvement(config: str, column: str) -> str:
+        try:
+            return f"{table.improvement(config, column) * 100:.2f}%"
+        except UndefinedMetric:
+            return "-"
+
+    def line(label: str, groups) -> str:
+        return label.ljust(label_w) + "".join(
+            "|" + "".join(text.rjust(col_w) for text in group) + " " for group in groups)
 
     out: list[str] = []
     for paradigm in (Paradigm.DELETION, Paradigm.MODIFICATION):
         out.append(f"=== {paradigm.name.title()} paradigm ===")
-        out.append(header_top)
-        out.append(header_sub)
+        out.append(" " * label_w + "".join(
+            ("| " + name).ljust(2 + 4 * col_w) for name in table.configs))
+        out.append(line("", [[c.upper() for c in _METRIC_COLUMNS]] * len(table.configs)))
         for persona in table.personas:
-            row = persona.ljust(label_w)
-            for config in table.configs:
-                cell = table.cells[persona].get((config, paradigm))
-                row += "|"
-                if cell is None:
-                    row += "-".rjust(col_w) * 4 + " "
-                else:
-                    row += "".join(fmt(cell.value(c), c) for c in _METRIC_COLUMNS) + " "
-            out.append(row)
-        row = "Average".ljust(label_w)
-        for config in table.configs:
-            row += "|" + "".join(
-                fmt(table.average(config, paradigm, c), c) for c in _METRIC_COLUMNS) + " "
-        out.append(row)
+            cells = [table.cells[persona].get((config, paradigm)) for config in table.configs]
+            out.append(line(persona, [
+                ["-"] * 4 if cell is None else [fmt(cell.value(c), c) for c in _METRIC_COLUMNS]
+                for cell in cells]))
+        out.append(line("Average", [
+            [fmt(table.average(config, paradigm, c), c) for c in _METRIC_COLUMNS]
+            for config in table.configs]))
         out.append("")
-    row = "Improvement Ratio".ljust(label_w)
-    for config in table.configs:
-        row += "|"
-        for column in _METRIC_COLUMNS:
-            try:
-                row += f"{table.improvement(config, column) * 100:.2f}%".rjust(col_w)
-            except UndefinedMetric:
-                row += "-".rjust(col_w)
-        row += " "
-    out.append(row)
+    out.append(line("Improvement Ratio", [
+        [improvement(config, c) for c in _METRIC_COLUMNS] for config in table.configs]))
     return "\n".join(out) + "\n"
 
 
@@ -392,33 +358,31 @@ def summarize(records: Sequence[RunRecord],
     """Machine-readable consolidated summary: one object per cell plus
     verified-set algebra and optimal-configuration proportions where the
     three comparison configurations are present."""
-    cells = split_cells(records)
-    cell_objects = []
-    for paradigm in (Paradigm.DELETION, Paradigm.MODIFICATION):
-        for config in configs:
-            cell = cells.get((config, paradigm))
-            if cell is None:
-                continue
-            metrics = compute_cell(cell)
-            cell_objects.append(metrics.to_dict(sample_distribution(cell)))
-    summary: dict = {"cells": cell_objects}
+    return _summary(_compute_cells(r for r in records if r.config_name in configs),
+                    configs)
 
+
+def _summary(cells: Mapping[tuple[str, Paradigm], CellMetrics],
+             configs: Sequence[str]) -> dict:
+    summary: dict = {"cells": [
+        cells[(config, paradigm)].to_dict(dict(cells[(config, paradigm)].distribution))
+        for paradigm in (Paradigm.DELETION, Paradigm.MODIFICATION)
+        for config in configs if (config, paradigm) in cells
+    ]}
     venn_configs = [c for c in ("CB", "CV", "CA") if c in configs]
     for paradigm in (Paradigm.DELETION, Paradigm.MODIFICATION):
         if len(venn_configs) == 3 and all(
                 (c, paradigm) in cells for c in venn_configs):
-            key = paradigm.value
-            summary.setdefault("venn", {})[key] = venn_sets(
-                records, venn_configs, paradigm)
-            summary.setdefault("optimal_nvtc", {})[key] = _rounded(
-                optimal_config_proportions(records, "nvtc", venn_configs, paradigm))
-            summary.setdefault("optimal_rt", {})[key] = _rounded(
-                optimal_config_proportions(records, "rt", venn_configs, paradigm))
+            named = {c: cells[(c, paradigm)] for c in venn_configs}
+            summary.setdefault("venn", {})[paradigm.value] = _venn(named, paradigm)
+            for metric in ("nvtc", "rt"):
+                summary.setdefault(f"optimal_{metric}", {})[paradigm.value] = {
+                    k: round(v, 4) for k, v in _optimal(named, metric).items()}
     return summary
 
 
-def _rounded(proportions: dict[str, float]) -> dict[str, float]:
-    return {k: round(v, 4) for k, v in proportions.items()}
+def _write_json(path: Path, data) -> None:
+    path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
 def emit_reports(records: Sequence[RunRecord], out_dir: str | Path,
@@ -428,26 +392,20 @@ def emit_reports(records: Sequence[RunRecord], out_dir: str | Path,
     plotting data files under out_dir/report. Returns the summary dict."""
     out = Path(out_dir) / "report"
     out.mkdir(parents=True, exist_ok=True)
-    summary = summarize(records, configs)
-    (out / "summary.json").write_text(
-        json.dumps(summary, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    cells = _compute_cells(records)
+    summary = _summary(cells, configs)
+    _write_json(out / "summary.json", summary)
 
-    paradigms = {r.paradigm for r in records}
-    if len(paradigms) == 2:
-        table = build_table({persona: records}, configs=configs)
+    if len({paradigm for _, paradigm in cells}) == 2:
+        table = MetricsTable(personas=(persona,), configs=tuple(configs),
+                             cells={persona: cells})
         (out / "table.txt").write_text(render_table(table), encoding="utf-8")
 
     for name in ("venn", "optimal_nvtc", "optimal_rt"):
         if name in summary:
-            (out / f"{name}.json").write_text(
-                json.dumps(summary[name], indent=2, sort_keys=True) + "\n",
-                encoding="utf-8")
-    distribution = {
-        f"{config}/{paradigm.value}": sample_distribution(cell)
-        for (config, paradigm), cell in sorted(
-            split_cells(records).items(),
-            key=lambda kv: (kv[0][1].value, kv[0][0]))
-    }
-    (out / "sample_distribution.json").write_text(
-        json.dumps(distribution, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+            _write_json(out / f"{name}.json", summary[name])
+    _write_json(out / "sample_distribution.json", {
+        f"{config}/{paradigm.value}": dict(metrics.distribution)
+        for (config, paradigm), metrics in cells.items()
+    })
     return summary

@@ -19,10 +19,12 @@ from typing import Callable
 
 from .acsl import SpecificationSet, parse_annotations
 from .errors import (
+    AcslError,
     EmptyCompletion,
     FixtureMissing,
     NoAnnotationsFound,
     OracleUnavailable,
+    UnparseableCompletion,
 )
 
 
@@ -56,6 +58,8 @@ def _respond(raw_completion: str, latency: float) -> OracleResponse:
         extracted = extract_spec(raw_completion)
     except NoAnnotationsFound as exc:
         raise EmptyCompletion(str(exc)) from exc
+    except AcslError as exc:
+        raise UnparseableCompletion(f"{type(exc).__name__}: {exc}") from exc
     return OracleResponse(raw_completion, extracted, latency)
 
 

@@ -96,17 +96,22 @@ class ExperimentPlan:
         ]
 
 
-def _record_key(record: RunRecord) -> tuple[str, str, str, int]:
+def _record_key(record: RunRecord) -> tuple[str, str, Paradigm, int]:
     return (record.program_id, record.config_name,
-            record.paradigm.value, record.run_index)
+            record.paradigm, record.run_index)
 
 
 class RecordStore:
-    """Append-only JSONL persistence with a single serialized writer."""
+    """Append-only JSONL persistence with a single serialized writer.
+
+    An undecodable last line without its newline is an interrupted append:
+    `load` skips it and the first `append` cuts it off. An undecodable line
+    anywhere else raises."""
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
         self._lock = threading.Lock()
+        self._tail_checked = False
 
     def load(self) -> list[RunRecord]:
         if not self.path.is_file():
@@ -114,17 +119,44 @@ class RecordStore:
         records = []
         with self.path.open(encoding="utf-8") as fh:
             for line in fh:
-                line = line.strip()
-                if line:
-                    records.append(RunRecord.from_dict(json.loads(line)))
+                if not line.strip():
+                    continue
+                try:
+                    data = json.loads(line)
+                except ValueError:
+                    # only the last line can lack its newline
+                    if not line.endswith("\n"):
+                        break
+                    raise
+                records.append(RunRecord.from_dict(data))
         return records
 
     def append(self, record: RunRecord) -> None:
         line = json.dumps(record.to_dict(), sort_keys=True)
         with self._lock:
             self.path.parent.mkdir(parents=True, exist_ok=True)
+            if not self._tail_checked and self.path.is_file():
+                self._end_last_line()
+            self._tail_checked = True
             with self.path.open("a", encoding="utf-8") as fh:
                 fh.write(line + "\n")
+
+    def _end_last_line(self) -> None:
+        """End a complete last line that lacks its newline, or cut off an
+        interrupted append, so that the next record starts a line."""
+        with self.path.open("r+b") as fh:
+            fh.seek(max(fh.seek(0, os.SEEK_END) - 1, 0))
+            if fh.read(1) in (b"", b"\n"):
+                return
+            fh.seek(0)
+            data = fh.read()
+            start = data.rfind(b"\n") + 1
+            try:
+                json.loads(data[start:])
+            except ValueError:
+                fh.truncate(start)
+            else:
+                fh.write(b"\n")
 
 
 def run_experiment(plan: ExperimentPlan, corpus: Sequence[Program],
@@ -151,10 +183,8 @@ def run_experiment(plan: ExperimentPlan, corpus: Sequence[Program],
         log_dir = Path(out_dir) / "run_logs"
         log_dir.mkdir(parents=True, exist_ok=True)
 
-    pending = [
-        cell for cell in plan.cells(corpus)
-        if (cell[0].id, cell[1], cell[2].value, cell[3]) not in done
-    ]
+    cells = plan.cells(corpus)
+    pending = [cell for cell in cells if (cell[0].id, *cell[1:]) not in done]
 
     def execute(cell) -> RunRecord:
         program, config_name, paradigm, run_index = cell
@@ -183,5 +213,4 @@ def run_experiment(plan: ExperimentPlan, corpus: Sequence[Program],
 
     for record in fresh:
         done[_record_key(record)] = record
-    ordered = plan.cells(corpus)
-    return [done[(p.id, c, par.value, idx)] for p, c, par, idx in ordered]
+    return [done[(program.id, *rest)] for program, *rest in cells]

@@ -141,12 +141,15 @@ _KIND_HINTS = (
     (("requires", "pre"), ConstructKind.REQUIRES),
     (("behavior",), ConstructKind.BEHAVIOR),
 )
+_GOAL_PLACE = re.compile(r"\(file [^)]*\)|\sin\s+'[^']*'\s*$")
 
 
 def _goal_kind_hint(goal_name: str) -> ConstructKind | None:
-    low = goal_name.lower()
+    """Clause kind named by the goal's own words (not its `(file …)` or
+    `in '<function>'` parts), matching each needle only as a whole token."""
+    words = _GOAL_PLACE.sub(" ", goal_name.lower())
     for needles, kind in _KIND_HINTS:
-        if any(n in low for n in needles):
+        if re.search(rf"(?<![a-z0-9])(?:{'|'.join(needles)})(?![a-z0-9])", words):
             return kind
     return None
 
@@ -169,11 +172,7 @@ def map_failures_to_annotations(report: VerifierReport,
         raise ValueError("map_failures_to_annotations requires a Failed report")
 
     link = _linker(spec, spec)
-    proved_keys = {
-        g.source_annotation.key()
-        for g in report.goals
-        if g.status is GoalStatus.PROVED and g.source_annotation is not None
-    }
+    proved_keys = _proved_keys(report)
     resolved: dict[tuple, Annotation] = {}
     for goal in report.failing_goals():
         ann = link(goal)
@@ -193,14 +192,19 @@ def map_failures_to_annotations(report: VerifierReport,
 
 def tie_break_annotation(report: VerifierReport,
                          spec: SpecificationSet) -> Annotation:
-    """Last step of the blame chain, for a failure no goal maps back from:
-    the most recently added annotation of a failing goal's kind, or the
-    last annotation overall (Houdini's "drop an unproved candidate")."""
+    """Last step of the blame chain (Houdini's "drop an unproved candidate"):
+    the latest annotation not known to have proved, preferring a failing
+    goal's kind; the last annotation only when every one proved."""
+    proved_keys = _proved_keys(report)
+    unproved = [a for a in spec.annotations if a.key() not in proved_keys]
     failing_kinds = {_goal_kind_hint(g.goal_name) for g in report.failing_goals()}
-    for ann in reversed(spec.annotations):
-        if ann.kind in failing_kinds:
-            return ann
-    return spec.annotations[-1]
+    return next((a for a in reversed(unproved) if a.kind in failing_kinds),
+                (unproved or spec.annotations)[-1])
+
+
+def _proved_keys(report: VerifierReport) -> set[tuple]:
+    return {g.source_annotation.key() for g in report.goals
+            if g.status is GoalStatus.PROVED and g.source_annotation is not None}
 
 
 def _linker(spec: SpecificationSet, read: SpecificationSet):

@@ -133,6 +133,19 @@ def test_constr_examples():
 # parse_annotations
 # --------------------------------------------------------------------------
 
+def test_loop_scan_skips_a_non_ascii_letter():
+    src = """
+int f(int n) {
+  int i = 0;
+  /*@ loop invariant 0 <= i; */
+  while \u00c0(i < n) { i++; }
+  return i;
+}
+"""
+    [ann] = parse_annotations(src)
+    assert ann.anchor == Loop("f", 1)
+
+
 def test_parse_loop_block_two_clauses():
     src = """
 int f(int n) {

@@ -3,10 +3,13 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from specloop import (
     Annotation,
     ConstructKind,
+    ExperimentPlan,
     FunctionContract,
     GoalResult,
     GoalStatus,
@@ -15,11 +18,13 @@ from specloop import (
     Paradigm,
     ReportStatus,
     RunLimits,
+    RunRecord,
     ScriptedOracle,
     SpecificationSet,
     VerifierReport,
     canonical_config,
     refine_delete,
+    run_experiment,
     run_once,
     weave,
 )
@@ -139,6 +144,18 @@ def test_delete_tie_break_on_unmappable_failure():
     assert spec.annotations[-1].key() not in remaining.keys()
 
 
+def test_delete_tie_break_keeps_an_annotation_that_proved():
+    spec = make_spec((K.REQUIRES, "requires x >= 0;"),
+                     (K.ENSURES, "ensures \\result >= 0;"))
+    requires, ensures = spec.annotations
+    report = VerifierReport(ReportStatus.FAILED, (
+        GoalResult("typed_f_requires", GoalStatus.PROVED,
+                   source_annotation=requires),
+        GoalResult("typed_f_call_requires_2", GoalStatus.UNKNOWN),
+    ))
+    assert refine_delete(spec, report) == SpecificationSet([requires])
+
+
 # --------------------------------------------------------------------------
 # run_once, deletion paradigm
 # --------------------------------------------------------------------------
@@ -223,6 +240,89 @@ def test_oracle_error_yields_errored_record():
     assert record.tool_calls == 0
     assert not record.compliant
     assert record.error
+
+
+# completions LLMs write that the parser rejects
+UNPARSEABLE = {
+    "assert": "```c\n/*@ requires x >= 0; */\nint f(int x) {\n"
+              "  /*@ assert x >= 0; */\n  return x;\n}\n```",
+    "decreases": "```c\n/*@ requires x >= 0;\n    decreases x; */\n"
+                 "int f(int x) {\n  return x;\n}\n```",
+    "missing_semicolon": "```c\n/*@ requires x >= 0 */\n"
+                         "int f(int x) {\n  return x;\n}\n```",
+    "unbalanced_brace": "```c\n/*@ requires x >= 0; */\nint f(int x) {\n"
+                        "  while (x > 0) { x--;\n  return x;\n}\n```",
+}
+
+
+@pytest.mark.parametrize("name", sorted(UNPARSEABLE))
+def test_unparseable_proposal_yields_errored_record(name):
+    oracle = ScriptedOracle(lambda request: UNPARSEABLE[name])
+    record = run_once(FakeProgram(), canonical_config("CB"), Paradigm.DELETION,
+                      oracle, MockVerifier(), RunLimits())
+    assert record.outcome is RunOutcome.ERRORED
+    assert record.tool_calls == 0
+    assert record.error.startswith("UnparseableCompletion: ")
+
+
+@pytest.mark.parametrize("name", sorted(UNPARSEABLE))
+def test_unparseable_repair_yields_errored_record(name):
+    program = FakeProgram()
+    first = spec_completion(program, make_spec(*GOOD[:3], (K.ENSURES, toyworld.BAD_ENSURES)))
+    oracle = ScriptedOracle(lambda request: (
+        first if request.attempt_index == 0 else UNPARSEABLE[name]))
+    verifier = MockVerifier(always_failing=[toyworld.BAD_ENSURES])
+    record = run_once(program, canonical_config("CB"), Paradigm.MODIFICATION,
+                      oracle, verifier, RunLimits())
+    assert record.outcome is RunOutcome.ERRORED
+    assert record.tool_calls == 1
+    assert record.error.startswith("UnparseableCompletion: ")
+
+
+@pytest.mark.parametrize("name", sorted(UNPARSEABLE))
+def test_grid_with_an_unparseable_completion_finishes(name, toy_corpus,
+                                                      replay_oracle):
+    victim = toy_corpus[0].id
+    oracle = ScriptedOracle(lambda request: (
+        UNPARSEABLE[name] if request.program_id == victim
+        else replay_oracle.complete(request)))
+    plan = ExperimentPlan(configs=("CB",), runs_per_cell=1)
+    records = run_experiment(plan, toy_corpus, oracle, MockVerifier())
+    assert len(records) == len(toy_corpus) * 2
+    errored = [r for r in records if r.outcome is RunOutcome.ERRORED]
+    assert {r.program_id for r in errored} == {victim}
+    assert all(r.error.startswith("UnparseableCompletion: ") for r in errored)
+
+
+_CLAUSES = ["requires x >= 0;", "ensures \\result >= 0;", "assigns \\nothing;",
+            "behavior b: assumes x > 0; ensures \\result > 0;", "decreases x;",
+            "assert x > 0;", "requires x >= 0", "ensures", ";", "@", "{", "}",
+            "*/", "/*@", "predicate p(integer v) = v > 0;", "lemma l: p(1);",
+            "axiomatic A { axiom a: \\true; }", "axiomatic A {",
+            "loop invariant 0 <= x;", "loop variant x;"]
+
+
+@st.composite
+def _completions(draw):
+    """Arbitrary text, or a fenced program whose annotation comment holds
+    drawn clauses, valid or not, with one more character spliced in."""
+    if draw(st.booleans()):
+        return draw(st.text(max_size=60))
+    clauses = " ".join(draw(st.lists(st.sampled_from(_CLAUSES), max_size=4)))
+    text = (f"```c\n/*@ {clauses} */\nint f(int x) {{\n"
+            f"  while (x > 0) {{ x--; }}\n  return x;\n}}\n```")
+    at = draw(st.integers(0, len(text)))
+    return text[:at] + draw(st.text(max_size=1)) + text[at:]
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=_completions(), paradigm=st.sampled_from(Paradigm))
+def test_run_once_returns_a_record_for_any_completion(text, paradigm):
+    oracle = ScriptedOracle(lambda request: text)
+    record = run_once(FakeProgram(), canonical_config("CV"), paradigm, oracle,
+                      MockVerifier(always_failing=["x"]),
+                      RunLimits(max_repair_iterations=2))
+    assert isinstance(record, RunRecord)
 
 
 class StubVerifier:

@@ -173,6 +173,56 @@ def test_resumability(toy_corpus, replay_oracle, tmp_path):
     assert counting.calls <= 15 * (1 + plan.limits.max_repair_iterations)
 
 
+def torn(line: str) -> str:
+    """The part of a record line a crash mid-append leaves behind."""
+    return line[: len(line) // 2]
+
+
+def test_resume_reruns_the_cell_of_a_torn_last_line(toy_corpus, replay_oracle,
+                                                     tmp_path):
+    plan = little_plan()
+    out = tmp_path / "out"
+    verifier = MockVerifier(always_failing=toyworld.ALWAYS_FAILING)
+    first = run_experiment(plan, toy_corpus, replay_oracle, verifier, out)
+    path = out / "records.jsonl"
+    lines = path.read_text().strip().split("\n")
+    path.write_text("\n".join(lines[:25]) + "\n" + torn(lines[25]))
+
+    records = run_experiment(plan, toy_corpus, replay_oracle, verifier, out)
+    assert len(records) == 40
+    reloaded = RecordStore(path).load()
+    assert len(path.read_text().splitlines()) == len(reloaded) == 40
+    keys = {(r.program_id, r.config_name, r.paradigm, r.run_index)
+            for r in reloaded}
+    assert keys == {(r.program_id, r.config_name, r.paradigm, r.run_index)
+                    for r in first}
+
+
+def test_load_keeps_a_complete_last_line_without_newline(tmp_path, toy_corpus,
+                                                         replay_oracle,
+                                                         rule_verifier):
+    plan = little_plan(configs=("CB",), runs_per_cell=1)
+    records = run_experiment(plan, toy_corpus[:2], replay_oracle, rule_verifier)
+    store = RecordStore(tmp_path / "records.jsonl")
+    store.append(records[0])
+    store.path.write_text(store.path.read_text().rstrip("\n"))
+    want = [r.to_dict() for r in records]
+    assert [r.to_dict() for r in store.load()] == want[:1]
+    RecordStore(store.path).append(records[1])
+    assert [r.to_dict() for r in RecordStore(store.path).load()] == want
+
+
+def test_bad_line_followed_by_good_lines_raises(tmp_path, toy_corpus,
+                                                replay_oracle, rule_verifier):
+    plan = little_plan(configs=("CB",), runs_per_cell=1)
+    records = run_experiment(plan, toy_corpus[:2], replay_oracle, rule_verifier)
+    lines = [json.dumps(r.to_dict(), sort_keys=True) for r in records]
+    path = tmp_path / "records.jsonl"
+    path.write_text(torn(lines[0]) + "\n" + lines[1] + "\n")
+    with pytest.raises(ValueError):
+        RecordStore(path).load()
+
+
 def test_records_roundtrip_through_store(toy_corpus, replay_oracle,
                                           rule_verifier, tmp_path):
     plan = little_plan(runs_per_cell=1)
@@ -291,6 +341,32 @@ def test_cli_report_subcommand(persona_dir, mock_rules_file, tmp_path):
     assert _strip_volatile(first) == _strip_volatile(second)
     assert (redo / "report" / "venn.json").is_file()
     assert (redo / "report" / "table.txt").is_file()
+
+
+def test_cli_report_on_a_torn_records_file(persona_dir, mock_rules_file,
+                                           tmp_path):
+    corpus = Path(__file__).parent / "fixtures" / "toy_corpus"
+    out = tmp_path / "out"
+    assert cli_main([
+        "run", "--dataset", str(corpus), "--configs", "CB,CV,CA",
+        "--paradigms", "delete", "--runs", "2",
+        "--oracle", str(persona_dir), "--verifier", "mock",
+        "--mock-fixtures", str(mock_rules_file), "--out", str(out),
+    ]) == 0
+    path = out / "records.jsonl"
+    torn_path = tmp_path / "torn.jsonl"
+    text = path.read_text()
+    # an interrupted append of a cell outside the reported configurations
+    extra = json.loads(text.splitlines()[0]) | {"config": "CF"}
+    torn_path.write_text(text + torn(json.dumps(extra, sort_keys=True)))
+    for records, report in ((path, "intact"), (torn_path, "torn")):
+        assert cli_main([
+            "report", "--records", str(records), "--configs", "CB,CV,CA",
+            "--out", str(tmp_path / report),
+        ]) == 0
+    for name in ("summary.json", "venn.json", "sample_distribution.json"):
+        assert ((tmp_path / "torn" / "report" / name).read_bytes()
+                == (tmp_path / "intact" / "report" / name).read_bytes())
 
 
 def _strip_volatile(node):

@@ -23,7 +23,7 @@ from specloop import (
     spec_key,
 )
 from specloop.errors import UnmappableFailure
-from specloop.verifier import parse_wp_output, report_from_goals
+from specloop.verifier import _goal_kind_hint, parse_wp_output, report_from_goals
 
 K = ConstructKind
 
@@ -206,6 +206,30 @@ def test_kind_category_fallback_picks_most_recent_unproved():
         GoalResult("wp_post_condition_2", GoalStatus.UNKNOWN),
     ))
     assert map_failures_to_annotations(report, spec) == [second]
+
+
+@pytest.mark.parametrize("goal_name,kind", [
+    ("typed_f_loop_variant_positive", K.LOOP_VARIANT),
+    ("typed_f_loop_variant_decrease", K.LOOP_VARIANT),
+    ("typed_f_loop_invariant_preserved", K.LOOP_INVARIANT),
+    ("typed_f_loop1_loop_invariant_0", K.LOOP_INVARIANT),
+    ("typed_f_loop_assigns", K.LOOP_ASSIGNS),
+    ("Loop assigns (file woven.c, line 7) in 'f'", K.LOOP_ASSIGNS),
+    ("typed_f_assigns_3", K.ASSIGNS),
+    ("wp_post_condition_2", K.ENSURES),
+    ("Post-condition (file woven.c, line 2) in 'f'", K.ENSURES),
+    ("Pre-condition (file woven.c, line 4) in 'f'", K.REQUIRES),
+    ("typed_f_call_requires_2", K.REQUIRES),
+    ("typed_lemma_L", K.LEMMA),
+    ("typed_f_behavior_pos", K.BEHAVIOR),
+    # needles inside other words, the location or the function name
+    ("Assertion 'rte,mem_access' (file woven.c, line 9) in 'compress'", None),
+    ("typed_prepare_assert_rte_mem_access", None),
+    ("Assertion 'rte,signed_overflow' (file post.c, line 3) in 'g'", None),
+    ("Assertion (file woven.c, line 9) in 'lemma_helper'", None),
+])
+def test_kind_hint_reads_only_the_goals_own_words(goal_name, kind):
+    assert _goal_kind_hint(goal_name) is kind
 
 
 def test_unmappable_failure_raises():
