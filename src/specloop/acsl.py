@@ -283,6 +283,18 @@ def _blank_decorations(content: str) -> str:
     return content
 
 
+_LEX_OPENER = re.compile(r"/\*|//|[\"']")
+
+#: the body of a literal after its opening quote: up to the closing quote
+#: or the end of the text; a backslash escapes the next character
+_QUOTED_REST = {q: re.compile(rf"[^{q}\\]*(?:\\.[^{q}\\]*)*", re.S) for q in "\"'"}
+
+
+def _blank(text: str) -> str:
+    """Spaces in place of every character of text except newlines."""
+    return "\n".join(" " * len(line) for line in text.split("\n"))
+
+
 def _lex(source: str) -> tuple[str, list[_AcslComment]]:
     """Single pass over C text producing (masked, acsl_comments).
 
@@ -291,64 +303,46 @@ def _lex(source: str) -> tuple[str, list[_AcslComment]]:
     code. ACSL comments (/*@ ... * / and //@ ...) are collected.
     """
     n = len(source)
-    masked = list(source)
+    pieces: list[str] = []
     comments: list[_AcslComment] = []
-    i = 0
-
-    def blank(a: int, b: int) -> None:
-        for k in range(a, b):
-            if masked[k] != "\n":
-                masked[k] = " "
-
-    while i < n:
-        ch = source[i]
-        if ch == "/" and source.startswith("/*", i):
-            is_acsl = source.startswith("/*@", i)
-            open_len = 3 if is_acsl else 2
-            end = source.find("*/", i + open_len)
-            if end < 0:
+    done = 0   # source[:done] is in pieces
+    m = _LEX_OPENER.search(source)
+    while m:
+        i = m.start()
+        opener = m.group()
+        if opener == "/*":
+            open_len = 3 if source.startswith("@", i + 2) else 2
+            close = source.find("*/", i + open_len)
+            if close < 0:
                 raise MalformedAnnotation(f"unterminated comment at offset {i}")
-            if is_acsl:
-                raw = source[i + open_len:end]
+            end = close + 2
+            if open_len == 3:
                 comments.append(_AcslComment(
-                    content=_blank_decorations(raw),
-                    content_offset=i + open_len,
-                    start_offset=i,
-                    end_offset=end + 2,
-                ))
-            blank(i, end + 2)
-            i = end + 2
-        elif ch == "/" and source.startswith("//", i):
-            is_acsl = source.startswith("//@", i)
-            open_len = 3 if is_acsl else 2
-            end = source.find("\n", i)
-            if end < 0:
-                end = n
-            if is_acsl:
-                comments.append(_AcslComment(
-                    content=source[i + open_len:end],
-                    content_offset=i + open_len,
+                    content=_blank_decorations(source[i + 3:close]),
+                    content_offset=i + 3,
                     start_offset=i,
                     end_offset=end,
                 ))
-            blank(i, end)
-            i = end
-        elif ch == '"' or ch == "'":
-            quote = ch
-            j = i + 1
-            while j < n:
-                if source[j] == "\\":
-                    j += 2
-                    continue
-                if source[j] == quote:
-                    break
-                j += 1
-            blank(i, min(j + 1, n))
-            i = min(j + 1, n)
+        elif opener == "//":
+            end = source.find("\n", i)
+            if end < 0:
+                end = n
+            if source.startswith("@", i + 2):
+                comments.append(_AcslComment(
+                    content=source[i + 3:end],
+                    content_offset=i + 3,
+                    start_offset=i,
+                    end_offset=end,
+                ))
         else:
-            i += 1
-
-    return "".join(masked), comments
+            close = _QUOTED_REST[opener].match(source, i + 1).end()
+            end = close + 1 if close < n and source[close] == opener else n
+        pieces.append(source[done:i])
+        pieces.append(_blank(source[i:end]))
+        done = end
+        m = _LEX_OPENER.search(source, end)
+    pieces.append(source[done:])
+    return "".join(pieces), comments
 
 
 # --------------------------------------------------------------------------
@@ -361,6 +355,12 @@ _C_KEYWORDS = {
 }
 
 _WORD = re.compile(r"[A-Za-z_]\w*")
+_BRACE = re.compile(r"[{}]")
+_NON_SPACE = re.compile(r"\S")
+_LOOP_TOKEN = re.compile(r"[{}]|[A-Za-z_]\w*")
+_DECL_BOUND = re.compile(r"[;{}]")
+_DIRECTIVE = re.compile(r"^[ \t]*#[^\n]*", re.M)
+_PAREN = re.compile(r"[()]")
 
 
 @dataclass
@@ -372,7 +372,38 @@ class _FunctionInfo:
     loop_offsets: list[int] = field(default_factory=list)
 
 
-def _function_at_brace(masked: str, brace_pos: int) -> tuple[str, int] | None:
+class _DeclarationMarks:
+    """Forward passes over masked text recording where a declaration can
+    start and which '(' each ')' closes."""
+
+    def __init__(self, masked: str):
+        #: offsets of ';', '{' and '}'
+        self.bounds = [m.start() for m in _DECL_BOUND.finditer(masked)]
+        #: (start, end) of each preprocessor line, end at its newline
+        self.directives = [m.span() for m in _DIRECTIVE.finditer(masked)]
+        #: ')' offset -> offset of the '(' it closes
+        self.opener: dict[int, int] = {}
+        open_parens: list[int] = []
+        for m in _PAREN.finditer(masked):
+            if m.group() == "(":
+                open_parens.append(m.start())
+            elif open_parens:
+                self.opener[m.start()] = open_parens.pop()
+
+    def decl_start(self, name_start: int) -> int:
+        """Offset just after the last ';', '}', '{' or preprocessor line
+        before name_start; a preprocessor line running on past name_start
+        counts as ending there."""
+        k = bisect.bisect_left(self.bounds, name_start)
+        anchor = self.bounds[k - 1] if k else -1
+        k = bisect.bisect_left(self.directives, (name_start,))
+        if k:
+            anchor = max(anchor, min(self.directives[k - 1][1], name_start) - 1)
+        return anchor + 1
+
+
+def _function_at_brace(masked: str, brace_pos: int,
+                       marks: _DeclarationMarks) -> tuple[str, int] | None:
     """If the top-level '{' at brace_pos opens a function body, return
     (name, decl_start); otherwise None."""
     j = brace_pos - 1
@@ -380,15 +411,7 @@ def _function_at_brace(masked: str, brace_pos: int) -> tuple[str, int] | None:
         j -= 1
     if j < 0 or masked[j] != ")":
         return None
-    depth = 0
-    while j >= 0:
-        if masked[j] == ")":
-            depth += 1
-        elif masked[j] == "(":
-            depth -= 1
-            if depth == 0:
-                break
-        j -= 1
+    j = marks.opener.get(j, -1)
     if j < 0:
         return None
     j -= 1
@@ -400,15 +423,8 @@ def _function_at_brace(masked: str, brace_pos: int) -> tuple[str, int] | None:
     name = masked[j + 1:name_end]
     if not name or name[0].isdigit() or name in _C_KEYWORDS:
         return None
-    # Declaration starts after the previous ';', '}', '{' or preprocessor line.
-    head = masked[:j + 1]
-    anchor = max(head.rfind(";"), head.rfind("}"), head.rfind("{"))
-    for m in re.finditer(r"(?m)^[ \t]*#[^\n]*$", head):
-        anchor = max(anchor, m.end() - 1)
-    decl_start = anchor + 1
-    while decl_start < brace_pos and masked[decl_start].isspace():
-        decl_start += 1
-    return name, decl_start
+    code = _NON_SPACE.search(masked, marks.decl_start(j + 1), brace_pos)
+    return name, code.start() if code else brace_pos
 
 
 def _collect_loops(masked: str, body_start: int, body_end: int) -> list[int]:
@@ -417,58 +433,45 @@ def _collect_loops(masked: str, body_start: int, body_end: int) -> list[int]:
     loops: list[int] = []
     pending_do: list[int] = []
     depth = 0
-    i = body_start
-    while i < body_end:
-        c = masked[i]
-        if c == "{":
+    for m in _LOOP_TOKEN.finditer(masked, body_start, body_end):
+        token = m.group()
+        if token == "{":
             depth += 1
-            i += 1
-        elif c == "}":
+        elif token == "}":
             depth -= 1
             while pending_do and pending_do[-1] > depth:
                 pending_do.pop()
-            i += 1
-        elif c == "_" or (c.isascii() and c.isalpha()):
-            m = _WORD.match(masked, i)
-            word = m.group(0)
-            if word == "for":
-                loops.append(i)
-            elif word == "do":
-                loops.append(i)
-                pending_do.append(depth)
-            elif word == "while":
-                if pending_do and pending_do[-1] == depth:
-                    pending_do.pop()
-                else:
-                    loops.append(i)
-            i = m.end()
-        else:
-            i += 1
+        elif token == "for":
+            loops.append(m.start())
+        elif token == "do":
+            loops.append(m.start())
+            pending_do.append(depth)
+        elif token == "while":
+            if pending_do and pending_do[-1] == depth:
+                pending_do.pop()
+            else:
+                loops.append(m.start())
     return loops
 
 
 def _scan_layout(masked: str) -> list[_FunctionInfo]:
+    marks = _DeclarationMarks(masked)
     functions: list[_FunctionInfo] = []
     depth = 0
-    i = 0
-    n = len(masked)
-    while i < n:
-        c = masked[i]
-        if c == "{":
-            if depth == 0:
-                hit = _function_at_brace(masked, i)
-                if hit is not None:
-                    name, decl_start = hit
-                    body_end = _match_block(masked, i)
-                    info = _FunctionInfo(name, decl_start, i, body_end)
-                    info.loop_offsets = _collect_loops(masked, i + 1, body_end)
-                    functions.append(info)
-                    i = body_end + 1
-                    continue
-            depth += 1
-        elif c == "}":
+    m = _BRACE.search(masked)
+    while m:
+        i = m.start()
+        if m.group() == "}":
             depth -= 1
-        i += 1
+        elif depth == 0 and (hit := _function_at_brace(masked, i, marks)):
+            name, decl_start = hit
+            body_end = _match_block(masked, i)
+            functions.append(_FunctionInfo(name, decl_start, i, body_end,
+                                           _collect_loops(masked, i + 1, body_end)))
+            i = body_end
+        else:
+            depth += 1
+        m = _BRACE.search(masked, i + 1)
     return functions
 
 
@@ -622,25 +625,27 @@ def _skip_ws(text: str, i: int) -> int:
     return i
 
 
+_BLOCK_TOKEN = re.compile(r'[{}"]')
+
+
 def _match_block(content: str, open_pos: int) -> int:
     """Offset of the '}' closing the '{' at open_pos, skipping string
     literals."""
     depth = 0
-    i = open_pos
-    n = len(content)
-    while i < n:
-        c = content[i]
+    m = _BLOCK_TOKEN.search(content, open_pos)
+    while m:
+        i = m.start()
+        c = m.group()
         if c == "{":
             depth += 1
         elif c == "}":
             depth -= 1
             if depth == 0:
                 return i
-        elif c == '"':
-            i += 1
-            while i < n and content[i] != '"':
-                i += 2 if content[i] == "\\" else 1
-        i += 1
+        else:
+            # i lands on the closing quote; without one nothing follows
+            i = _QUOTED_REST['"'].match(content, i + 1).end()
+        m = _BLOCK_TOKEN.search(content, i + 1)
     raise MalformedAnnotation(f"unbalanced '{{' at offset {open_pos}")
 
 
@@ -657,6 +662,7 @@ def parse_annotations(annotated_source: str, file: str = "<source>") -> Specific
     """
     masked, comments = _lex(annotated_source)
     functions = _scan_layout(masked)
+    body_starts = [f.body_start for f in functions]
     line_of = _LineIndex(annotated_source)
     annotations = []
     for comment in comments:
@@ -665,7 +671,7 @@ def parse_annotations(annotated_source: str, file: str = "<source>") -> Specific
             abs_end = comment.content_offset + clause.end
             if clause.extra_spans:
                 abs_end = comment.content_offset + max(b for _, b in clause.extra_spans + [(0, clause.end)])
-            anchor = _resolve_anchor(clause.kind, comment, functions)
+            anchor = _resolve_anchor(clause.kind, comment, functions, body_starts)
             span = SourceSpan(file, line_of(abs_start), line_of(abs_end - 1))
             annotations.append(Annotation(
                 kind=clause.kind,
@@ -687,24 +693,28 @@ class _LineIndex:
 
 
 def _resolve_anchor(kind: ConstructKind, comment: _AcslComment,
-                    functions: list[_FunctionInfo]) -> Anchor:
+                    functions: list[_FunctionInfo], body_starts: list[int]) -> Anchor:
+    """functions are disjoint and in textual order; body_starts lists their
+    body_start offsets."""
     if kind in LOGICAL_CONSTRUCTS:
         return GLOBAL
     if kind in _LOOP_KINDS:
-        for f in functions:
-            if f.body_start < comment.start_offset < f.body_end:
-                for ordinal, off in enumerate(f.loop_offsets, start=1):
-                    if off >= comment.end_offset:
-                        return Loop(f.name, ordinal)
-                raise MalformedAnnotation(
-                    f"loop annotation at offset {comment.start_offset} has no "
-                    f"following loop in function '{f.name}'")
+        # the only function that can hold the comment opens last before it
+        k = bisect.bisect_left(body_starts, comment.start_offset) - 1
+        if k >= 0 and comment.start_offset < functions[k].body_end:
+            f = functions[k]
+            ordinal = bisect.bisect_left(f.loop_offsets, comment.end_offset) + 1
+            if ordinal <= len(f.loop_offsets):
+                return Loop(f.name, ordinal)
+            raise MalformedAnnotation(
+                f"loop annotation at offset {comment.start_offset} has no "
+                f"following loop in function '{f.name}'")
         raise MalformedAnnotation(
             f"loop annotation at offset {comment.start_offset} is outside any function body")
     # contract clause: next function whose body opens after the comment
-    for f in functions:
-        if f.body_start > comment.start_offset:
-            return FunctionContract(f.name)
+    k = bisect.bisect_right(body_starts, comment.start_offset)
+    if k < len(functions):
+        return FunctionContract(functions[k].name)
     raise MalformedAnnotation(
         f"contract annotation at offset {comment.start_offset} precedes no function")
 

@@ -245,7 +245,8 @@ def run_once(program, config: Configuration, paradigm: Paradigm,
             compliant=compliant,
             outcome=outcome,
             tool_calls=tool_calls,
-            elapsed=time.perf_counter() - started,
+            # rounded as persisted, so reports from memory and from disk agree
+            elapsed=round(time.perf_counter() - started, 6),
             iterations=iterations,
             final_spec=spec,
             error=error,

@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import re
+import signal
 import subprocess
 import tempfile
 import threading
@@ -148,8 +150,17 @@ def _goal_kind_hint(goal_name: str) -> ConstructKind | None:
     """Clause kind named by the goal's own words (not its `(file …)` or
     `in '<function>'` parts), matching each needle only as a whole token."""
     words = _GOAL_PLACE.sub(" ", goal_name.lower())
+
+    def has(needles: Sequence[str]) -> bool:
+        return re.search(rf"(?<![a-z0-9])(?:{'|'.join(needles)})(?![a-z0-9])",
+                         words) is not None
+
+    # a runtime-error goal guards the code, not a clause; any clause word in
+    # its name is WP's copy of the function name
+    if has(("rte",)):
+        return None
     for needles, kind in _KIND_HINTS:
-        if re.search(rf"(?<![a-z0-9])(?:{'|'.join(needles)})(?![a-z0-9])", words):
+        if has(needles):
             return kind
     return None
 
@@ -440,7 +451,8 @@ class FramaCVerifier(Verifier):
     """Runs Frama-C with the WP plugin on a temporary woven file.
 
     Each invocation uses an isolated temporary directory; concurrent
-    invocations are capped by a process semaphore.
+    invocations are capped by a process semaphore. A run over the wall
+    budget is killed with every process it started.
     """
 
     def __init__(self, settings: FramaCSettings | None = None):
@@ -467,21 +479,31 @@ class FramaCVerifier(Verifier):
                 str(path),
             ]
             try:
-                proc = subprocess.run(
-                    cmd, capture_output=True, text=True,
-                    timeout=self.settings.wall_budget, cwd=tmp,
+                # a session of its own, so a timeout can kill the prover
+                # processes WP starts along with it
+                proc = subprocess.Popen(
+                    cmd, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                    text=True, cwd=tmp, start_new_session=True,
                 )
             except FileNotFoundError as exc:
                 raise VerifierNotInstalled(
                     f"cannot execute {self.settings.executable!r}") from exc
-            except subprocess.TimeoutExpired as exc:
-                partial = (exc.stdout or b"")
-                if isinstance(partial, bytes):
-                    partial = partial.decode("utf-8", "replace")
-                return VerifierReport(ReportStatus.TIMEOUT, (), partial,
-                                      time.perf_counter() - started)
+            with proc:
+                try:
+                    stdout, stderr = proc.communicate(timeout=self.settings.wall_budget)
+                except subprocess.TimeoutExpired as exc:
+                    partial = (exc.stdout or b"")
+                    if isinstance(partial, bytes):
+                        partial = partial.decode("utf-8", "replace")
+                    return VerifierReport(ReportStatus.TIMEOUT, (), partial,
+                                          time.perf_counter() - started)
+                finally:
+                    if proc.returncode is None:
+                        # not reaped yet, so the group id is still ours
+                        os.killpg(proc.pid, signal.SIGKILL)
+                        proc.wait()
         wall = time.perf_counter() - started
-        output = proc.stdout + ("\n" + proc.stderr if proc.stderr else "")
+        output = stdout + ("\n" + stderr if stderr else "")
         goals, summary = parse_wp_output(output)
         link = _linker(spec, woven_spans)
         linked = []

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import re
+import time
 from pathlib import Path
 
 import pytest
@@ -22,6 +24,7 @@ from specloop import (
     strip_annotations,
     weave,
 )
+from specloop import acsl
 from specloop.errors import (
     AnchorNotFound,
     ClassificationError,
@@ -434,3 +437,340 @@ def _random_annotation(draw):
 def test_roundtrip_property(annotations):
     spec = SpecificationSet(annotations)
     assert parse_annotations(weave(_BARE, spec)) == spec
+
+
+# --------------------------------------------------------------------------
+# layout scan: differential check against the character-stepping scanner
+# --------------------------------------------------------------------------
+# The reference below is the scanner the forward-pass one replaced: it steps
+# one character at a time and finds each declaration start by searching the
+# whole prefix. Both must give the same masked text, comments, functions and
+# anchors, or raise the same error with the same message.
+
+def _ref_lex(source):
+    n = len(source)
+    masked = list(source)
+    comments = []
+    i = 0
+
+    def blank(a, b):
+        for k in range(a, b):
+            if masked[k] != "\n":
+                masked[k] = " "
+
+    while i < n:
+        ch = source[i]
+        if ch == "/" and source.startswith("/*", i):
+            is_acsl = source.startswith("/*@", i)
+            open_len = 3 if is_acsl else 2
+            end = source.find("*/", i + open_len)
+            if end < 0:
+                raise MalformedAnnotation(f"unterminated comment at offset {i}")
+            if is_acsl:
+                comments.append(acsl._AcslComment(
+                    content=acsl._blank_decorations(source[i + open_len:end]),
+                    content_offset=i + open_len,
+                    start_offset=i,
+                    end_offset=end + 2,
+                ))
+            blank(i, end + 2)
+            i = end + 2
+        elif ch == "/" and source.startswith("//", i):
+            is_acsl = source.startswith("//@", i)
+            open_len = 3 if is_acsl else 2
+            end = source.find("\n", i)
+            if end < 0:
+                end = n
+            if is_acsl:
+                comments.append(acsl._AcslComment(
+                    content=source[i + open_len:end],
+                    content_offset=i + open_len,
+                    start_offset=i,
+                    end_offset=end,
+                ))
+            blank(i, end)
+            i = end
+        elif ch == '"' or ch == "'":
+            quote = ch
+            j = i + 1
+            while j < n:
+                if source[j] == "\\":
+                    j += 2
+                    continue
+                if source[j] == quote:
+                    break
+                j += 1
+            blank(i, min(j + 1, n))
+            i = min(j + 1, n)
+        else:
+            i += 1
+    return "".join(masked), comments
+
+
+def _ref_match_block(content, open_pos):
+    depth = 0
+    i = open_pos
+    n = len(content)
+    while i < n:
+        c = content[i]
+        if c == "{":
+            depth += 1
+        elif c == "}":
+            depth -= 1
+            if depth == 0:
+                return i
+        elif c == '"':
+            i += 1
+            while i < n and content[i] != '"':
+                i += 2 if content[i] == "\\" else 1
+        i += 1
+    raise MalformedAnnotation(f"unbalanced '{{' at offset {open_pos}")
+
+
+def _ref_function_at_brace(masked, brace_pos):
+    j = brace_pos - 1
+    while j >= 0 and masked[j].isspace():
+        j -= 1
+    if j < 0 or masked[j] != ")":
+        return None
+    depth = 0
+    while j >= 0:
+        if masked[j] == ")":
+            depth += 1
+        elif masked[j] == "(":
+            depth -= 1
+            if depth == 0:
+                break
+        j -= 1
+    if j < 0:
+        return None
+    j -= 1
+    while j >= 0 and masked[j].isspace():
+        j -= 1
+    name_end = j + 1
+    while j >= 0 and (masked[j].isalnum() or masked[j] == "_"):
+        j -= 1
+    name = masked[j + 1:name_end]
+    if not name or name[0].isdigit() or name in acsl._C_KEYWORDS:
+        return None
+    head = masked[:j + 1]
+    anchor = max(head.rfind(";"), head.rfind("}"), head.rfind("{"))
+    for m in re.finditer(r"(?m)^[ \t]*#[^\n]*$", head):
+        anchor = max(anchor, m.end() - 1)
+    decl_start = anchor + 1
+    while decl_start < brace_pos and masked[decl_start].isspace():
+        decl_start += 1
+    return name, decl_start
+
+
+def _ref_collect_loops(masked, body_start, body_end):
+    loops = []
+    pending_do = []
+    depth = 0
+    i = body_start
+    while i < body_end:
+        c = masked[i]
+        if c == "{":
+            depth += 1
+            i += 1
+        elif c == "}":
+            depth -= 1
+            while pending_do and pending_do[-1] > depth:
+                pending_do.pop()
+            i += 1
+        elif c == "_" or (c.isascii() and c.isalpha()):
+            m = re.compile(r"[A-Za-z_]\w*").match(masked, i)
+            word = m.group(0)
+            if word == "for":
+                loops.append(i)
+            elif word == "do":
+                loops.append(i)
+                pending_do.append(depth)
+            elif word == "while":
+                if pending_do and pending_do[-1] == depth:
+                    pending_do.pop()
+                else:
+                    loops.append(i)
+            i = m.end()
+        else:
+            i += 1
+    return loops
+
+
+def _ref_scan_layout(masked):
+    functions = []
+    depth = 0
+    i = 0
+    n = len(masked)
+    while i < n:
+        c = masked[i]
+        if c == "{":
+            if depth == 0:
+                hit = _ref_function_at_brace(masked, i)
+                if hit is not None:
+                    name, decl_start = hit
+                    body_end = _ref_match_block(masked, i)
+                    info = acsl._FunctionInfo(name, decl_start, i, body_end)
+                    info.loop_offsets = _ref_collect_loops(masked, i + 1, body_end)
+                    functions.append(info)
+                    i = body_end + 1
+                    continue
+            depth += 1
+        elif c == "}":
+            depth -= 1
+        i += 1
+    return functions
+
+
+def _ref_resolve_anchor(kind, comment, functions):
+    if kind in acsl._LOOP_KINDS:
+        for f in functions:
+            if f.body_start < comment.start_offset < f.body_end:
+                for ordinal, off in enumerate(f.loop_offsets, start=1):
+                    if off >= comment.end_offset:
+                        return Loop(f.name, ordinal)
+                raise MalformedAnnotation(
+                    f"loop annotation at offset {comment.start_offset} has no "
+                    f"following loop in function '{f.name}'")
+        raise MalformedAnnotation(
+            f"loop annotation at offset {comment.start_offset} is outside any function body")
+    for f in functions:
+        if f.body_start > comment.start_offset:
+            return FunctionContract(f.name)
+    raise MalformedAnnotation(
+        f"contract annotation at offset {comment.start_offset} precedes no function")
+
+
+def _outcome(fn, *args):
+    """fn's result, or the type and message of what it raised."""
+    try:
+        return fn(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _assert_same_layout(text):
+    lexed = _outcome(acsl._lex, text)
+    assert lexed == _outcome(_ref_lex, text)
+    masked, comments = lexed if isinstance(lexed[0], str) else (None, [])
+    # the scan must agree on raw text too, where quotes reach the brace matcher
+    for scanned in ([] if masked is None else [masked]) + [text]:
+        functions = _outcome(acsl._scan_layout, scanned)
+        assert functions == _outcome(_ref_scan_layout, scanned)
+        if not isinstance(functions, list):
+            continue
+        starts = [f.body_start for f in functions]
+        for comment in comments:
+            for kind in (ConstructKind.LOOP_INVARIANT, ConstructKind.REQUIRES):
+                assert (_outcome(acsl._resolve_anchor, kind, comment, functions, starts)
+                        == _outcome(_ref_resolve_anchor, kind, comment, functions))
+    for m in re.finditer(r"\{", text):
+        assert (_outcome(acsl._match_block, text, m.start())
+                == _outcome(_ref_match_block, text, m.start()))
+
+
+_HEADS = [
+    "int f(int n) {", "void g(void)\n{", "static int h_1(int *p, char c) {",
+    "/*@ requires n > 0;\n    ensures \\result >= 0; */\nint k(int n) {",
+    "\n#define M(x) { x; }\nint m(int a, int b) {", "int (*pick(int s))(int) {",
+    "int À(int n) {", "int é_x(int y) {", "名前(v) {", "int 9bad(int n) {",
+    "while (x) {", "\n#define F int d(void) {", "int\nw\t(int n)\n{",
+    "int arr[] = {1, 2, {3}};\nint q() {",
+]
+
+_STATEMENTS = [
+    "for (i = 0; i < n; i++) { s += i; }", "while (x) { x--; }",
+    "do { x++; } while (x < 3);", "do x++; while (x < 3);",
+    "do { do { } while (a); } while (b);", "while (a) do b; while (c);",
+    "/*@ loop invariant i >= 0;\n    loop variant n - i; */\nfor (;;) {}",
+    "//@ loop assigns x;\nwhile (x) x--;", "/*@ loop invariant x >= 0; */while (x) x--;",
+    "if (a) { b; } else { c; }",
+    "{ for (;;) { } }", "Àfor (;;) {}", "9while (z) {}", "_while = forx + dofor;",
+    's = "{ ; } while";', "c = '}';", "c = '\\'';", "// } while\n", "/* { do */",
+    "return f(x);", "x = (a + (b));",
+]
+
+_C_FRAGMENTS = [
+    # stray braces and parentheses, top-level braces that open no function
+    "}", "{", "};", ";", "(", ")", "struct S { int a; };", "enum E { A, B };",
+    "int (*fp)(int) = 0;", "do {", "} while (y);", "for (;;) {",
+    # comments holding braces, quotes and annotations
+    "/* { ; } */", "/* \" ' */", "/*@ requires x > 0; */",
+    "/*@ loop invariant i >= 0; */", "//@ ensures \\result >= 0;\n",
+    "// } { \" \n", "/*@ @ assigns \\nothing; @*/", "/*", "*/", "//",
+    # string and char literals, escaped quotes, unterminated ones
+    '"{ ; }"', '"a\\"b{"', "'{'", "'\\''", '"\\\\"', '"}\\\n{"', '"', "'", "\\",
+    # preprocessor lines
+    "\n#define M(x) { x; }\n", "\n  # if (a)\n", "#", "\n#include <x.h>\n",
+    "\n\t#pragma once\n",
+    # whitespace, Unicode whitespace included
+    " ", "\n", "\t", "\x0b", "\u00a0", "\u2028",
+]
+
+_noise = st.one_of(st.sampled_from(_C_FRAGMENTS),
+                   st.text(alphabet="{}();#\"'/*@\\ \n\tfordowhileÀ9_", max_size=8))
+_function = st.builds(
+    lambda head, body: head + "\n".join(body) + "}",
+    st.sampled_from(_HEADS),
+    st.lists(st.one_of(st.sampled_from(_STATEMENTS), _noise), max_size=8))
+_c_like_text = st.lists(st.one_of(_function, _noise), max_size=12).map("".join)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_c_like_text)
+def test_layout_scan_matches_the_reference(text):
+    _assert_same_layout(text)
+
+
+@pytest.mark.parametrize("path", sorted(
+    (Path(__file__).parent / "fixtures").rglob("*.c")),
+    ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_layout_scan_matches_the_reference_on_fixtures(path):
+    _assert_same_layout(path.read_text())
+
+
+# --------------------------------------------------------------------------
+# layout scan: cost grows linearly with the input
+# --------------------------------------------------------------------------
+
+def _large_annotated_program(size: int) -> str:
+    """Helpers with a loop, braces in a comment and in a string, and a
+    directive every 17th, then an annotated target; at least size bytes."""
+    parts = ["#include <limits.h>\n\n/*@ predicate pos(integer v) = v > 0; */\n\n"]
+    length = len(parts[0])
+    h = 0
+    while length < size:
+        define = f"#define K_{h} {h}\n" if h % 17 == 0 else ""
+        helper = (f"{define}/* helper {h}: a stray brace {{ in a comment */\n"
+                  f"static int h{h}(int n) {{\n"
+                  f"    int acc = {h % 7};\n"
+                  f"    const char *tag = \"h{h}: {{ ; }} // not a comment\";\n"
+                  f"    for (int i = 0; i < n; i++) {{\n"
+                  f"        acc += (i * {h % 5 + 2}) % 9;\n"
+                  f"    }}\n"
+                  f"    return acc + (tag[0] == '{{');\n"
+                  f"}}\n\n")
+        parts.append(helper)
+        length += len(helper)
+        h += 1
+    parts.append("/*@ requires n >= 0;\n    ensures \\result >= 0; */\n"
+                 "int target(int n) {\n    int s = 0;\n"
+                 "    /*@ loop invariant 0 <= i1 <= n; */\n"
+                 "    for (int i1 = 0; i1 < n; i1++) {\n        s += i1;\n    }\n"
+                 "    return s;\n}\n")
+    return "".join(parts)
+
+
+def test_parse_cost_grows_linearly():
+    def cost(text):
+        best = float("inf")
+        for _ in range(5):
+            started = time.process_time()
+            spec = parse_annotations(text)
+            best = min(best, time.process_time() - started)
+        assert len(spec) == 4
+        return best
+
+    small = cost(_large_annotated_program(16 * 1024))
+    large = cost(_large_annotated_program(128 * 1024))
+    assert large <= 12 * small, f"8x the input took {large / small:.1f}x the time"

@@ -3,6 +3,9 @@ console output, covering the subprocess path end to end."""
 
 from __future__ import annotations
 
+import time
+from pathlib import Path
+
 import pytest
 
 from specloop import (
@@ -164,6 +167,35 @@ def test_wall_budget_exceeded_is_timeout(fake_framac):
     verifier = FramaCVerifier(settings)
     report = verifier.verify(FakeProgram(), contract())
     assert report.status is ReportStatus.TIMEOUT
+
+
+def test_timeout_leaves_no_process_behind(tmp_path):
+    pid_file = tmp_path / "grandchild.pid"
+    script = tmp_path / "frama-c-stub"
+    # a prover process that outlives its parent's budget, as WP's why3 and
+    # alt-ergo children do
+    script.write_text(
+        "#!/bin/sh\n"
+        f"sleep 30 &\necho $! > {pid_file}\n"
+        "echo '[wp] Running WP plugin...'\n"
+        "wait\n")
+    script.chmod(0o755)
+    verifier = FramaCVerifier(FramaCSettings(executable=str(script), wall_budget=1.0))
+    report = verifier.verify(FakeProgram(), contract())
+    assert report.status is ReportStatus.TIMEOUT
+    assert "Running WP plugin" in report.raw_output
+    stat = Path(f"/proc/{pid_file.read_text().strip()}/stat")
+    # SIGKILL lands asynchronously; dead means reaped (gone) or a zombie
+    deadline = time.monotonic() + 5.0
+    while True:
+        try:
+            state = stat.read_text().rsplit(")", 1)[1].split()[0]
+        except FileNotFoundError:
+            return
+        if state == "Z" or time.monotonic() > deadline:
+            break
+        time.sleep(0.01)
+    assert state == "Z"
 
 
 def test_unparseable_output_with_nonzero_exit_is_tool_error(fake_framac):

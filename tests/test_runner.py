@@ -237,6 +237,8 @@ def test_records_roundtrip_through_store(toy_corpus, replay_oracle,
                        record.paradigm, record.run_index)]
         assert twin.outcome == record.outcome
         assert twin.tool_calls == record.tool_calls
+        # reports built in the run and from the file must see the same times
+        assert twin.elapsed == record.elapsed
         assert twin.final_spec == record.final_spec
 
 

@@ -227,6 +227,9 @@ def test_kind_category_fallback_picks_most_recent_unproved():
     ("typed_prepare_assert_rte_mem_access", None),
     ("Assertion 'rte,signed_overflow' (file post.c, line 3) in 'g'", None),
     ("Assertion (file woven.c, line 9) in 'lemma_helper'", None),
+    # runtime-error goals in functions named like a clause kind
+    ("typed_pre_assert_rte_mem_access", None),
+    ("typed_lemma_helper_assert_rte_signed_overflow", None),
 ])
 def test_kind_hint_reads_only_the_goals_own_words(goal_name, kind):
     assert _goal_kind_hint(goal_name) is kind
