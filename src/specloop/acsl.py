@@ -57,6 +57,13 @@ LOGICAL_CONSTRUCTS = frozenset({
 
 ALL_CONSTRUCTS = BASIC_CONSTRUCTS | LOGICAL_CONSTRUCTS
 
+#: Logical constructs that live inside an axiomatic block.
+AXIOMATIC_CONSTRUCTS = frozenset({
+    ConstructKind.PREDICATE,
+    ConstructKind.LOGIC,
+    ConstructKind.AXIOM,
+})
+
 _LOOP_KINDS = frozenset({
     ConstructKind.LOOP_INVARIANT,
     ConstructKind.LOOP_VARIANT,
@@ -353,6 +360,7 @@ _C_KEYWORDS = {
     "if", "else", "for", "while", "do", "switch", "return", "sizeof",
     "case", "default", "goto", "break", "continue",
 }
+_ATTRIBUTE_WORDS = {"__attribute__", "__attribute"}
 
 _WORD = re.compile(r"[A-Za-z_]\w*")
 _BRACE = re.compile(r"[{}]")
@@ -407,20 +415,24 @@ def _function_at_brace(masked: str, brace_pos: int,
     """If the top-level '{' at brace_pos opens a function body, return
     (name, decl_start); otherwise None."""
     j = brace_pos - 1
-    while j >= 0 and masked[j].isspace():
+    while True:
+        while j >= 0 and masked[j].isspace():
+            j -= 1
+        if j < 0 or masked[j] != ")":
+            return None
+        j = marks.opener.get(j, -1)
+        if j < 0:
+            return None
         j -= 1
-    if j < 0 or masked[j] != ")":
-        return None
-    j = marks.opener.get(j, -1)
-    if j < 0:
-        return None
-    j -= 1
-    while j >= 0 and masked[j].isspace():
-        j -= 1
-    name_end = j + 1
-    while j >= 0 and (masked[j].isalnum() or masked[j] == "_"):
-        j -= 1
-    name = masked[j + 1:name_end]
+        while j >= 0 and masked[j].isspace():
+            j -= 1
+        name_end = j + 1
+        while j >= 0 and (masked[j].isalnum() or masked[j] == "_"):
+            j -= 1
+        name = masked[j + 1:name_end]
+        # a trailing __attribute__((...)) group: the parameters precede it
+        if name not in _ATTRIBUTE_WORDS:
+            break
     if not name or name[0].isdigit() or name in _C_KEYWORDS:
         return None
     code = _NON_SPACE.search(masked, marks.decl_start(j + 1), brace_pos)
@@ -736,9 +748,6 @@ def strip_annotations(annotated_source: str) -> str:
     return "\n".join(cleaned)
 
 
-_AXIOMATIC_MEMBER_KINDS = (ConstructKind.LOGIC, ConstructKind.PREDICATE, ConstructKind.AXIOM)
-
-
 def weave(bare_source: str, spec: SpecificationSet) -> str:
     """Embed a specification set into bare C source.
 
@@ -821,8 +830,8 @@ def _render_globals(annotations: list[Annotation], indent: str) -> str:
     has_axiom = any(a.kind is ConstructKind.AXIOM for a in annotations)
     if not has_axiom:
         return "".join(_render_block([a.text], indent) for a in annotations)
-    members = [a for a in annotations if a.kind in _AXIOMATIC_MEMBER_KINDS]
-    rest = [a for a in annotations if a.kind not in _AXIOMATIC_MEMBER_KINDS]
+    members = [a for a in annotations if a.kind in AXIOMATIC_CONSTRUCTS]
+    rest = [a for a in annotations if a.kind not in AXIOMATIC_CONSTRUCTS]
     body = f"\n{indent}      ".join(a.text for a in members)
     block = (f"/*@ axiomatic Spec {{\n{indent}      {body}\n{indent}    }} */\n{indent}")
     return block + "".join(_render_block([a.text], indent) for a in rest)

@@ -120,7 +120,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     if isinstance(oracle, HttpChatOracle):
-        # decoding parameters belong in the run log for reproducibility
+        # decoding parameters belong with the results for reproducibility
         (out / "oracle_settings.json").write_text(
             json.dumps(oracle.settings.record(), indent=2, sort_keys=True) + "\n",
             encoding="utf-8")

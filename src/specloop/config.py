@@ -13,6 +13,7 @@ from pathlib import Path
 
 from .acsl import (
     ALL_CONSTRUCTS,
+    AXIOMATIC_CONSTRUCTS,
     BASIC_CONSTRUCTS,
     ConstructKind,
     SpecificationSet,
@@ -23,12 +24,6 @@ _VERIFIABLE_LOGIC = frozenset({
     ConstructKind.PREDICATE,
     ConstructKind.LOGIC,
     ConstructKind.LEMMA,
-})
-
-_AXIOM_LOGIC = frozenset({
-    ConstructKind.PREDICATE,
-    ConstructKind.LOGIC,
-    ConstructKind.AXIOM,
 })
 
 
@@ -47,7 +42,7 @@ class Configuration:
 _CANONICAL = {
     "CB": Configuration("CB", BASIC_CONSTRUCTS),
     "CV": Configuration("CV", BASIC_CONSTRUCTS | _VERIFIABLE_LOGIC, _VERIFIABLE_LOGIC),
-    "CA": Configuration("CA", BASIC_CONSTRUCTS | _AXIOM_LOGIC,
+    "CA": Configuration("CA", BASIC_CONSTRUCTS | AXIOMATIC_CONSTRUCTS,
                         frozenset({ConstructKind.AXIOM})),
     "CF": Configuration("CF", ALL_CONSTRUCTS),
 }
@@ -116,38 +111,35 @@ def mandatory_instruction(config: Configuration) -> str:
 
 def permitted_keywords(config: Configuration) -> str:
     """Comma-separated ACSL keywords permitted by a configuration."""
-    order = [
-        ConstructKind.REQUIRES, ConstructKind.ENSURES, ConstructKind.ASSIGNS,
-        ConstructKind.LOOP_INVARIANT, ConstructKind.LOOP_VARIANT,
-        ConstructKind.LOOP_ASSIGNS, ConstructKind.BEHAVIOR,
-        ConstructKind.PREDICATE, ConstructKind.LOGIC,
-        ConstructKind.LEMMA, ConstructKind.AXIOM,
-    ]
-    return ", ".join(k.keyword for k in order if k in config.permitted)
+    return ", ".join(k.keyword for k in ConstructKind if k in config.permitted)
 
 
 class TemplateStore:
-    """Loads prompt templates, one file per configuration per phase.
+    """Prompt templates, one file per configuration per phase.
 
     Files are named `<phase>-<config>.txt` (phase is `generate` or
-    `repair`). The default store reads the templates bundled with the
-    package; point it at a directory to override them.
+    `repair`). The root is the given directory, or the templates bundled
+    with the package; every `*.txt` under it is read once, at construction.
     """
 
     def __init__(self, directory: str | Path | None = None):
-        self._directory = Path(directory) if directory is not None else None
+        self._root = (Path(directory) if directory is not None
+                      else resources.files("specloop") / "templates")
+        if not self._root.is_dir():
+            raise MissingTemplate(f"no template directory {self._root}")
+        self._templates = {
+            entry.name: entry.read_text(encoding="utf-8")
+            for entry in self._root.iterdir()
+            if entry.name.endswith(".txt") and entry.is_file()
+        }
 
     def load(self, phase: str, config_name: str) -> str:
         filename = f"{phase}-{config_name}.txt"
-        if self._directory is not None:
-            path = self._directory / filename
-            if not path.is_file():
-                raise MissingTemplate(f"no template file {path}")
-            return path.read_text(encoding="utf-8")
-        ref = resources.files("specloop").joinpath("templates", filename)
-        if not ref.is_file():
-            raise MissingTemplate(f"no bundled template {filename}")
-        return ref.read_text(encoding="utf-8")
+        try:
+            return self._templates[filename]
+        except KeyError:
+            raise MissingTemplate(
+                f"no template file {filename} under {self._root}") from None
 
 
 _DEFAULT_STORE = TemplateStore()
@@ -161,13 +153,7 @@ def build_generation_prompt(program, config: Configuration,
     {permitted_keywords} and {mandatory_instruction} placeholders are filled
     from the program source and the configuration.
     """
-    store = template_store or _DEFAULT_STORE
-    template = store.load("generate", config.name)
-    return template.format(
-        program=_program_source(program),
-        permitted_keywords=permitted_keywords(config),
-        mandatory_instruction=mandatory_instruction(config),
-    )
+    return _fill("generate", program, config, template_store)
 
 
 def build_repair_prompt(program, spec: SpecificationSet, report,
@@ -175,23 +161,20 @@ def build_repair_prompt(program, spec: SpecificationSet, report,
                         template_store: TemplateStore | None = None) -> str:
     """Instantiate the repair prompt from the current specification set and
     the verifier feedback (failing goal names and raw output excerpt)."""
-    store = template_store or _DEFAULT_STORE
-    template = store.load("repair", config.name)
+    return _fill("repair", program, config, template_store,
+                 current_spec="\n".join(a.text for a in spec),
+                 verifier_feedback=_render_feedback(report))
+
+
+def _fill(phase: str, program, config: Configuration,
+          template_store: TemplateStore | None, **fields: str) -> str:
+    template = (template_store or _DEFAULT_STORE).load(phase, config.name)
     return template.format(
-        program=_program_source(program),
+        program=program.source if hasattr(program, "source") else str(program),
         permitted_keywords=permitted_keywords(config),
         mandatory_instruction=mandatory_instruction(config),
-        current_spec=_render_spec(spec),
-        verifier_feedback=_render_feedback(report),
+        **fields,
     )
-
-
-def _program_source(program) -> str:
-    return program.source if hasattr(program, "source") else str(program)
-
-
-def _render_spec(spec: SpecificationSet) -> str:
-    return "\n".join(a.text for a in spec)
 
 
 def _render_feedback(report) -> str:

@@ -190,7 +190,7 @@ class HttpOracleSettings:
     temperature: float = 0.0
     max_tokens: int = 4096
     timeout: float = 120.0
-    retries: int = 3          # transport retries before OracleUnavailable
+    retries: int = 3          # attempts on transient failures before OracleUnavailable
     backoff: float = 1.0      # initial backoff, doubled per retry
 
     @classmethod
@@ -206,7 +206,7 @@ class HttpOracleSettings:
         )
 
     def record(self) -> dict:
-        """Decoding parameters worth persisting into run logs (no secrets)."""
+        """Decoding parameters worth persisting with the results (no secrets)."""
         return {
             "base_url": self.base_url,
             "model": self.model,
@@ -218,9 +218,11 @@ class HttpOracleSettings:
 class HttpChatOracle(Oracle):
     """Chat-completion client for an OpenAI-style endpoint.
 
-    Transport failures are retried with exponential backoff; after the
-    retry budget the request fails with OracleUnavailable so the run is
-    recorded as errored rather than failed-verification.
+    Transient failures (transport errors, HTTP 429 and 5xx) are retried
+    with exponential backoff, with no sleep after the last attempt; after
+    the retry budget the request fails with OracleUnavailable so the run is
+    recorded as errored rather than failed-verification. Any other 4xx and
+    a body without `choices[0].message.content` fail at once.
     """
 
     def __init__(self, settings: HttpOracleSettings, session=None):
@@ -241,25 +243,34 @@ class HttpChatOracle(Oracle):
             "temperature": self.settings.temperature,
             "max_tokens": self.settings.max_tokens,
         }
-        delay = self.settings.backoff
-        last_error: Exception | None = None
-        for _ in range(self.settings.retries):
+        retries = self.settings.retries
+        failure = "no attempt made"
+        for attempt in range(1, retries + 1):
             try:
                 resp = self._session.post(url, json=payload, headers=headers,
                                           timeout=self.settings.timeout)
-                resp.raise_for_status()
-                data = resp.json()
-                content = data["choices"][0]["message"]["content"]
-                if not (content or "").strip():
-                    raise EmptyCompletion(
-                        f"empty completion for {request.program_id}")
-                return content
-            except EmptyCompletion:
-                raise
-            except Exception as exc:  # transport, HTTP or schema trouble
-                last_error = exc
-                time.sleep(delay)
-                delay *= 2
+            except Exception as exc:  # transport trouble, transient
+                failure = f"{type(exc).__name__}: {exc}"
+            else:
+                if resp.status_code < 400:
+                    return _chat_content(resp, request)
+                failure = f"HTTP {resp.status_code}"
+                if resp.status_code != 429 and resp.status_code < 500:
+                    raise OracleUnavailable(f"oracle refused the request: {failure}")
+            if attempt < retries:
+                time.sleep(self.settings.backoff * 2 ** (attempt - 1))
         raise OracleUnavailable(
-            f"oracle transport failed after {self.settings.retries} retries: "
-            f"{last_error}")
+            f"oracle unavailable after {retries} attempts: {failure}")
+
+
+def _chat_content(resp, request: OracleRequest) -> str:
+    """The completion text of a chat response; a body without it is not
+    worth retrying."""
+    try:
+        content = resp.json()["choices"][0]["message"]["content"]
+    except (ValueError, LookupError, TypeError) as exc:
+        raise OracleUnavailable(
+            f"malformed oracle response: {type(exc).__name__}: {exc}") from None
+    if not (content or "").strip():
+        raise EmptyCompletion(f"empty completion for {request.program_id}")
+    return content

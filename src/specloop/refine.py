@@ -12,7 +12,6 @@ import re
 import time
 from dataclasses import dataclass, replace
 from enum import Enum
-from pathlib import Path
 from typing import IO
 
 from .acsl import (
@@ -134,17 +133,20 @@ def _annotation_from_dict(d: dict) -> Annotation:
 
 
 class RunLogger:
-    """Appends one structured line per verifier call for post-hoc audit."""
+    """Writes one JSON line per verifier call to a stream, for post-hoc
+    audit: the run's key, the attempt, status, goal counts, spec size and
+    wall time. Without a stream the lines are dropped."""
 
-    def __init__(self, stream: IO[str] | None = None, path: str | Path | None = None):
-        self._owned = path is not None
-        self._stream = open(path, "a", encoding="utf-8") if path else stream
+    def __init__(self, stream: IO[str] | None = None):
+        self._stream = stream
 
-    def log(self, attempt: int, report: VerifierReport, spec_size: int) -> None:
+    def log(self, run: dict, attempt: int, report: VerifierReport,
+            spec_size: int) -> None:
         if self._stream is None:
             return
         proved = sum(1 for g in report.goals if g.status is GoalStatus.PROVED)
         self._stream.write(json.dumps({
+            **run,
             "attempt": attempt,
             "status": report.status.value,
             "goals_proved": proved,
@@ -152,11 +154,10 @@ class RunLogger:
             "spec_size": spec_size,
             "elapsed": round(report.wall_time, 6),
         }, sort_keys=True) + "\n")
-        self._stream.flush()
 
     def close(self) -> None:
-        if self._owned and self._stream is not None:
-            self._stream.close()
+        if self._stream is not None:
+            self._stream.flush()
 
 
 # --------------------------------------------------------------------------
@@ -231,6 +232,8 @@ def run_once(program, config: Configuration, paradigm: Paradigm,
     errors end the run with an Errored record; they are never raised.
     """
     logger = logger or RunLogger()
+    run_key = {"program_id": program.id, "config": config.name,
+               "paradigm": paradigm.value, "run_index": run_index}
     started = time.perf_counter()
     tool_calls = 0
     iterations = 0
@@ -266,7 +269,7 @@ def run_once(program, config: Configuration, paradigm: Paradigm,
     while True:
         report = verifier.verify(program, spec)
         tool_calls += 1
-        logger.log(iterations, report, len(spec))
+        logger.log(run_key, iterations, report, len(spec))
 
         if report.status is ReportStatus.VERIFIED:
             return record(RunOutcome.VERIFIED, spec, compliant)

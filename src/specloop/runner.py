@@ -1,12 +1,14 @@
 """Experiment runner: load a program corpus and execute the full grid of
 configurations x paradigms x N runs, persisting one record per run.
 
-Records are appended to a line-delimited file as runs finish, so an
-interrupted experiment resumes by skipping already-persisted cells.
+Records and their verifier-call events are appended to line-delimited files
+as runs finish, so an interrupted experiment resumes by skipping
+already-persisted cells.
 """
 
 from __future__ import annotations
 
+import io
 import json
 import os
 import threading
@@ -104,12 +106,18 @@ def _record_key(record: RunRecord) -> tuple[str, str, Paradigm, int]:
 class RecordStore:
     """Append-only JSONL persistence with a single serialized writer.
 
+    Each append writes a run's verifier-call lines to `events.jsonl` beside
+    the records file, then its record, in one hold of the lock. A crash
+    between the two leaves no record, so the cell re-runs: never a record
+    without its events.
+
     An undecodable last line without its newline is an interrupted append:
-    `load` skips it and the first `append` cuts it off. An undecodable line
-    anywhere else raises."""
+    `load` skips it and the first `append` cuts it off, in either file. An
+    undecodable line anywhere else raises."""
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
+        self.events_path = self.path.with_name("events.jsonl")
         self._lock = threading.Lock()
         self._tail_checked = False
 
@@ -131,32 +139,38 @@ class RecordStore:
                 records.append(RunRecord.from_dict(data))
         return records
 
-    def append(self, record: RunRecord) -> None:
+    def append(self, record: RunRecord, events: str = "") -> None:
+        """Persist one run: its verifier-call lines (as `RunLogger` wrote
+        them), then its record."""
         line = json.dumps(record.to_dict(), sort_keys=True)
         with self._lock:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            if not self._tail_checked and self.path.is_file():
-                self._end_last_line()
-            self._tail_checked = True
+            if not self._tail_checked:
+                self.path.parent.mkdir(parents=True, exist_ok=True)
+                _end_last_line(self.events_path)
+                _end_last_line(self.path)
+                self._tail_checked = True
+            with self.events_path.open("a", encoding="utf-8") as fh:
+                fh.write(events)
             with self.path.open("a", encoding="utf-8") as fh:
                 fh.write(line + "\n")
 
-    def _end_last_line(self) -> None:
-        """End a complete last line that lacks its newline, or cut off an
-        interrupted append, so that the next record starts a line."""
-        with self.path.open("r+b") as fh:
-            fh.seek(max(fh.seek(0, os.SEEK_END) - 1, 0))
-            if fh.read(1) in (b"", b"\n"):
-                return
-            fh.seek(0)
-            data = fh.read()
-            start = data.rfind(b"\n") + 1
-            try:
-                json.loads(data[start:])
-            except ValueError:
-                fh.truncate(start)
-            else:
-                fh.write(b"\n")
+
+def _end_last_line(path: Path) -> None:
+    """End a complete last line that lacks its newline, or cut off an
+    interrupted append, so that the next write starts a line."""
+    with path.open("a+b") as fh:  # creates the file, writes at its end
+        fh.seek(max(fh.seek(0, os.SEEK_END) - 1, 0))
+        if fh.read(1) in (b"", b"\n"):
+            return
+        fh.seek(0)
+        data = fh.read()
+        start = data.rfind(b"\n") + 1
+        try:
+            json.loads(data[start:])
+        except ValueError:
+            fh.truncate(start)
+        else:
+            fh.write(b"\n")
 
 
 def run_experiment(plan: ExperimentPlan, corpus: Sequence[Program],
@@ -165,9 +179,10 @@ def run_experiment(plan: ExperimentPlan, corpus: Sequence[Program],
                    templates: TemplateStore | None = None) -> list[RunRecord]:
     """Execute every (program, config, paradigm, run) cell of the plan.
 
-    With an out_dir, records persist to records.jsonl and per-run verifier
-    logs to run_logs/; already-persisted cells are skipped on restart.
-    Individual run errors become Errored records, never exceptions.
+    With an out_dir, each finished run appends its verifier-call lines to
+    events.jsonl and its record to records.jsonl (see `RecordStore`);
+    cells already in records.jsonl are skipped on restart. Individual run
+    errors become Errored records, never exceptions.
     """
     if not corpus:
         raise EmptyCorpus("experiment needs a non-empty corpus")
@@ -178,30 +193,21 @@ def run_experiment(plan: ExperimentPlan, corpus: Sequence[Program],
         for record in store.load():
             done[_record_key(record)] = record
 
-    log_dir = None
-    if out_dir:
-        log_dir = Path(out_dir) / "run_logs"
-        log_dir.mkdir(parents=True, exist_ok=True)
-
     cells = plan.cells(corpus)
     pending = [cell for cell in cells if (cell[0].id, *cell[1:]) not in done]
 
     def execute(cell) -> RunRecord:
         program, config_name, paradigm, run_index = cell
-        logger = RunLogger()
-        if log_dir is not None:
-            name = f"{program.id}-{config_name}-{paradigm.value}-r{run_index}.jsonl"
-            logger = RunLogger(path=log_dir / name)
-        try:
-            record = run_once(
-                program, canonical_config(config_name), paradigm,
-                oracle, verifier, plan.limits,
-                run_index=run_index, templates=templates, logger=logger,
-            )
-        finally:
-            logger.close()
+        events = io.StringIO() if store else None
+        logger = RunLogger(events)
+        record = run_once(
+            program, canonical_config(config_name), paradigm,
+            oracle, verifier, plan.limits,
+            run_index=run_index, templates=templates, logger=logger,
+        )
+        logger.close()
         if store:
-            store.append(record)
+            store.append(record, events.getvalue())
         return record
 
     workers = plan.worker_count()

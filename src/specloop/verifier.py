@@ -248,22 +248,8 @@ def _linker(spec: SpecificationSet, read: SpecificationSet):
 # Mock adapter
 # --------------------------------------------------------------------------
 
-_GOAL_SLUGS = {
-    ConstructKind.REQUIRES: "requires",
-    ConstructKind.ENSURES: "ensures",
-    ConstructKind.ASSIGNS: "assigns",
-    ConstructKind.BEHAVIOR: "behavior",
-    ConstructKind.LOOP_INVARIANT: "loop_invariant",
-    ConstructKind.LOOP_VARIANT: "loop_variant",
-    ConstructKind.LOOP_ASSIGNS: "loop_assigns",
-    ConstructKind.PREDICATE: "predicate",
-    ConstructKind.LOGIC: "logic",
-    ConstructKind.LEMMA: "lemma",
-}
-
-
 def _mock_goal_name(annotation: Annotation, ordinal: int) -> str:
-    slug = _GOAL_SLUGS[annotation.kind]
+    slug = annotation.kind.keyword.replace(" ", "_")
     name = annotation.declared_name()
     anchor = annotation.anchor
     if isinstance(anchor, FunctionContract):

@@ -306,6 +306,17 @@ def test_do_while_counts_once():
     assert ordinals == [1, 1, 1, 2, 2, 2, 3, 3, 3]
 
 
+@pytest.mark.parametrize("head", [
+    "int f(int x) __attribute__((pure)) {",
+    "int f(int x)__attribute__ ((pure)) __attribute((const))\n{",
+])
+def test_trailing_attributes_do_not_name_the_function(head):
+    src = f"/*@ requires x >= 0; */\n{head}\n  return x;\n}}\n"
+    assert acsl.declared_functions(src) == ["f"]
+    (requires,) = parse_annotations(src)
+    assert requires.anchor == FunctionContract("f")
+
+
 # --------------------------------------------------------------------------
 # weave
 # --------------------------------------------------------------------------

@@ -1,11 +1,14 @@
 from __future__ import annotations
 
 import itertools
+import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import specloop
 from specloop import (
     Annotation,
     ConstructKind,
@@ -218,6 +221,32 @@ def test_missing_template(tmp_path):
     store = TemplateStore(tmp_path)
     with pytest.raises(MissingTemplate):
         build_generation_prompt(FakeProgram(), canonical_config("CB"), store)
+    with pytest.raises(MissingTemplate, match=r"generate-CB\.txt.*" + re.escape(str(tmp_path))):
+        store.load("generate", "CB")
+
+
+def test_missing_template_directory_fails_at_construction(tmp_path):
+    with pytest.raises(MissingTemplate, match="no-such-dir"):
+        TemplateStore(tmp_path / "no-such-dir")
+
+
+def test_templates_are_read_once_at_construction(tmp_path):
+    path = tmp_path / "generate-CB.txt"
+    path.write_text("first {program}{permitted_keywords}{mandatory_instruction}",
+                    encoding="utf-8")
+    store = TemplateStore(tmp_path)
+    path.write_text("second", encoding="utf-8")
+    assert store.load("generate", "CB").startswith("first")
+    assert TemplateStore(tmp_path).load("generate", "CB") == "second"
+
+
+def test_bundled_templates_match_the_package_files():
+    root = Path(specloop.__file__).parent / "templates"
+    store = TemplateStore()
+    for path in sorted(root.glob("*.txt")):
+        phase, _, config = path.stem.partition("-")
+        assert store.load(phase, config) == path.read_text(encoding="utf-8")
+    assert TemplateStore(root).load("repair", "CA") == store.load("repair", "CA")
 
 
 def test_template_override_directory(tmp_path):

@@ -192,23 +192,86 @@ class _GoodSession:
         class R:
             status_code = 200
 
-            def raise_for_status(self):
-                pass
-
             def json(inner):
                 return {"choices": [{"message": {"content": self.content}}]}
         return R()
 
 
-def test_transport_down_gives_oracle_unavailable_after_retries():
-    session = _DownSession()
-    oracle = HttpChatOracle(
-        HttpOracleSettings(base_url="http://nowhere.invalid", model="m",
-                           retries=3, backoff=0.0),
+class _ScriptedSession:
+    """Answers each post with the next (status, body) pair; a body of
+    None makes that post a transport failure."""
+
+    def __init__(self, *replies):
+        self.replies = list(replies)
+        self.posts = 0
+
+    def post(self, url, json=None, headers=None, timeout=None):
+        self.posts += 1
+        status, body = self.replies.pop(0)
+        if body is None:
+            raise ConnectionError("transport down")
+
+        class R:
+            status_code = status
+
+            def json(inner):
+                return body
+        return R()
+
+
+_CHAT_OK = {"choices": [{"message": {"content": "```c\n/*@ requires x > 0; */\n"
+                                                "int f(int x) { return x; }\n```"}}]}
+
+
+@pytest.fixture()
+def sleeps(monkeypatch):
+    slept = []
+    monkeypatch.setattr("specloop.oracle.time.sleep", slept.append)
+    return slept
+
+
+def _http_oracle(session, retries=3):
+    return HttpChatOracle(
+        HttpOracleSettings(base_url="http://api.invalid/v1", model="m",
+                           retries=retries, backoff=0.5),
         session=session)
+
+
+def test_transport_down_gives_oracle_unavailable_after_retries(sleeps):
+    session = _DownSession()
     with pytest.raises(OracleUnavailable):
-        oracle.propose(FakeProgram(), "prompt", config_name="CB")
-    assert session.posts == 3
+        _http_oracle(session, retries=4).propose(FakeProgram(), "prompt",
+                                                 config_name="CB")
+    assert session.posts == 4
+    assert sleeps == [0.5, 1.0, 2.0]
+
+
+def test_http_client_error_is_not_retried(sleeps):
+    session = _ScriptedSession((401, {"error": "bad key"}))
+    with pytest.raises(OracleUnavailable, match="401"):
+        _http_oracle(session).propose(FakeProgram(), "prompt", config_name="CB")
+    assert session.posts == 1 and sleeps == []
+
+
+def test_http_malformed_body_is_not_retried(sleeps):
+    session = _ScriptedSession((200, {"choices": []}), (200, _CHAT_OK))
+    with pytest.raises(OracleUnavailable, match="malformed"):
+        _http_oracle(session).propose(FakeProgram(), "prompt", config_name="CB")
+    assert session.posts == 1 and sleeps == []
+
+
+def test_http_server_errors_are_retried(sleeps):
+    session = _ScriptedSession((503, {}), (503, {}), (200, _CHAT_OK))
+    response = _http_oracle(session).propose(FakeProgram(), "prompt",
+                                             config_name="CB")
+    assert len(response.extracted) == 1
+    assert session.posts == 3 and sleeps == [0.5, 1.0]
+
+
+def test_http_rate_limit_is_retried(sleeps):
+    session = _ScriptedSession((429, {}), (200, _CHAT_OK))
+    _http_oracle(session).propose(FakeProgram(), "prompt", config_name="CB")
+    assert session.posts == 2 and sleeps == [0.5]
 
 
 def test_http_oracle_happy_path():

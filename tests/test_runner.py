@@ -242,16 +242,87 @@ def test_records_roundtrip_through_store(toy_corpus, replay_oracle,
         assert twin.final_spec == record.final_spec
 
 
-def test_run_logs_written_per_run(toy_corpus, replay_oracle, rule_verifier,
-                                  tmp_path):
+_RUN_KEY = ("program_id", "config", "paradigm", "run_index")
+
+
+def _events_by_run(path: Path) -> dict[tuple, list[dict]]:
+    """Each run's event lines, after checking that they are contiguous."""
+    runs: dict[tuple, list[dict]] = {}
+    previous = None
+    for line in path.read_text().splitlines():
+        event = json.loads(line)
+        key = tuple(event[k] for k in _RUN_KEY)
+        assert key == previous or key not in runs, f"run {key} is split"
+        runs.setdefault(key, []).append(event)
+        previous = key
+    return runs
+
+
+def test_events_written_per_run(toy_corpus, replay_oracle, rule_verifier,
+                                tmp_path):
     plan = little_plan(configs=("CB",), runs_per_cell=1)
     out = tmp_path / "out"
-    run_experiment(plan, toy_corpus, replay_oracle, rule_verifier, out)
-    logs = sorted((out / "run_logs").glob("*.jsonl"))
-    assert len(logs) == 10
-    entry = json.loads(logs[0].read_text().splitlines()[0])
-    assert {"attempt", "status", "goals_proved", "goals_total",
+    records = run_experiment(plan, toy_corpus, replay_oracle, rule_verifier, out)
+    assert sorted(p.name for p in out.iterdir()) == ["events.jsonl", "records.jsonl"]
+    entry = json.loads((out / "events.jsonl").read_text().splitlines()[0])
+    assert {*_RUN_KEY, "attempt", "status", "goals_proved", "goals_total",
             "spec_size", "elapsed"} <= set(entry)
+    runs = _events_by_run(out / "events.jsonl")
+    assert set(runs) == {(r.program_id, r.config_name, r.paradigm.value,
+                          r.run_index) for r in records if r.tool_calls}
+
+
+def test_events_hold_every_verifier_call_in_attempt_order(toy_corpus,
+                                                          replay_oracle,
+                                                          tmp_path):
+    out = tmp_path / "out"
+    records = run_experiment(little_plan(workers=4), toy_corpus, replay_oracle,
+                             MockVerifier(always_failing=toyworld.ALWAYS_FAILING),
+                             out)
+    runs = _events_by_run(out / "events.jsonl")
+    assert sum(len(events) for events in runs.values()) == \
+        sum(r.tool_calls for r in records)
+    for record in records:
+        key = (record.program_id, record.config_name, record.paradigm.value,
+               record.run_index)
+        attempts = [e["attempt"] for e in runs.get(key, [])]
+        assert len(attempts) == record.tool_calls
+        assert attempts == list(range(len(attempts)))
+
+
+def test_resume_with_nothing_pending_leaves_both_files_unchanged(
+        toy_corpus, replay_oracle, rule_verifier, tmp_path):
+    plan = little_plan(runs_per_cell=1)
+    out = tmp_path / "out"
+    run_experiment(plan, toy_corpus, replay_oracle, rule_verifier, out)
+    before = {name: (out / name).read_bytes()
+              for name in ("records.jsonl", "events.jsonl")}
+    run_experiment(plan, toy_corpus, replay_oracle, rule_verifier, out)
+    assert {name: (out / name).read_bytes() for name in before} == before
+
+
+def test_torn_last_event_line_is_cut_before_the_next_append(
+        toy_corpus, replay_oracle, tmp_path):
+    plan = little_plan(runs_per_cell=1)
+    out = tmp_path / "out"
+    verifier = MockVerifier(always_failing=toyworld.ALWAYS_FAILING)
+    first = run_experiment(plan, toy_corpus, replay_oracle, verifier, out)
+    # a crash while the last run's events were written: its record never was
+    records = (out / "records.jsonl").read_text().splitlines(keepends=True)
+    last = json.loads(records[-1])
+    assert last["tool_calls"] > 0
+    (out / "records.jsonl").write_text("".join(records[:-1]))
+    events = (out / "events.jsonl").read_text().splitlines()
+    kept = events[:len(events) - last["tool_calls"]]
+    (out / "events.jsonl").write_text(
+        "".join(line + "\n" for line in kept)
+        + torn(events[len(kept)]))
+
+    again = run_experiment(plan, toy_corpus, replay_oracle, verifier, out)
+    assert len(again) == len(first)
+    runs = _events_by_run(out / "events.jsonl")
+    assert sum(len(e) for e in runs.values()) == sum(r.tool_calls for r in again)
+    assert (out / "events.jsonl").read_text().endswith("\n")
 
 
 def test_parallel_execution_matches_serial(toy_corpus, replay_oracle):

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import io
+import json
 from dataclasses import replace
 
 import pytest
@@ -14,15 +16,24 @@ from specloop import (
     GoalStatus,
     Loop,
     MockVerifier,
+    Paradigm,
     ReportStatus,
+    RunRecord,
+    ScriptedOracle,
     SourceSpan,
     SpecificationSet,
+    Verifier,
     VerifierReport,
+    canonical_config,
+    extract_spec,
     map_failures_to_annotations,
     refine_delete,
+    run_once,
     spec_key,
+    weave,
 )
 from specloop.errors import UnmappableFailure
+from specloop.refine import RunLogger
 from specloop.verifier import _goal_kind_hint, parse_wp_output, report_from_goals
 
 K = ConstructKind
@@ -282,6 +293,27 @@ _GOAL_WORDS = ["typed_f", "ensures", "requires", "post", "pre", "assigns",
                "pos", "small", "small_zero", "pre_post", "rte", "mystery", "_", " "]
 
 
+def _adversarial_goal(spec: SpecificationSet):
+    """A goal of any name and status, linked to nothing, to an annotation
+    of spec, or to a stranger, with any source line."""
+    links = st.one_of(st.none(), st.sampled_from(spec.annotations),
+                      st.sampled_from(_STRANGERS))
+    return st.builds(
+        GoalResult,
+        goal_name=st.lists(st.sampled_from(_GOAL_WORDS), max_size=4).map("".join),
+        status=st.sampled_from(GoalStatus),
+        source_annotation=links,
+        source_line=st.one_of(st.none(), st.integers(0, 16)))
+
+
+@st.composite
+def _failing_goals(draw, spec: SpecificationSet):
+    goal = _adversarial_goal(spec)
+    goals = draw(st.lists(goal, max_size=5))
+    goals.append(draw(goal.filter(lambda g: g.status is not GoalStatus.PROVED)))
+    return tuple(draw(st.permutations(goals)))
+
+
 @st.composite
 def _adversarial_failure(draw):
     spec = SpecificationSet(
@@ -289,18 +321,7 @@ def _adversarial_failure(draw):
         for a, line in draw(st.lists(
             st.tuples(st.sampled_from(_POOL), st.integers(1, 12)),
             min_size=1, max_size=len(_POOL))))
-    links = st.one_of(st.none(), st.sampled_from(spec.annotations),
-                      st.sampled_from(_STRANGERS))
-    goal = st.builds(
-        GoalResult,
-        goal_name=st.lists(st.sampled_from(_GOAL_WORDS), max_size=4).map("".join),
-        status=st.sampled_from(GoalStatus),
-        source_annotation=links,
-        source_line=st.one_of(st.none(), st.integers(0, 16)))
-    goals = draw(st.lists(goal, max_size=5))
-    goals.append(draw(goal.filter(lambda g: g.status is not GoalStatus.PROVED)))
-    goals = draw(st.permutations(goals))
-    return spec, VerifierReport(ReportStatus.FAILED, tuple(goals))
+    return spec, VerifierReport(ReportStatus.FAILED, draw(_failing_goals(spec)))
 
 
 @settings(max_examples=300, deadline=None)
@@ -318,6 +339,53 @@ def test_blame_chain_total_on_adversarial_reports(case):
     remaining = refine_delete(spec, report)
     assert len(remaining) < len(spec)
     assert remaining.keys() <= spec.keys()
+
+
+def _adversarial_report(spec: SpecificationSet):
+    """Any report a verifier could return for spec: Failed with adversarial
+    goals, Timeout with or without goals, Verified, or ToolError."""
+    proved = _adversarial_goal(spec).map(
+        lambda g: replace(g, status=GoalStatus.PROVED))
+    return st.one_of(
+        _failing_goals(spec).map(
+            lambda goals: VerifierReport(ReportStatus.FAILED, goals)),
+        st.lists(_adversarial_goal(spec), max_size=3).map(
+            lambda goals: VerifierReport(ReportStatus.TIMEOUT, tuple(goals))),
+        st.lists(proved, min_size=1, max_size=3).map(
+            lambda goals: VerifierReport(ReportStatus.VERIFIED, tuple(goals))),
+        st.just(VerifierReport(ReportStatus.TOOL_ERROR, (), "kernel exploded")),
+    )
+
+
+class _DrawingVerifier(Verifier):
+    """Draws a fresh adversarial report for every call."""
+
+    def __init__(self, data):
+        self.data = data
+
+    def verify(self, program, spec):
+        return self.data.draw(_adversarial_report(spec))
+
+
+_LOOP_PROGRAM = FakeProgram(
+    source="int f(int x) {\n  int i = 0;\n  while (i < x) { i++; }\n  return i;\n}\n")
+
+
+@settings(max_examples=200, deadline=None)
+@given(pool=st.lists(st.sampled_from(_POOL), min_size=1, unique=True),
+       data=st.data())
+def test_deletion_run_is_bounded_over_adversarial_reports(pool, data):
+    completion = f"```c\n{weave(_LOOP_PROGRAM.source, SpecificationSet(pool))}\n```"
+    spec = extract_spec(completion)  # S, the set the run starts from
+    log = io.StringIO()
+    record = run_once(_LOOP_PROGRAM, canonical_config("CF"), Paradigm.DELETION,
+                      ScriptedOracle(lambda request: completion),
+                      _DrawingVerifier(data), logger=RunLogger(log))
+    assert isinstance(record, RunRecord)
+    assert 1 <= record.tool_calls <= len(spec) + 1
+    sizes = [json.loads(line)["spec_size"] for line in log.getvalue().splitlines()]
+    assert len(sizes) == record.tool_calls and sizes[0] == len(spec)
+    assert all(a > b for a, b in zip(sizes, sizes[1:]))
 
 
 # --------------------------------------------------------------------------
