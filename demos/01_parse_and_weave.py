@@ -4,7 +4,7 @@ construct kinds and anchors, strip the annotations, and weave them back.
 Run from the repository root:  python3 demos/01_parse_and_weave.py
 """
 
-from specloop import constr, parse_annotations, strip_annotations, weave
+from specloop import parse_annotations, strip_annotations, weave
 
 ANNOTATED = """\
 /*@ logic integer digit_sum(integer n) = n < 10 ? n : digit_sum(n / 10) + n % 10; */
@@ -39,7 +39,7 @@ for ann in spec:
     print(f"  {ann.kind.keyword:<14} {ann.anchor!s:<40} "
           f"lines {ann.span.start_line}-{ann.span.end_line}")
 
-print("\nconstructs used:", sorted(k.keyword for k in constr(spec)))
+print("\nconstructs used:", sorted(k.keyword for k in spec.constr()))
 
 bare = strip_annotations(ANNOTATED)
 print("\n--- bare program (annotations stripped) ---")

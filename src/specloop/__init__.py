@@ -18,7 +18,6 @@ from .acsl import (
     SourceSpan,
     SpecificationSet,
     classify_construct,
-    constr,
     parse_annotations,
     strip_annotations,
     weave,

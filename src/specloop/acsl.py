@@ -226,6 +226,7 @@ class SpecificationSet:
         self.annotations: tuple[Annotation, ...] = tuple(kept)
 
     def constr(self) -> frozenset[ConstructKind]:
+        """Deduplicated set of construct kinds used by the set."""
         return frozenset(a.kind for a in self.annotations)
 
     def keys(self) -> frozenset[tuple]:
@@ -255,11 +256,6 @@ class SpecificationSet:
     def __repr__(self) -> str:
         kinds = ", ".join(sorted(k.keyword for k in self.constr()))
         return f"SpecificationSet({len(self.annotations)} annotations; {{{kinds}}})"
-
-
-def constr(spec: SpecificationSet) -> frozenset[ConstructKind]:
-    """Deduplicated set of construct kinds used by a specification set."""
-    return spec.constr()
 
 
 # --------------------------------------------------------------------------
@@ -507,7 +503,12 @@ class _Clause:
     def text(self, content: str) -> str:
         pieces = [content[self.start:self.end]]
         pieces += [content[a:b] for a, b in self.extra_spans]
-        return _normalize_clause(" ".join(pieces))
+        text = _normalize_clause(" ".join(pieces))
+        # only a `//@` line can hold it, and weave would end its block there
+        if "*/" in text:
+            raise MalformedAnnotation(
+                f"{self.kind.keyword} clause contains '*/'")
+        return text
 
 
 def _normalize_clause(raw: str) -> str:

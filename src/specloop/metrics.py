@@ -195,7 +195,7 @@ def improvement_ratio(modify_value: float, delete_value: float) -> float:
     return (modify_value - delete_value) / delete_value
 
 
-def split_cells(records: Iterable[RunRecord]) -> dict[tuple[str, Paradigm], list[RunRecord]]:
+def _split_cells(records: Iterable[RunRecord]) -> dict[tuple[str, Paradigm], list[RunRecord]]:
     cells: dict[tuple[str, Paradigm], list[RunRecord]] = defaultdict(list)
     for r in records:
         cells[(r.config_name, r.paradigm)].append(r)
@@ -203,7 +203,7 @@ def split_cells(records: Iterable[RunRecord]) -> dict[tuple[str, Paradigm], list
 
 
 def _compute_cells(records: Iterable[RunRecord]) -> dict[tuple[str, Paradigm], CellMetrics]:
-    return {key: compute_cell(cell) for key, cell in split_cells(records).items()}
+    return {key: compute_cell(cell) for key, cell in _split_cells(records).items()}
 
 
 # --------------------------------------------------------------------------
@@ -212,7 +212,7 @@ def _compute_cells(records: Iterable[RunRecord]) -> dict[tuple[str, Paradigm], C
 
 def _named_cells(records: Iterable[RunRecord], configs: Sequence[str],
                  paradigm: Paradigm) -> dict[str, CellMetrics]:
-    cells = split_cells(records)
+    cells = _split_cells(records)
     for name in configs:
         if (name, paradigm) not in cells:
             raise IncompleteGrid(f"no records for {name} under {paradigm.value}")

@@ -134,8 +134,10 @@ def _annotation_from_dict(d: dict) -> Annotation:
 
 class RunLogger:
     """Writes one JSON line per verifier call to a stream, for post-hoc
-    audit: the run's key, the attempt, status, goal counts, spec size and
-    wall time. Without a stream the lines are dropped."""
+    audit: the run's key, the attempt, status, goal counts, spec size, wall
+    time and whether the verifier answered from its cache. A hit's wall
+    time is the original call's, so a run's summed `elapsed` is its charged
+    verifier time. Without a stream the lines are dropped."""
 
     def __init__(self, stream: IO[str] | None = None):
         self._stream = stream
@@ -148,6 +150,7 @@ class RunLogger:
         self._stream.write(json.dumps({
             **run,
             "attempt": attempt,
+            "cache_hit": report.cache_hit,
             "status": report.status.value,
             "goals_proved": proved,
             "goals_total": len(report.goals),

@@ -112,8 +112,10 @@ class RecordStore:
     without its events.
 
     An undecodable last line without its newline is an interrupted append:
-    `load` skips it and the first `append` cuts it off, in either file. An
-    undecodable line anywhere else raises."""
+    `load` skips it and the first `append` cuts it off, in either file. The
+    first `append` also cuts the event lines a crash left without their
+    record, so each run keeps one group of event lines. An undecodable line
+    anywhere else raises."""
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
@@ -148,6 +150,7 @@ class RecordStore:
                 self.path.parent.mkdir(parents=True, exist_ok=True)
                 _end_last_line(self.events_path)
                 _end_last_line(self.path)
+                _cut_orphan_events(self.events_path, self.path)
                 self._tail_checked = True
             with self.events_path.open("a", encoding="utf-8") as fh:
                 fh.write(events)
@@ -173,6 +176,29 @@ def _end_last_line(path: Path) -> None:
             fh.write(b"\n")
 
 
+def _run_key(line: bytes) -> tuple:
+    data = json.loads(line)
+    return data["program_id"], data["config"], data["paradigm"], data["run_index"]
+
+
+def _cut_orphan_events(events_path: Path, records_path: Path) -> None:
+    """Cut the trailing event lines of runs that have no record: a crash
+    between a run's two writes left them, and the run will write them again.
+    Appends are serialised, so only the tail can hold such lines."""
+    data = events_path.read_bytes()
+    recorded = {_run_key(line) for line in records_path.read_bytes().splitlines()
+                if line.strip()}
+    end = len(data)
+    while end:
+        start = data.rfind(b"\n", 0, end - 1) + 1
+        if _run_key(data[start:end]) in recorded:
+            break
+        end = start
+    if end < len(data):
+        with events_path.open("r+b") as fh:
+            fh.truncate(end)
+
+
 def run_experiment(plan: ExperimentPlan, corpus: Sequence[Program],
                    oracle: Oracle, verifier: Verifier,
                    out_dir: str | Path | None = None,
@@ -195,6 +221,10 @@ def run_experiment(plan: ExperimentPlan, corpus: Sequence[Program],
 
     cells = plan.cells(corpus)
     pending = [cell for cell in cells if (cell[0].id, *cell[1:]) not in done]
+    # run-major: every cell's run 1 (deletion, then modification) before any
+    # run 2, so a verifier input repeated across runs and paradigms arrives
+    # after its first call has finished and can be answered from a cache
+    pending.sort(key=lambda cell: (cell[3], plan.paradigms.index(cell[2])))
 
     def execute(cell) -> RunRecord:
         program, config_name, paradigm, run_index = cell

@@ -17,7 +17,7 @@ import tempfile
 import threading
 import time
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -62,6 +62,9 @@ class VerifierReport:
     goals: tuple[GoalResult, ...]
     raw_output: str = ""
     wall_time: float = 0.0
+    #: answered from the adapter's result cache; wall_time is then the
+    #: time of the call that ran the tool
+    cache_hit: bool = False
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "goals", tuple(self.goals))
@@ -439,11 +442,21 @@ class FramaCVerifier(Verifier):
     Each invocation uses an isolated temporary directory; concurrent
     invocations are capped by a process semaphore. A run over the wall
     budget is killed with every process it started.
+
+    The tool runs at most once per distinct input for the life of the
+    instance: the tool output is kept under a hash of the woven program and
+    the settings that reach the command line, and a repeat is answered from
+    it (`cache_hit`). Results that a retry could change are never kept: a
+    wall-budget Timeout, a ToolError, and a report holding a goal whose
+    prover timed out. Two concurrent calls on one new input both run.
     """
 
     def __init__(self, settings: FramaCSettings | None = None):
         self.settings = settings or FramaCSettings()
         self._slots = threading.Semaphore(self.settings.max_processes)
+        # input hash -> (tool output, woven-file spans, wall time); a single
+        # get or set of a dict is atomic, and a lost race only runs twice
+        self._results: dict[str, tuple[str, SpecificationSet, float]] = {}
 
     def verify(self, program, spec: SpecificationSet) -> VerifierReport:
         started = time.perf_counter()
@@ -453,6 +466,13 @@ class FramaCVerifier(Verifier):
             return VerifierReport(ReportStatus.TOOL_ERROR, (),
                                   f"weave failed: {exc}",
                                   time.perf_counter() - started)
+        s = self.settings
+        key = hashlib.sha256(json.dumps(
+            [woven, s.executable, s.prover, s.prover_timeout, list(s.extra_args)]
+        ).encode("utf-8")).hexdigest()
+        cached = self._results.get(key)
+        if cached is not None:
+            return replace(_wp_report(spec, *cached), cache_hit=True)
         with self._slots, tempfile.TemporaryDirectory(prefix="specloop-wp-") as tmp:
             path = Path(tmp) / "woven.c"
             path.write_text(woven, encoding="utf-8")
@@ -488,21 +508,33 @@ class FramaCVerifier(Verifier):
                         # not reaped yet, so the group id is still ours
                         os.killpg(proc.pid, signal.SIGKILL)
                         proc.wait()
-        wall = time.perf_counter() - started
-        output = stdout + ("\n" + stderr if stderr else "")
-        goals, summary = parse_wp_output(output)
-        link = _linker(spec, woven_spans)
-        linked = []
-        for goal in goals:
-            # a woven-file line must not reach the spec-span line step, so
-            # only a linked goal keeps it
-            ann = link(goal)
-            line = goal.source_line if ann is not None else None
-            linked.append(GoalResult(goal.goal_name, goal.status, ann, line))
-        if not linked and summary is not None and summary[1] >= summary[0]:
-            proved, total = summary
-            linked = [GoalResult(f"goal_{i+1}", GoalStatus.PROVED)
-                      for i in range(proved)]
-            linked += [GoalResult(f"unidentified_goal_{i+1}", GoalStatus.UNKNOWN)
-                       for i in range(total - proved)]
-        return report_from_goals(linked, raw_output=output, wall_time=wall)
+        result = (stdout + ("\n" + stderr if stderr else ""), woven_spans,
+                  time.perf_counter() - started)
+        report = _wp_report(spec, *result)
+        if report.status is not ReportStatus.TOOL_ERROR and all(
+                g.status is not GoalStatus.TIMEOUT for g in report.goals):
+            self._results[key] = result
+        return report
+
+
+def _wp_report(spec: SpecificationSet, output: str,
+               woven_spans: SpecificationSet, wall: float) -> VerifierReport:
+    """The report of one WP run on `spec` woven: goals parsed from the
+    output and linked to `spec`'s own annotations through the woven file's
+    spans."""
+    goals, summary = parse_wp_output(output)
+    link = _linker(spec, woven_spans)
+    linked = []
+    for goal in goals:
+        # a woven-file line must not reach the spec-span line step, so
+        # only a linked goal keeps it
+        ann = link(goal)
+        line = goal.source_line if ann is not None else None
+        linked.append(GoalResult(goal.goal_name, goal.status, ann, line))
+    if not linked and summary is not None and summary[1] >= summary[0]:
+        proved, total = summary
+        linked = [GoalResult(f"goal_{i+1}", GoalStatus.PROVED)
+                  for i in range(proved)]
+        linked += [GoalResult(f"unidentified_goal_{i+1}", GoalStatus.UNKNOWN)
+                   for i in range(total - proved)]
+    return report_from_goals(linked, raw_output=output, wall_time=wall)

@@ -29,7 +29,6 @@ from specloop import (
     build_table,
     canonical_config,
     check_compliance,
-    constr,
     csccr,
     map_failures_to_annotations,
     optimal_config_proportions,
@@ -163,7 +162,7 @@ def test_c05_parser_roundtrip_corpus():
     for path in corpus:
         src = path.read_text()
         spec = parse_annotations(src, file=path.name)
-        covered |= set(constr(spec))
+        covered |= set(spec.constr())
         bare = strip_annotations(src)
         assert len(parse_annotations(bare)) == 0, path.name
         assert parse_annotations(weave(bare, spec)) == spec, path.name

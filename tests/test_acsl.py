@@ -19,7 +19,6 @@ from specloop import (
     SourceSpan,
     SpecificationSet,
     classify_construct,
-    constr,
     parse_annotations,
     strip_annotations,
     weave,
@@ -128,8 +127,8 @@ def test_constr_examples():
         Annotation(ConstructKind.REQUIRES, "requires b;", f),
         Annotation(ConstructKind.ENSURES, "ensures c;", f),
     ])
-    assert constr(spec) == {ConstructKind.REQUIRES, ConstructKind.ENSURES}
-    assert constr(SpecificationSet()) == frozenset()
+    assert spec.constr() == {ConstructKind.REQUIRES, ConstructKind.ENSURES}
+    assert SpecificationSet().constr() == frozenset()
 
 
 # --------------------------------------------------------------------------
@@ -174,7 +173,7 @@ def test_parse_digit_sum_verifiable_inventory(annotated_dir):
     kinds = [a.kind for a in spec]
     assert kinds.count(ConstructKind.LOGIC) >= 1
     assert kinds.count(ConstructKind.LEMMA) == 2
-    assert constr(spec) >= {
+    assert spec.constr() >= {
         ConstructKind.LOGIC, ConstructKind.LEMMA, ConstructKind.REQUIRES,
         ConstructKind.ENSURES, ConstructKind.ASSIGNS,
         ConstructKind.LOOP_INVARIANT, ConstructKind.LOOP_ASSIGNS,
@@ -189,13 +188,13 @@ def test_parse_digit_sum_axiomatic_inventory(annotated_dir):
     kinds = [a.kind for a in spec]
     assert kinds.count(ConstructKind.LOGIC) >= 1
     assert kinds.count(ConstructKind.AXIOM) == 2
-    assert {ConstructKind.AXIOM, ConstructKind.LOGIC} <= constr(spec)
+    assert {ConstructKind.AXIOM, ConstructKind.LOGIC} <= spec.constr()
 
 
 def test_parse_line_annotations(annotated_dir):
     spec = parse_annotations((annotated_dir / "line_annotations.c").read_text())
     assert len(spec) == 6
-    assert constr(spec) == {
+    assert spec.constr() == {
         ConstructKind.REQUIRES, ConstructKind.ENSURES, ConstructKind.ASSIGNS,
         ConstructKind.LOOP_INVARIANT, ConstructKind.LOOP_ASSIGNS,
         ConstructKind.LOOP_VARIANT,
@@ -288,7 +287,7 @@ def test_parse_totality_no_silent_drops(annotated_dir):
 def test_basic_logical_partition(annotated_dir):
     for path in sorted(annotated_dir.glob("*.c")):
         spec = parse_annotations(path.read_text())
-        uses_logical = bool(constr(spec) & LOGICAL_CONSTRUCTS)
+        uses_logical = bool(spec.constr() & LOGICAL_CONSTRUCTS)
         heads_only_basic = all(a.kind in BASIC_CONSTRUCTS for a in spec)
         assert uses_logical == (not heads_only_basic) or not spec.annotations
 
@@ -443,10 +442,40 @@ def _random_annotation(draw):
                       f"axiom {name}: \\forall integer v; v + {a} >= v;")
 
 
+#: the _BARE line each anchor's `//@` lines go before
+_LINE_OF_ANCHOR = {GLOBAL: 0, FunctionContract("alpha"): 0,
+                   Loop("alpha", 1): 2, Loop("alpha", 2): 3,
+                   FunctionContract("beta"): 7}
+
+
+def _as_line_comments(spec, closer_in=None):
+    """_BARE with each annotation of spec on a `//@` line before its anchor;
+    annotation number `closer_in` gets a `*/` before its ';'."""
+    lines = _BARE.splitlines(keepends=True)
+    # bottom up, so each insertion leaves the lines above it in place
+    for at, i, ann in sorted(((_LINE_OF_ANCHOR[a.anchor], i, a)
+                              for i, a in enumerate(spec)), reverse=True):
+        text = ann.text[:-1] + " */;" if i == closer_in else ann.text
+        indent = lines[at][:len(lines[at]) - len(lines[at].lstrip())]
+        lines.insert(at, f"{indent}//@ {text}\n")
+    return "".join(lines)
+
+
 @settings(max_examples=60, deadline=None)
-@given(st.lists(_random_annotation(), max_size=12))
-def test_roundtrip_property(annotations):
+@given(st.lists(_random_annotation(), max_size=12),
+       st.sampled_from(["/*@ blocks", "//@ lines", "//@ lines with */"]),
+       st.integers(min_value=0, max_value=11))
+def test_roundtrip_property(annotations, form, closer_in):
     spec = SpecificationSet(annotations)
+    if form != "/*@ blocks":
+        closer_in = closer_in % len(spec) if form.endswith("*/") and spec else None
+        try:
+            parsed = parse_annotations(_as_line_comments(spec, closer_in))
+        except MalformedAnnotation:
+            # weave would end its `/*@` block at that `*/`
+            assert closer_in is not None
+            return
+        assert closer_in is None and parsed == spec
     assert parse_annotations(weave(_BARE, spec)) == spec
 
 

@@ -3,23 +3,30 @@ console output, covering the subprocess path end to end."""
 
 from __future__ import annotations
 
+import json
+import re
 import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from specloop import (
     Annotation,
     ConstructKind,
+    ExperimentPlan,
     FramaCSettings,
     FramaCVerifier,
     FunctionContract,
     Loop,
+    Paradigm,
     ReportStatus,
     SpecificationSet,
     extract_spec,
     map_failures_to_annotations,
     refine_delete,
+    run_experiment,
     tie_break_annotation,
     weave,
 )
@@ -43,12 +50,19 @@ def contract():
     ])
 
 
+def tool_runs(log: Path) -> int:
+    return len(log.read_text().splitlines()) if log.exists() else 0
+
+
 @pytest.fixture()
 def fake_framac(tmp_path):
+    """Settings for a stub that prints canned output and appends one line
+    per invocation to `tmp_path / "calls.log"`."""
     def make(output: str, exit_code: int = 0, sleep: float = 0.0) -> FramaCSettings:
         script = tmp_path / "frama-c-stub"
         script.write_text(
             "#!/bin/sh\n"
+            f"echo \"$*\" >> {tmp_path / 'calls.log'}\n"
             f"sleep {sleep}\n"
             "cat <<'WPOUT'\n"
             f"{output}\n"
@@ -236,3 +250,153 @@ def test_summary_only_success_synthesizes_goals(fake_framac):
     verifier = FramaCVerifier(fake_framac("", exit_code=1))
     report = verifier.verify(FakeProgram(), contract())
     assert report.status is ReportStatus.TOOL_ERROR
+
+
+# --------------------------------------------------------------------------
+# result cache
+# --------------------------------------------------------------------------
+
+ENSURES_TIMES_OUT = """\
+[wp] 3 goals scheduled
+[wp] [Valid] typed_f_requires (Qed)
+[wp] [Timeout] typed_f_ensures (Alt-Ergo)
+[wp] [Valid] typed_f_assigns (Qed)
+[wp] Proved goals:    2 / 3"""
+
+
+def test_repeated_input_runs_the_tool_once(fake_framac, tmp_path):
+    verifier = FramaCVerifier(fake_framac(LINE_BASED_FAILURE))
+    first = verifier.verify(FakeProgram(), contract())
+    spec = contract()  # equal, but other annotation objects
+    again = verifier.verify(FakeProgram(), spec)
+    assert tool_runs(tmp_path / "calls.log") == 1
+    assert (first.cache_hit, again.cache_hit) == (False, True)
+    assert again.wall_time == first.wall_time
+    assert again.status is ReportStatus.FAILED
+    assert again.goals == first.goals
+    # a hit links goals to the caller's own annotations
+    assert again.goals[0].source_annotation is spec.annotations[1]
+
+    verifier.verify(FakeProgram(source="int f(int x) { return -x; }\n"), spec)
+    verifier.settings.prover_timeout += 1
+    verifier.verify(FakeProgram(), spec)
+    assert tool_runs(tmp_path / "calls.log") == 3
+
+
+@pytest.mark.parametrize("output, exit_code, sleep, status", [
+    (ALL_VALID, 0, 3.0, ReportStatus.TIMEOUT),
+    ("[kernel] user error: whatever", 1, 0.0, ReportStatus.TOOL_ERROR),
+    (ENSURES_TIMES_OUT, 0, 0.0, ReportStatus.FAILED),
+], ids=["wall-budget", "zero-goals", "goal-timeout"])
+def test_results_a_retry_could_change_are_not_cached(fake_framac, tmp_path,
+                                                     output, exit_code, sleep,
+                                                     status):
+    settings_ = fake_framac(output, exit_code, sleep)
+    settings_.wall_budget = 0.3
+    verifier = FramaCVerifier(settings_)
+    reports = [verifier.verify(FakeProgram(), contract()) for _ in range(3)]
+    assert [r.status for r in reports] == [status] * 3
+    assert not any(r.cache_hit for r in reports)
+    assert tool_runs(tmp_path / "calls.log") == 3
+
+
+_LOOPY = ("int f(int x) {\n"
+          "  int i = 0;\n"
+          "  while (i < x) { i++; }\n"
+          "  return i;\n"
+          "}\n")
+_PROGRAMS = (FakeProgram("p0", _LOOPY),
+             FakeProgram("p1", "int g(int y) {\n  return y;\n}\n\n" + _LOOPY))
+#: the stub fails a clause iff it holds the marker
+_MARKER = "BAD"
+_CLAUSES = (
+    (K.REQUIRES, "requires x >= 0;", FunctionContract("f")),
+    (K.ENSURES, "ensures \\result >= 0;", FunctionContract("f")),
+    (K.ENSURES, "ensures \\result == BAD;", FunctionContract("f")),
+    (K.LOOP_INVARIANT, "loop invariant 0 <= i;", Loop("f", 1)),
+    (K.LOOP_INVARIANT, "loop invariant i <= BAD;", Loop("f", 1)),
+    (K.LEMMA, "lemma l_BAD: \\true;", None),
+    (K.PREDICATE, "predicate pos(integer v) = v > 0;", None),
+)
+
+
+@st.composite
+def _call_sequences(draw):
+    """Calls drawn from a pool of at most three inputs, so most repeat."""
+    inputs = st.tuples(st.integers(0, len(_PROGRAMS) - 1),
+                       st.lists(st.integers(0, len(_CLAUSES) - 1), unique=True))
+    pool = draw(st.lists(inputs, min_size=1, max_size=3, unique_by=str))
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=6))
+    return [pool[i] for i in picks]
+
+
+def _spec(indices) -> SpecificationSet:
+    """Fresh annotation objects for every call."""
+    return SpecificationSet(
+        Annotation(kind, text, anchor) if anchor else Annotation(kind, text)
+        for kind, text, anchor in (_CLAUSES[i] for i in indices))
+
+
+def _summary(report):
+    return (report.status, [
+        (g.goal_name, g.status,
+         g.source_annotation.key() if g.source_annotation else None,
+         g.source_line) for g in report.goals])
+
+
+@pytest.fixture(scope="module")
+def quick_stub(wp_stub, tmp_path_factory):
+    """The WP stub without its prover sleep, behind a wrapper that logs
+    each invocation."""
+    root = tmp_path_factory.mktemp("quick-stub")
+    stub = root / "frama-c-stub"
+    stub.write_text(re.sub(r"(?m)^PROVER_SECONDS=.*$", "PROVER_SECONDS=0",
+                           wp_stub.read_text()))
+    wrapper = root / "frama-c"
+    wrapper.write_text(f"#!/bin/sh\necho \"$*\" >> {root / 'calls.log'}\n"
+                       f"exec sh {stub} \"$@\"\n")
+    wrapper.chmod(0o755)
+    return FramaCSettings(executable=str(wrapper), wall_budget=30.0,
+                          extra_args=("-stub-fail-marker", _MARKER)), root / "calls.log"
+
+
+@settings(max_examples=25, deadline=None)
+@given(calls=_call_sequences())
+def test_cached_verifier_answers_as_a_fresh_one(calls, quick_stub):
+    stub_settings, log = quick_stub
+    cached = FramaCVerifier(stub_settings)
+    before = tool_runs(log)
+    for program, indices in calls:
+        spec = _spec(indices)
+        got = cached.verify(_PROGRAMS[program], spec)
+        want = FramaCVerifier(stub_settings).verify(_PROGRAMS[program], _spec(indices))
+        assert _summary(got) == _summary(want)
+        assert all(any(g.source_annotation is a for a in spec.annotations)
+                   for g in got.goals if g.source_annotation is not None)
+    # every call ran the tool once for the fresh verifier; the cached one
+    # ran it once per distinct input, and again for each uncached ToolError
+    tool_errors = sum(1 for _, indices in calls if not indices)
+    distinct = {(p, tuple(i)) for p, i in calls if i}
+    assert tool_runs(log) - before == len(calls) + len(distinct) + tool_errors
+
+
+def test_stub_grid_events_mark_cache_hits(toy_corpus, replay_oracle, wp_stub,
+                                          tmp_path):
+    plan = ExperimentPlan(configs=("CB",), paradigms=(Paradigm.DELETION,),
+                          runs_per_cell=2, workers=1)
+    verifier = FramaCVerifier(FramaCSettings(
+        executable=str(wp_stub), wall_budget=30.0,
+        # fails the toy world's bad ensures (`toyworld.BAD_ENSURES`)
+        extra_args=("-stub-fail-marker", "424242")))
+    records = run_experiment(plan, toy_corpus, replay_oracle, verifier,
+                             tmp_path / "out")
+    events = [json.loads(line) for line in
+              (tmp_path / "out" / "events.jsonl").read_text().splitlines()]
+    assert len(events) == sum(r.tool_calls for r in records)
+    assert all(isinstance(e["cache_hit"], bool) for e in events)
+    # run 2 repeats run 1's inputs, and is charged run 1's verifier time
+    charged = {1: {}, 2: {}}
+    for e in events:
+        assert e["cache_hit"] is (e["run_index"] == 2)
+        charged[e["run_index"]][e["program_id"], e["attempt"]] = e["elapsed"]
+    assert charged[1] == charged[2]

@@ -11,7 +11,6 @@ from specloop import (
     ReplayOracle,
     ScriptedOracle,
     SplitOracle,
-    constr,
     extract_spec,
     parse_annotations,
     weave,
@@ -48,7 +47,7 @@ def test_extract_from_single_fenced_block():
     )
     spec = extract_spec(completion)
     assert len(spec) == 2
-    assert constr(spec) == {ConstructKind.REQUIRES, ConstructKind.ENSURES}
+    assert spec.constr() == {ConstructKind.REQUIRES, ConstructKind.ENSURES}
 
 
 def test_extract_prose_only_raises():
@@ -132,7 +131,7 @@ def test_scripted_oracle_digit_sum_figure(annotated_dir):
     oracle = ScriptedOracle(lambda request: f"```c\n{figure_source}\n```")
     response = oracle.propose(FakeProgram("digit_sum"), "prompt",
                               config_name="CV")
-    kinds = constr(response.extracted)
+    kinds = response.extracted.constr()
     assert ConstructKind.LOGIC in kinds and ConstructKind.LEMMA in kinds
 
 

@@ -10,6 +10,8 @@ from specloop import (
     Annotation,
     ConstructKind,
     ExperimentPlan,
+    FramaCSettings,
+    FramaCVerifier,
     FunctionContract,
     GoalResult,
     GoalStatus,
@@ -252,6 +254,8 @@ UNPARSEABLE = {
                          "int f(int x) {\n  return x;\n}\n```",
     "unbalanced_brace": "```c\n/*@ requires x >= 0; */\nint f(int x) {\n"
                         "  while (x > 0) { x--;\n  return x;\n}\n```",
+    "comment_closer": "```c\n//@ ensures \\result >= 0 */ ;\n"
+                      "int f(int x) {\n  return x;\n}\n```",
 }
 
 
@@ -299,17 +303,19 @@ _CLAUSES = ["requires x >= 0;", "ensures \\result >= 0;", "assigns \\nothing;",
             "assert x > 0;", "requires x >= 0", "ensures", ";", "@", "{", "}",
             "*/", "/*@", "predicate p(integer v) = v > 0;", "lemma l: p(1);",
             "axiomatic A { axiom a: \\true; }", "axiomatic A {",
-            "loop invariant 0 <= x;", "loop variant x;"]
+            "loop invariant 0 <= x;", "loop variant x;",
+            "ensures \\result >= 0 */ ;"]
 
 
 @st.composite
 def _completions(draw):
-    """Arbitrary text, or a fenced program whose annotation comment holds
-    drawn clauses, valid or not, with one more character spliced in."""
+    """Arbitrary text, or a fenced program whose `/*@` comment or `//@` line
+    holds drawn clauses, valid or not, with one more character spliced in."""
     if draw(st.booleans()):
         return draw(st.text(max_size=60))
     clauses = " ".join(draw(st.lists(st.sampled_from(_CLAUSES), max_size=4)))
-    text = (f"```c\n/*@ {clauses} */\nint f(int x) {{\n"
+    comment = f"/*@ {clauses} */" if draw(st.booleans()) else f"//@ {clauses}"
+    text = (f"```c\n{comment}\nint f(int x) {{\n"
             f"  while (x > 0) {{ x--; }}\n  return x;\n}}\n```")
     at = draw(st.integers(0, len(text)))
     return text[:at] + draw(st.text(max_size=1)) + text[at:]
@@ -317,12 +323,16 @@ def _completions(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(text=_completions(), paradigm=st.sampled_from(Paradigm))
-def test_run_once_returns_a_record_for_any_completion(text, paradigm):
+def test_run_once_returns_a_record_for_any_completion(text, paradigm, wp_stub):
     oracle = ScriptedOracle(lambda request: text)
-    record = run_once(FakeProgram(), canonical_config("CV"), paradigm, oracle,
-                      MockVerifier(always_failing=["x"]),
-                      RunLimits(max_repair_iterations=2))
-    assert isinstance(record, RunRecord)
+    # the mock never weaves; the Frama-C adapter weaves and re-parses
+    for verifier in (MockVerifier(always_failing=["x"]),
+                     FramaCVerifier(FramaCSettings(
+                         executable=str(wp_stub), wall_budget=30.0,
+                         extra_args=("-stub-fail-marker", "x")))):
+        record = run_once(FakeProgram(), canonical_config("CV"), paradigm,
+                          oracle, verifier, RunLimits(max_repair_iterations=2))
+        assert isinstance(record, RunRecord)
 
 
 class StubVerifier:

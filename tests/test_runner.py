@@ -1,9 +1,12 @@
 from __future__ import annotations
 
 import json
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from specloop import (
     ExperimentPlan,
@@ -323,6 +326,79 @@ def test_torn_last_event_line_is_cut_before_the_next_append(
     runs = _events_by_run(out / "events.jsonl")
     assert sum(len(e) for e in runs.values()) == sum(r.tool_calls for r in again)
     assert (out / "events.jsonl").read_text().endswith("\n")
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_cells_run_in_run_major_order(toy_corpus, replay_oracle, tmp_path,
+                                      workers):
+    plan = little_plan(paradigms=(Paradigm.MODIFICATION, Paradigm.DELETION),
+                       workers=workers)
+    out = tmp_path / "out"
+    records = run_experiment(plan, toy_corpus, replay_oracle,
+                             MockVerifier(always_failing=toyworld.ALWAYS_FAILING),
+                             out)
+    assert [(r.program_id, r.config_name, r.paradigm, r.run_index)
+            for r in records] == [(p.id, *rest) for p, *rest in plan.cells(toy_corpus)]
+    if workers == 1:
+        events = map(json.loads, (out / "events.jsonl").read_text().splitlines())
+        started = [(e["run_index"], plan.paradigms.index(Paradigm(e["paradigm"])))
+                   for e in events]
+        assert started == sorted(started)
+
+
+@pytest.fixture(scope="module")
+def finished_grid(toy_corpus, replay_oracle, tmp_path_factory):
+    """A finished one-run-per-cell grid: its plan, and the store's writes in
+    order (each run's event lines, then its record line)."""
+    plan = little_plan(runs_per_cell=1)
+    out = tmp_path_factory.mktemp("finished")
+    run_experiment(plan, toy_corpus, replay_oracle,
+                   MockVerifier(always_failing=toyworld.ALWAYS_FAILING), out)
+    groups: dict[tuple, list[str]] = {}
+    for line in (out / "events.jsonl").read_text().splitlines(keepends=True):
+        event = json.loads(line)
+        groups.setdefault(tuple(event[k] for k in _RUN_KEY), []).append(line)
+    writes = []
+    for line in (out / "records.jsonl").read_text().splitlines(keepends=True):
+        record = json.loads(line)
+        writes.append(("events.jsonl",
+                       "".join(groups.get(tuple(record[k] for k in _RUN_KEY), []))))
+        writes.append(("records.jsonl", line))
+    return plan, writes
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_resume_after_a_crash_at_any_byte(data, finished_grid, toy_corpus,
+                                          replay_oracle):
+    plan, writes = finished_grid
+    # a crash leaves a prefix of the write sequence, cut at any byte
+    left = data.draw(st.integers(0, sum(len(w.encode()) for _, w in writes)))
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp)
+        for name in ("events.jsonl", "records.jsonl"):
+            (out / name).write_bytes(b"")
+        for name, written in writes:
+            chunk = written.encode()[:left]
+            left -= len(chunk)
+            with (out / name).open("ab") as fh:
+                fh.write(chunk)
+        records = run_experiment(plan, toy_corpus, replay_oracle,
+                                 MockVerifier(always_failing=toyworld.ALWAYS_FAILING),
+                                 out)
+        stored = RecordStore(out / "records.jsonl").load()
+        runs = _events_by_run(out / "events.jsonl")
+    keys = [(r.program_id, r.config_name, r.paradigm.value, r.run_index)
+            for r in stored]
+    assert sorted(keys) == sorted((r.program_id, r.config_name, r.paradigm.value,
+                                   r.run_index) for r in records)
+    assert len(set(keys)) == len(keys)
+    for record in stored:
+        key = (record.program_id, record.config_name, record.paradigm.value,
+               record.run_index)
+        assert len(runs.get(key, [])) == record.tool_calls
+    assert sum(len(group) for group in runs.values()) == \
+        sum(r.tool_calls for r in stored)
 
 
 def test_parallel_execution_matches_serial(toy_corpus, replay_oracle):
