@@ -233,13 +233,20 @@ def run_once(program, config: Configuration, paradigm: Paradigm,
     Compliance is judged once, on the initially proposed set. Every verifier
     call is counted, including tool errors and timeouts. Oracle and tool
     errors end the run with an Errored record; they are never raised.
+    A verifier call answered from a cache is charged its original wall
+    time, in the recorded `elapsed` and against the wall budget, so RT and
+    the outcome do not depend on what an earlier run already verified.
     """
     logger = logger or RunLogger()
     run_key = {"program_id": program.id, "config": config.name,
                "paradigm": paradigm.value, "run_index": run_index}
     started = time.perf_counter()
+    charged = 0.0  # wall time of the verifier calls answered from a cache
     tool_calls = 0
     iterations = 0
+
+    def spent() -> float:
+        return time.perf_counter() - started + charged
 
     def record(outcome: RunOutcome, spec: SpecificationSet,
                compliant: bool = False, error: str | None = None) -> RunRecord:
@@ -252,7 +259,7 @@ def run_once(program, config: Configuration, paradigm: Paradigm,
             outcome=outcome,
             tool_calls=tool_calls,
             # rounded as persisted, so reports from memory and from disk agree
-            elapsed=round(time.perf_counter() - started, 6),
+            elapsed=round(spent(), 6),
             iterations=iterations,
             final_spec=spec,
             error=error,
@@ -272,6 +279,8 @@ def run_once(program, config: Configuration, paradigm: Paradigm,
     while True:
         report = verifier.verify(program, spec)
         tool_calls += 1
+        if report.cache_hit:
+            charged += report.wall_time
         logger.log(run_key, iterations, report, len(spec))
 
         if report.status is ReportStatus.VERIFIED:
@@ -279,7 +288,7 @@ def run_once(program, config: Configuration, paradigm: Paradigm,
         if report.status is ReportStatus.TOOL_ERROR:
             return record(RunOutcome.ERRORED, spec, compliant,
                           error=f"ToolError: {_head(report.raw_output)}")
-        if time.perf_counter() - started > limits.wall_budget:
+        if spent() > limits.wall_budget:
             return record(RunOutcome.EXHAUSTED, spec, compliant,
                           error="wall budget exceeded")
 

@@ -221,7 +221,7 @@ def run_experiment(plan: ExperimentPlan, corpus: Sequence[Program],
 
     cells = plan.cells(corpus)
     pending = [cell for cell in cells if (cell[0].id, *cell[1:]) not in done]
-    # run-major: every cell's run 1 (deletion, then modification) before any
+    # run-major: every cell's run 1 (paradigms in plan order) before any
     # run 2, so a verifier input repeated across runs and paradigms arrives
     # after its first call has finished and can be answered from a cache
     pending.sort(key=lambda cell: (cell[3], plan.paradigms.index(cell[2])))

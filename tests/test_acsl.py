@@ -467,6 +467,7 @@ def _as_line_comments(spec, closer_in=None):
        st.integers(min_value=0, max_value=11))
 def test_roundtrip_property(annotations, form, closer_in):
     spec = SpecificationSet(annotations)
+    assert parse_annotations(weave(_BARE, spec)) == spec
     if form != "/*@ blocks":
         closer_in = closer_in % len(spec) if form.endswith("*/") and spec else None
         try:
@@ -476,7 +477,6 @@ def test_roundtrip_property(annotations, form, closer_in):
             assert closer_in is not None
             return
         assert closer_in is None and parsed == spec
-    assert parse_annotations(weave(_BARE, spec)) == spec
 
 
 # --------------------------------------------------------------------------

@@ -400,3 +400,8 @@ def test_stub_grid_events_mark_cache_hits(toy_corpus, replay_oracle, wp_stub,
         assert e["cache_hit"] is (e["run_index"] == 2)
         charged[e["run_index"]][e["program_id"], e["attempt"]] = e["elapsed"]
     assert charged[1] == charged[2]
+    # and the record's RT holds that charged time
+    for r in records:
+        assert r.elapsed >= sum(e["elapsed"] for e in events
+                                if (e["program_id"], e["run_index"])
+                                == (r.program_id, r.run_index)) - 1e-5

@@ -379,6 +379,40 @@ def test_timeout_report_is_refinable_under_deletion():
     assert len(record.final_spec) == len(spec) - 1
 
 
+def _hit(status, goal_status, wall_time):
+    return VerifierReport(status, (GoalResult("g", goal_status),),
+                          wall_time=wall_time, cache_hit=True)
+
+
+def test_cache_hits_are_charged_their_original_wall_time():
+    program = FakeProgram()
+    spec = make_spec(*GOOD)
+    verifier = StubVerifier([
+        _hit(ReportStatus.FAILED, GoalStatus.UNKNOWN, 7.0),
+        # a call that ran the tool is already inside the measured time
+        VerifierReport(ReportStatus.FAILED, (GoalResult("g", GoalStatus.UNKNOWN),),
+                       wall_time=100.0),
+        _hit(ReportStatus.VERIFIED, GoalStatus.PROVED, 5.0),
+    ])
+    record = run_once(program, canonical_config("CB"), Paradigm.DELETION,
+                      oracle_returning(program, spec), verifier, RunLimits())
+    assert (record.outcome, record.tool_calls) == (RunOutcome.VERIFIED, 3)
+    assert 12.0 <= record.elapsed < 12.0 + 5.0
+
+
+def test_cache_hits_count_against_the_wall_budget():
+    program = FakeProgram()
+    spec = make_spec(*GOOD)
+    verifier = StubVerifier([])
+    for paradigm in Paradigm:
+        verifier.reports.append(_hit(ReportStatus.FAILED, GoalStatus.UNKNOWN, 9.0))
+        record = run_once(program, canonical_config("CB"), paradigm,
+                          oracle_returning(program, spec), verifier,
+                          RunLimits(wall_budget=5.0))
+        assert (record.outcome, record.tool_calls) == (RunOutcome.EXHAUSTED, 1)
+        assert record.error == "wall budget exceeded"
+
+
 # --------------------------------------------------------------------------
 # run_once, modification paradigm
 # --------------------------------------------------------------------------
