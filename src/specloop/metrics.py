@@ -381,8 +381,22 @@ def _summary(cells: Mapping[tuple[str, Paradigm], CellMetrics],
     return summary
 
 
+def _write_text(path: Path, text: str) -> None:
+    """Write `text` unless the file already holds exactly it. Emitting the
+    same reports again (a resumed, finished grid) then costs a read: a
+    truncate-and-rewrite would make ext4 start writeback on close, and the
+    next rewrite wait for that disk I/O."""
+    data = text.encode("utf-8")
+    try:
+        if path.read_bytes() == data:
+            return
+    except FileNotFoundError:
+        pass
+    path.write_bytes(data)
+
+
 def _write_json(path: Path, data) -> None:
-    path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    _write_text(path, json.dumps(data, indent=2, sort_keys=True) + "\n")
 
 
 def emit_reports(records: Sequence[RunRecord], out_dir: str | Path,
@@ -399,7 +413,7 @@ def emit_reports(records: Sequence[RunRecord], out_dir: str | Path,
     if len({paradigm for _, paradigm in cells}) == 2:
         table = MetricsTable(personas=(persona,), configs=tuple(configs),
                              cells={persona: cells})
-        (out / "table.txt").write_text(render_table(table), encoding="utf-8")
+        _write_text(out / "table.txt", render_table(table))
 
     for name in ("venn", "optimal_nvtc", "optimal_rt"):
         if name in summary:

@@ -14,6 +14,7 @@ root and review the diff.
 from __future__ import annotations
 
 import dataclasses
+import os
 import random
 from pathlib import Path
 
@@ -65,6 +66,27 @@ def test_report_files_match_golden(model, variant, tmp_path):
     assert sorted(p.name for p in got.iterdir()) == sorted(
         p.name for p in want.iterdir())
     for path in sorted(want.iterdir()):
+        assert (got / path.name).read_bytes() == path.read_bytes(), path.name
+
+
+def test_emit_again_rewrites_only_changed_files(tmp_path):
+    """A second emit over an existing report directory leaves files that
+    already hold their bytes untouched and rewrites the rest."""
+    got = emit("GPT-4o", "all", tmp_path)
+    old = 1_000_000_000
+    for path in got.iterdir():
+        os.utime(path, ns=(old, old))
+    (got / "table.txt").write_text("stale\n", encoding="utf-8")
+    (got / "venn.json").write_bytes(b"\xff\xfe")
+    emit("GPT-4o", "all", tmp_path)
+    want = GOLDEN / "GPT-4o" / "all"
+    for path in sorted(want.iterdir()):
+        assert (got / path.name).read_bytes() == path.read_bytes(), path.name
+        unchanged = path.name not in ("table.txt", "venn.json")
+        assert (got / path.name).stat().st_mtime_ns == old or not unchanged, path.name
+    # another record set over the same directory gives that set's files
+    emit("Gemini-2.5-Pro", "all", tmp_path)
+    for path in sorted((GOLDEN / "Gemini-2.5-Pro" / "all").iterdir()):
         assert (got / path.name).read_bytes() == path.read_bytes(), path.name
 
 
