@@ -422,6 +422,10 @@ def _function_at_brace(masked: str, brace_pos: int,
         j -= 1
         while j >= 0 and masked[j].isspace():
             j -= 1
+        if j >= 0 and masked[j] == ")":
+            # `int (*pick(int s))(int)`: the group holds name and parameters
+            j -= 1
+            continue
         name_end = j + 1
         while j >= 0 and (masked[j].isalnum() or masked[j] == "_"):
             j -= 1

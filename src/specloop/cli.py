@@ -65,7 +65,7 @@ def _add_run_parser(subparsers) -> None:
     p.add_argument("--run-wall-budget", type=float, default=3600.0,
                    help="per-run wall budget in seconds")
     p.add_argument("--workers", type=int, default=0,
-                   help="concurrent runs (0 = one per processor)")
+                   help="concurrent runs (0 = sized by the oracle and verifier)")
     p.add_argument("--templates", default=None,
                    help="directory overriding the bundled prompt templates")
     p.add_argument("--mock-fixtures", default=None,

@@ -68,6 +68,9 @@ class Oracle(ABC):
     concurrent in-flight requests; per-run sequencing (propose before
     repair, attempt ordering) is the caller's job."""
 
+    #: calls worth running at once; in-process work holds the GIL
+    concurrency = 1
+
     @abstractmethod
     def complete(self, request: OracleRequest) -> str:
         """Return the raw completion for a request."""
@@ -175,6 +178,7 @@ class SplitOracle(Oracle):
     def __init__(self, generate: Oracle, repair: Oracle):
         self._generate = generate
         self._repair = repair
+        self.concurrency = max(generate.concurrency, repair.concurrency)
 
     def complete(self, request: OracleRequest) -> str:
         target = (self._generate if request.phase is OraclePhase.GENERATE
@@ -231,6 +235,7 @@ class HttpChatOracle(Oracle):
             import requests
             session = requests.Session()
         self._session = session
+        self.concurrency = os.cpu_count() or 1  # it waits on the network
 
     def complete(self, request: OracleRequest) -> str:
         url = self.settings.base_url.rstrip("/") + "/chat/completions"

@@ -79,14 +79,18 @@ class ExperimentPlan:
     paradigms: tuple[Paradigm, ...] = (Paradigm.DELETION, Paradigm.MODIFICATION)
     runs_per_cell: int = 5
     limits: RunLimits = field(default_factory=RunLimits)
-    workers: int = 0  # 0 = one worker per processor
+    workers: int = 0  # 0 = as many as the oracle and verifier can use
 
     def __post_init__(self) -> None:
         if not self.configs or not self.paradigms or self.runs_per_cell < 1:
             raise ValueError("plan needs configs, paradigms and a positive run count")
 
-    def worker_count(self) -> int:
-        return self.workers if self.workers > 0 else (os.cpu_count() or 1)
+    def worker_count(self, *components: Oracle | Verifier) -> int:
+        """`workers` if set, else the components' largest `concurrency`
+        capped at the processor count (the cap alone with no components)."""
+        processors = os.cpu_count() or 1
+        return self.workers if self.workers > 0 else min(
+            processors, max((c.concurrency for c in components), default=processors))
 
     def cells(self, corpus: Sequence[Program]) -> list[tuple[Program, str, Paradigm, int]]:
         return [
@@ -240,7 +244,7 @@ def run_experiment(plan: ExperimentPlan, corpus: Sequence[Program],
             store.append(record, events.getvalue())
         return record
 
-    workers = plan.worker_count()
+    workers = plan.worker_count(oracle, verifier)
     if workers > 1 and pending:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             fresh = list(pool.map(execute, pending))

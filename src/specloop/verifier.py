@@ -101,6 +101,9 @@ def report_from_goals(goals: Sequence[GoalResult], raw_output: str = "",
 class Verifier(ABC):
     """Adapter interface: one call = one external verifier invocation."""
 
+    #: calls worth running at once; in-process work holds the GIL
+    concurrency = 1
+
     @abstractmethod
     def verify(self, program, spec: SpecificationSet) -> VerifierReport:
         ...
@@ -454,6 +457,7 @@ class FramaCVerifier(Verifier):
     def __init__(self, settings: FramaCSettings | None = None):
         self.settings = settings or FramaCSettings()
         self._slots = threading.Semaphore(self.settings.max_processes)
+        self.concurrency = min(self.settings.max_processes, os.cpu_count() or 1)
         # input hash -> (tool output, woven-file spans, wall time); a single
         # get or set of a dict is atomic, and a lost race only runs twice
         self._results: dict[str, tuple[str, SpecificationSet, float]] = {}
@@ -474,6 +478,7 @@ class FramaCVerifier(Verifier):
         if cached is not None:
             return replace(_wp_report(spec, *cached), cache_hit=True)
         with self._slots, tempfile.TemporaryDirectory(prefix="specloop-wp-") as tmp:
+            started = time.perf_counter()  # the tool's time, not the wait for a slot
             path = Path(tmp) / "woven.c"
             path.write_text(woven, encoding="utf-8")
             woven_spans = parse_annotations(woven, file=str(path))

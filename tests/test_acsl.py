@@ -316,6 +316,19 @@ def test_trailing_attributes_do_not_name_the_function(head):
     assert requires.anchor == FunctionContract("f")
 
 
+@pytest.mark.parametrize("head", [
+    "int (*pick(int s))(int) {",
+    "int (*(*pick(int s))(int))(char)\n{",
+    "int (*pick(int s) __attribute__((pure)))(int) {",
+])
+def test_function_returning_a_function_pointer_is_named(head):
+    src = (f"/*@ requires s >= 0; */\n{head}\n  return 0;\n}}\n"
+           "int g(void) { return 1; }\n")
+    assert acsl.declared_functions(src) == ["pick", "g"]
+    (requires,) = parse_annotations(src)
+    assert requires.anchor == FunctionContract("pick")
+
+
 # --------------------------------------------------------------------------
 # weave
 # --------------------------------------------------------------------------
@@ -569,23 +582,29 @@ def _ref_match_block(content, open_pos):
 
 def _ref_function_at_brace(masked, brace_pos):
     j = brace_pos - 1
-    while j >= 0 and masked[j].isspace():
+    while True:
+        while j >= 0 and masked[j].isspace():
+            j -= 1
+        if j < 0 or masked[j] != ")":
+            return None
+        depth = 0
+        while j >= 0:
+            if masked[j] == ")":
+                depth += 1
+            elif masked[j] == "(":
+                depth -= 1
+                if depth == 0:
+                    break
+            j -= 1
+        if j < 0:
+            return None
         j -= 1
-    if j < 0 or masked[j] != ")":
-        return None
-    depth = 0
-    while j >= 0:
-        if masked[j] == ")":
-            depth += 1
-        elif masked[j] == "(":
-            depth -= 1
-            if depth == 0:
-                break
-        j -= 1
-    if j < 0:
-        return None
-    j -= 1
-    while j >= 0 and masked[j].isspace():
+        while j >= 0 and masked[j].isspace():
+            j -= 1
+        # a ')' before the parameters closes a group holding the name and
+        # its own parameters, as in `int (*pick(int s))(int)`
+        if j < 0 or masked[j] != ")":
+            break
         j -= 1
     name_end = j + 1
     while j >= 0 and (masked[j].isalnum() or masked[j] == "_"):

@@ -6,6 +6,7 @@ from __future__ import annotations
 import json
 import re
 import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
@@ -210,6 +211,17 @@ def test_timeout_leaves_no_process_behind(tmp_path):
             break
         time.sleep(0.01)
     assert state == "Z"
+
+
+def test_wall_time_excludes_the_wait_for_a_process_slot(fake_framac):
+    settings_ = fake_framac(ALL_VALID, sleep=0.3)
+    settings_.max_processes = 1
+    verifier = FramaCVerifier(settings_)
+    programs = [FakeProgram(), FakeProgram(source="int f(int x) { return -x; }\n")]
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        reports = list(pool.map(lambda p: verifier.verify(p, contract()), programs))
+    assert [r.status for r in reports] == [ReportStatus.VERIFIED] * 2
+    assert all(r.wall_time < 0.45 for r in reports), [r.wall_time for r in reports]
 
 
 def test_unparseable_output_with_nonzero_exit_is_tool_error(fake_framac):

@@ -10,11 +10,16 @@ from hypothesis import strategies as st
 
 from specloop import (
     ExperimentPlan,
+    FramaCSettings,
+    FramaCVerifier,
+    HttpChatOracle,
+    HttpOracleSettings,
     MockVerifier,
     Paradigm,
     Program,
     ReplayOracle,
     RunLimits,
+    SplitOracle,
     load_dataset,
     run_experiment,
 )
@@ -403,7 +408,8 @@ def test_resume_after_a_crash_at_any_byte(data, finished_grid, toy_corpus,
 
 def test_parallel_execution_matches_serial(toy_corpus, replay_oracle):
     verifier = MockVerifier(always_failing=toyworld.ALWAYS_FAILING)
-    serial = run_experiment(little_plan(), toy_corpus, replay_oracle, verifier)
+    serial = run_experiment(little_plan(workers=1), toy_corpus, replay_oracle,
+                            verifier)
     parallel = run_experiment(little_plan(workers=4), toy_corpus,
                               replay_oracle, verifier)
 
@@ -414,6 +420,33 @@ def test_parallel_execution_matches_serial(toy_corpus, replay_oracle):
             for r in records)
 
     assert fingerprint(serial) == fingerprint(parallel)
+
+
+@pytest.mark.parametrize("processors", [1, 2, 8])
+def test_worker_count_follows_the_oracle_and_verifier(monkeypatch, replay_oracle,
+                                                      processors):
+    monkeypatch.setattr("os.cpu_count", lambda: processors)
+    http = HttpChatOracle(HttpOracleSettings(base_url="http://oracle.invalid",
+                                             model="m"), session=object())
+    mock = MockVerifier()
+    framac = FramaCVerifier(FramaCSettings(max_processes=4))
+    plan = ExperimentPlan()
+    assert plan.worker_count(replay_oracle, mock) == 1
+    assert plan.worker_count(replay_oracle, framac) == min(4, processors)
+    assert plan.worker_count(http, mock) == processors
+    assert plan.worker_count(SplitOracle(http, replay_oracle), mock) == processors
+    assert ExperimentPlan(workers=3).worker_count(replay_oracle, mock) == 3
+    assert plan.worker_count() == processors
+
+
+def test_in_process_grid_builds_no_thread_pool(monkeypatch, toy_corpus,
+                                               replay_oracle, rule_verifier):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("an in-process grid needs no thread pool")
+    monkeypatch.setattr("specloop.runner.ThreadPoolExecutor", no_pool)
+    records = run_experiment(ExperimentPlan(runs_per_cell=1), toy_corpus,
+                             replay_oracle, rule_verifier)
+    assert len(records) == len(toy_corpus) * 4 * 2
 
 
 # --------------------------------------------------------------------------
