@@ -9,9 +9,11 @@ supported; any other clause keyword raises ClassificationError.
 from __future__ import annotations
 
 import bisect
+import functools
 import re
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import accumulate
 from typing import Iterable, Iterator, Sequence, Union
 
 from .errors import AnchorNotFound, ClassificationError, MalformedAnnotation
@@ -30,10 +32,12 @@ class ConstructKind(Enum):
     LEMMA = "lemma"
     AXIOM = "axiom"
 
-    @property
-    def keyword(self) -> str:
-        """The ACSL keyword that heads clauses of this kind."""
-        return self.value
+    # members are singletons compared by identity: hash them so, in C
+    __hash__ = object.__hash__
+
+    def __init__(self, keyword: str) -> None:
+        #: the ACSL keyword that heads clauses of this kind
+        self.keyword = keyword
 
 
 #: Constructs describing direct input/output and loop properties.
@@ -134,6 +138,10 @@ class SourceSpan:
 #: Span used for annotations constructed in memory rather than parsed.
 UNPLACED = SourceSpan("<unplaced>", 1, 1)
 
+#: spans are immutable values from few (file, first line, last line)
+#: triples, so the parser shares them rather than building one per clause
+_shared_span = functools.lru_cache(maxsize=256)(SourceSpan)
+
 
 @dataclass(frozen=True)
 class FunctionContract:
@@ -169,12 +177,9 @@ class Annotation:
     def __post_init__(self) -> None:
         if not self.text.strip():
             raise ValueError("annotation text must be non-empty")
-        if self.kind in LOGICAL_CONSTRUCTS and not isinstance(self.anchor, Global):
-            raise ValueError(f"{self.kind.keyword} annotations must be global")
-        if self.kind in _LOOP_KINDS and not isinstance(self.anchor, Loop):
-            raise ValueError(f"{self.kind.keyword} annotations must anchor to a loop")
-        if self.kind in _CONTRACT_KINDS and not isinstance(self.anchor, FunctionContract):
-            raise ValueError(f"{self.kind.keyword} annotations must anchor to a function")
+        anchor_type, message = _ANCHOR_RULES[self.kind]
+        if not isinstance(self.anchor, anchor_type):
+            raise ValueError(message)
 
     def key(self) -> tuple:
         """Identity triple; spans are deliberately excluded."""
@@ -186,21 +191,31 @@ class Annotation:
         return _declared_name(self.kind, self.text)
 
 
-_NAME_AFTER_KEYWORD = re.compile(r"^\s*(\w+)")
+#: each kind's anchor type, and the error for any other anchor
+_ANCHOR_RULES = {kind: (anchor, f"{kind.keyword} annotations must {rule}")
+                 for kinds, anchor, rule in ((LOGICAL_CONSTRUCTS, Global, "be global"),
+                                             (_LOOP_KINDS, Loop, "anchor to a loop"),
+                                             (_CONTRACT_KINDS, FunctionContract,
+                                              "anchor to a function"))
+                 for kind in kinds}
+
+_NAME_AFTER_KEYWORD = re.compile(r"\s*(\w+)")
+_NAMED_KINDS = frozenset({ConstructKind.LEMMA, ConstructKind.AXIOM,
+                          ConstructKind.PREDICATE, ConstructKind.BEHAVIOR})
+_LABELS = re.compile(r"\{[^}]*\}")
+_IDENTIFIER = re.compile(r"\w+")
 
 
 def _declared_name(kind: ConstructKind, text: str) -> str | None:
     body = text.strip()
-    if kind in (ConstructKind.LEMMA, ConstructKind.AXIOM, ConstructKind.PREDICATE,
-                ConstructKind.BEHAVIOR):
-        rest = body[len(kind.keyword):]
-        m = _NAME_AFTER_KEYWORD.match(rest)
+    if kind in _NAMED_KINDS:
+        m = _NAME_AFTER_KEYWORD.match(body, len(kind.keyword))
         return m.group(1) if m else None
     if kind is ConstructKind.LOGIC:
         # logic <type> <name>{labels}(...) — last identifier before '(',
         # ignoring label braces
-        head = re.sub(r"\{[^}]*\}", "", body.split("(", 1)[0])
-        idents = re.findall(r"\w+", head)
+        head = _LABELS.sub("", body.split("(", 1)[0])
+        idents = _IDENTIFIER.findall(head)
         return idents[-1] if len(idents) >= 2 else None
     return None
 
@@ -216,14 +231,10 @@ class SpecificationSet:
     __slots__ = ("annotations",)
 
     def __init__(self, annotations: Iterable[Annotation] = ()):
-        seen = set()
-        kept = []
+        first: dict[tuple, Annotation] = {}   # hashes each key once
         for ann in annotations:
-            k = ann.key()
-            if k not in seen:
-                seen.add(k)
-                kept.append(ann)
-        self.annotations: tuple[Annotation, ...] = tuple(kept)
+            first.setdefault(ann.key(), ann)
+        self.annotations: tuple[Annotation, ...] = tuple(first.values())
 
     def constr(self) -> frozenset[ConstructKind]:
         """Deduplicated set of construct kinds used by the set."""
@@ -270,32 +281,42 @@ class _AcslComment:
     end_offset: int       # offset one past the comment closer
 
 
-_LINE_DECOR = re.compile(r"(?m)^[ \t]*(@+)")
-_HEAD_DECOR = re.compile(r"\A(@+)")
-_TAIL_DECOR = re.compile(r"(@+)[ \t]*\Z")
+#: '@' decorations: the run opening the content, with the run after it on
+#: the first line; the run after the indent of a later line; and the run
+#: closing the content before trailing spaces and tabs
+_HEAD_DECORATION = re.compile(r"@*[ \t]*@+")
+_DECORATION = re.compile(r"(\n[ \t]*@+|@+(?=[ \t]*\Z))")
 
 
 def _blank_decorations(content: str) -> str:
     """Replace leading/trailing '@' decorations with spaces, length-preserving."""
-    def spaces(m: re.Match) -> str:
-        return m.group(0).replace("@", " ")
+    if "@" not in content:
+        return content
+    head = _HEAD_DECORATION.match(content)
+    k = head.end() if head else 0
+    parts = _DECORATION.split(content[k:])
+    parts[1::2] = [run.replace("@", " ") for run in parts[1::2]]
+    return content[:k].replace("@", " ") + "".join(parts)
 
-    content = _HEAD_DECOR.sub(spaces, content)
-    content = _TAIL_DECOR.sub(spaces, content)
-    content = _LINE_DECOR.sub(spaces, content)
-    return content
-
-
-_LEX_OPENER = re.compile(r"/\*|//|[\"']")
 
 #: the body of a literal after its opening quote: up to the closing quote
 #: or the end of the text; a backslash escapes the next character
 _QUOTED_REST = {q: re.compile(rf"[^{q}\\]*(?:\\.[^{q}\\]*)*", re.S) for q in "\"'"}
 
+#: a block comment (group 1: the '@' of an ACSL one, 2: its content), an
+#: unterminated one (3), a line comment (4, 5), or a string or char literal
+#: (to the end if unclosed); branches open with literals, which scan fast
+_LEX_TOKEN = re.compile(r"""
+    /\*(@?)(.*?)\*/ | /(\*)
+  | //(@?)([^\n]*)
+  | "[^"\\]*(?:\\.[^"\\]*)*(?:"|\\?\Z)
+  | '[^'\\]*(?:\\.[^'\\]*)*(?:'|\\?\Z)
+""", re.S | re.X)
+
 
 def _blank(text: str) -> str:
     """Spaces in place of every character of text except newlines."""
-    return "\n".join(" " * len(line) for line in text.split("\n"))
+    return "\n".join([" " * len(line) for line in text.split("\n")])
 
 
 def _lex(source: str) -> tuple[str, list[_AcslComment]]:
@@ -305,45 +326,21 @@ def _lex(source: str) -> tuple[str, list[_AcslComment]]:
     blanked to spaces (newlines preserved) so structural scanning sees only
     code. ACSL comments (/*@ ... * / and //@ ...) are collected.
     """
-    n = len(source)
     pieces: list[str] = []
     comments: list[_AcslComment] = []
     done = 0   # source[:done] is in pieces
-    m = _LEX_OPENER.search(source)
-    while m:
-        i = m.start()
-        opener = m.group()
-        if opener == "/*":
-            open_len = 3 if source.startswith("@", i + 2) else 2
-            close = source.find("*/", i + open_len)
-            if close < 0:
-                raise MalformedAnnotation(f"unterminated comment at offset {i}")
-            end = close + 2
-            if open_len == 3:
-                comments.append(_AcslComment(
-                    content=_blank_decorations(source[i + 3:close]),
-                    content_offset=i + 3,
-                    start_offset=i,
-                    end_offset=end,
-                ))
-        elif opener == "//":
-            end = source.find("\n", i)
-            if end < 0:
-                end = n
-            if source.startswith("@", i + 2):
-                comments.append(_AcslComment(
-                    content=source[i + 3:end],
-                    content_offset=i + 3,
-                    start_offset=i,
-                    end_offset=end,
-                ))
-        else:
-            close = _QUOTED_REST[opener].match(source, i + 1).end()
-            end = close + 1 if close < n and source[close] == opener else n
-        pieces.append(source[done:i])
-        pieces.append(_blank(source[i:end]))
+    for m in _LEX_TOKEN.finditer(source):
+        start, end = m.span()
+        if m.group(3):
+            raise MalformedAnnotation(f"unterminated comment at offset {start}")
+        if m.group(1):
+            comments.append(_AcslComment(
+                _blank_decorations(m.group(2)), start + 3, start, end))
+        elif m.group(4):
+            comments.append(_AcslComment(m.group(5), start + 3, start, end))
+        pieces.append(source[done:start])
+        pieces.append(_blank(m.group()))
         done = end
-        m = _LEX_OPENER.search(source, end)
     pieces.append(source[done:])
     return "".join(pieces), comments
 
@@ -358,13 +355,21 @@ _C_KEYWORDS = {
 }
 _ATTRIBUTE_WORDS = {"__attribute__", "__attribute"}
 
-_WORD = re.compile(r"[A-Za-z_]\w*")
 _BRACE = re.compile(r"[{}]")
 _NON_SPACE = re.compile(r"\S")
-_LOOP_TOKEN = re.compile(r"[{}]|[A-Za-z_]\w*")
-_DECL_BOUND = re.compile(r"[;{}]")
-_DIRECTIVE = re.compile(r"^[ \t]*#[^\n]*", re.M)
-_PAREN = re.compile(r"[()]")
+_SPACE = re.compile(r"\s*")
+#: the keyword heading a clause, after the whitespace before it
+_CLAUSE_HEAD = re.compile(r"\s*([A-Za-z_]\w*)?")
+_WORD_CHARS = re.compile(r"\w*")
+#: a group holding one name only, as in `int (f)(int x)`
+_LONE_NAME = re.compile(r"\s*(\w+)\s*")
+#: a brace, or a loop keyword ending a word (`_starts_word` tells whether
+#: it starts one); branches open with literals, which scan fast
+_LOOP_TOKEN = re.compile(r"\{|\}|for(?!\w)|do(?!\w)|while(?!\w)")
+_DECL_MARK = re.compile(r"[;{}()]")
+#: a preprocessor line at the start of the text, and one after a newline
+_FIRST_DIRECTIVE = re.compile(r"[ \t]*#[^\n]*")
+_DIRECTIVE = re.compile(r"\n[ \t]*#[^\n]*")
 
 
 @dataclass
@@ -378,21 +383,36 @@ class _FunctionInfo:
 
 class _DeclarationMarks:
     """Forward passes over masked text recording where a declaration can
-    start and which '(' each ')' closes."""
+    start and which '(' each ')' closes. The pass over ';{}()' runs only as
+    far as `advance` asks: nothing after the last top-level '{' is needed."""
 
     def __init__(self, masked: str):
+        #: the masked text reversed, for regex steps backwards
+        self.reverse = masked[::-1]
+        #: (start, end) of each preprocessor line, end at its newline; a later
+        #: line starts at the newline before it, where no name can start
+        first = _FIRST_DIRECTIVE.match(masked)
+        self.directives = [first.span()] if first else []
+        self.directives += [m.span() for m in _DIRECTIVE.finditer(masked)]
         #: offsets of ';', '{' and '}'
-        self.bounds = [m.start() for m in _DECL_BOUND.finditer(masked)]
-        #: (start, end) of each preprocessor line, end at its newline
-        self.directives = [m.span() for m in _DIRECTIVE.finditer(masked)]
+        self.bounds: list[int] = []
         #: ')' offset -> offset of the '(' it closes
         self.opener: dict[int, int] = {}
-        open_parens: list[int] = []
-        for m in _PAREN.finditer(masked):
-            if m.group() == "(":
-                open_parens.append(m.start())
-            elif open_parens:
-                self.opener[m.start()] = open_parens.pop()
+        self._open_parens: list[int] = []
+        self._marks = _DECL_MARK.finditer(masked)
+
+    def advance(self, end: int) -> None:
+        """Record the marks up to offset end (which only grows)."""
+        for m in self._marks:
+            mark = m.group()
+            if mark == "(":
+                self._open_parens.append(m.start())
+            elif mark != ")":
+                self.bounds.append(m.start())
+            elif self._open_parens:
+                self.opener[m.start()] = self._open_parens.pop()
+            if m.start() >= end:
+                return
 
     def decl_start(self, name_start: int) -> int:
         """Offset just after the last ';', '}', '{' or preprocessor line
@@ -410,25 +430,30 @@ def _function_at_brace(masked: str, brace_pos: int,
                        marks: _DeclarationMarks) -> tuple[str, int] | None:
     """If the top-level '{' at brace_pos opens a function body, return
     (name, decl_start); otherwise None."""
+    # a run ending at offset j is a match at last - j in the reversed text
+    marks.advance(brace_pos)
+    rev = marks.reverse
+    last = len(masked) - 1
     j = brace_pos - 1
     while True:
-        while j >= 0 and masked[j].isspace():
-            j -= 1
+        j = last - _SPACE.match(rev, last - j).end()
         if j < 0 or masked[j] != ")":
             return None
         j = marks.opener.get(j, -1)
         if j < 0:
             return None
-        j -= 1
-        while j >= 0 and masked[j].isspace():
-            j -= 1
+        j = last - _SPACE.match(rev, last - j + 1).end()
         if j >= 0 and masked[j] == ")":
+            group = marks.opener.get(j, -1)
+            lone = group >= 0 and _LONE_NAME.fullmatch(masked, group + 1, j)
+            if lone:
+                name, j = lone.group(1), group - 1
+                break
             # `int (*pick(int s))(int)`: the group holds name and parameters
             j -= 1
             continue
         name_end = j + 1
-        while j >= 0 and (masked[j].isalnum() or masked[j] == "_"):
-            j -= 1
+        j = last - _WORD_CHARS.match(rev, last - j).end()
         name = masked[j + 1:name_end]
         # a trailing __attribute__((...)) group: the parameters precede it
         if name not in _ATTRIBUTE_WORDS:
@@ -453,17 +478,27 @@ def _collect_loops(masked: str, body_start: int, body_end: int) -> list[int]:
             depth -= 1
             while pending_do and pending_do[-1] > depth:
                 pending_do.pop()
+        elif not _starts_word(masked, m.start()):
+            continue
         elif token == "for":
             loops.append(m.start())
         elif token == "do":
             loops.append(m.start())
             pending_do.append(depth)
-        elif token == "while":
-            if pending_do and pending_do[-1] == depth:
-                pending_do.pop()
-            else:
-                loops.append(m.start())
+        elif pending_do and pending_do[-1] == depth:
+            pending_do.pop()   # the while of a do-while
+        else:
+            loops.append(m.start())
     return loops
+
+
+def _starts_word(text: str, i: int) -> bool:
+    """Whether a word starts at offset i: at the first ASCII letter or '_'
+    of a run of word characters, so in `9for`, not in `_9for` or `xéfor`."""
+    i -= 1
+    while i >= 0 and text[i].isalnum() and not (text[i].isascii() and text[i].isalpha()):
+        i -= 1
+    return i < 0 or not (text[i] == "_" or text[i].isalnum())
 
 
 def _scan_layout(masked: str) -> list[_FunctionInfo]:
@@ -497,7 +532,7 @@ def declared_functions(source: str) -> list[str]:
 # Clause splitting
 # --------------------------------------------------------------------------
 
-@dataclass
+@dataclass(slots=True)
 class _Clause:
     kind: ConstructKind
     start: int   # offset of the clause head within the comment content
@@ -505,9 +540,10 @@ class _Clause:
     extra_spans: list[tuple[int, int]] = field(default_factory=list)
 
     def text(self, content: str) -> str:
-        pieces = [content[self.start:self.end]]
-        pieces += [content[a:b] for a, b in self.extra_spans]
-        text = _normalize_clause(" ".join(pieces))
+        words = content[self.start:self.end].split()
+        for a, b in self.extra_spans:
+            words += content[a:b].split()
+        text = " ".join(words)
         # only a `//@` line can hold it, and weave would end its block there
         if "*/" in text:
             raise MalformedAnnotation(
@@ -515,57 +551,38 @@ class _Clause:
         return text
 
 
-def _normalize_clause(raw: str) -> str:
-    return re.sub(r"\s+", " ", raw).strip()
-
-
-_OPENERS = {"(": ")", "[": "]", "{": "}"}
-_CLOSERS = {")", "]", "}"}
-
-
-#: term-level binders whose binder list ends with a ';' of its own
-_BINDERS = ("\\forall", "\\exists", "\\let", "\\lambda")
+#: what a clause scan stops at: ';', a bracket, a string or char literal
+#: (to the end if unclosed), or a term-level binder; branches open with
+#: literals, not a class, which scan fast
+_CLAUSE_TOKEN = re.compile(r"""
+    ; | \( | \) | \[ | \] | \{ | \}
+  | "[^"\\]*(?:\\.[^"\\]*)*"? | '[^'\\]*(?:\\.[^'\\]*)*'?
+  | \\(?:forall|exists|let|lambda)(?!\w)
+""", re.S | re.X)
+_DEPTH_STEP = {"(": 1, "[": 1, "{": 1, ")": -1, "]": -1, "}": -1}
 
 
 def _find_terminator(content: str, start: int, what: str) -> int:
     """Offset of the ';' ending the clause starting before `start`.
 
-    Skips nesting and string literals; each term-level binder
-    (\\forall, \\exists, \\let, \\lambda) consumes one semicolon of its own.
+    Skips nesting and string and character literals; each term-level binder
+    consumes one semicolon of its own.
     """
     depth = 0
     pending_binders = 0
-    i = start
-    n = len(content)
-    while i < n:
-        c = content[i]
-        if c in _OPENERS:
-            depth += 1
-        elif c in _CLOSERS:
-            depth -= 1
-        elif c == '"':
-            i += 1
-            while i < n and content[i] != '"':
-                i += 2 if content[i] == "\\" else 1
-        elif c == "\\":
-            for binder in _BINDERS:
-                end = i + len(binder)
-                if content.startswith(binder, i) and not (
-                        end < n and (content[end].isalnum() or content[end] == "_")):
-                    pending_binders += 1
-                    i = end
-                    break
-            else:
-                i += 1
-            continue
-        elif c == ";":
+    for m in _CLAUSE_TOKEN.finditer(content, start):
+        token = m.group()
+        if token == ";":
             # binder semicolons are the only ones legal inside a term, at
             # any nesting depth; the clause ends at the first free ';'
             if pending_binders:
                 pending_binders -= 1
             elif depth == 0:
-                return i
-        i += 1
+                return m.start()
+        elif token in _DEPTH_STEP:
+            depth += _DEPTH_STEP[token]
+        elif token[0] == "\\":
+            pending_binders += 1
     raise MalformedAnnotation(f"{what} clause has no terminating ';'")
 
 
@@ -578,21 +595,23 @@ def _split_clauses(content: str) -> list[_Clause]:
     clauses: list[_Clause] = []
     open_behavior: _Clause | None = None
     i = 0
-    n = len(content)
-    while i < n:
-        if content[i].isspace():
-            i += 1
-            continue
-        m = _WORD.match(content, i)
-        if not m:
+    while True:
+        m = _CLAUSE_HEAD.match(content, i)
+        word = m.group(1)
+        if word is None:
+            if m.end() == len(content):
+                return clauses
             raise MalformedAnnotation(
-                f"unexpected {content[i]!r} at start of clause in annotation")
-        word = m.group(0)
-        after = m.end()
-
-        if word == "loop":
-            m2 = _WORD.match(content, _skip_ws(content, after))
-            sub = m2.group(0) if m2 else ""
+                f"unexpected {content[m.end()]!r} at start of clause in annotation")
+        i, after = m.span(1)
+        kind = _SIMPLE_KEYWORDS.get(word)
+        if kind is not None:
+            end = _find_terminator(content, after, word)
+            clauses.append(_Clause(kind, i, end + 1))
+            i = end + 1
+        elif word == "loop":
+            m2 = _CLAUSE_HEAD.match(content, after)
+            sub = m2.group(1) or ""
             if sub not in _LOOP_KEYWORDS:
                 raise ClassificationError(f"not a supported construct keyword: 'loop {sub}'")
             end = _find_terminator(content, m2.end(), f"loop {sub}")
@@ -627,27 +646,16 @@ def _split_clauses(content: str) -> list[_Clause]:
                                   [(a + brace + 1, b + brace + 1) for a, b in c.extra_spans])
                 clauses.append(shifted)
             i = close + 1
-        elif word in _SIMPLE_KEYWORDS:
-            end = _find_terminator(content, after, word)
-            clauses.append(_Clause(_SIMPLE_KEYWORDS[word], i, end + 1))
-            i = end + 1
         else:
             raise ClassificationError(f"not a supported construct keyword: {word!r}")
-    return clauses
 
 
-def _skip_ws(text: str, i: int) -> int:
-    while i < len(text) and text[i].isspace():
-        i += 1
-    return i
-
-
-_BLOCK_TOKEN = re.compile(r'[{}"]')
+_BLOCK_TOKEN = re.compile(r"""[{}"']""")
 
 
 def _match_block(content: str, open_pos: int) -> int:
-    """Offset of the '}' closing the '{' at open_pos, skipping string
-    literals."""
+    """Offset of the '}' closing the '{' at open_pos, skipping string and
+    character literals."""
     depth = 0
     m = _BLOCK_TOKEN.search(content, open_pos)
     while m:
@@ -661,7 +669,7 @@ def _match_block(content: str, open_pos: int) -> int:
                 return i
         else:
             # i lands on the closing quote; without one nothing follows
-            i = _QUOTED_REST['"'].match(content, i + 1).end()
+            i = _QUOTED_REST[c].match(content, i + 1).end()
         m = _BLOCK_TOKEN.search(content, i + 1)
     raise MalformedAnnotation(f"unbalanced '{{' at offset {open_pos}")
 
@@ -680,33 +688,28 @@ def parse_annotations(annotated_source: str, file: str = "<source>") -> Specific
     masked, comments = _lex(annotated_source)
     functions = _scan_layout(masked)
     body_starts = [f.body_start for f in functions]
-    line_of = _LineIndex(annotated_source)
+    # where each line starts (and one past the end): the line of an offset
+    # is the count of starts at or before it
+    line_starts = list(accumulate(
+        map((1).__add__, map(len, annotated_source.split("\n"))), initial=0))
     annotations = []
     for comment in comments:
-        for clause in _split_clauses(comment.content):
-            abs_start = comment.content_offset + clause.start
-            abs_end = comment.content_offset + clause.end
+        content, base = comment.content, comment.content_offset
+        anchors: dict[type, Anchor] = {}   # the comment's anchor of each type
+        for clause in _split_clauses(content):
+            kind = clause.kind
+            end = clause.end
             if clause.extra_spans:
-                abs_end = comment.content_offset + max(b for _, b in clause.extra_spans + [(0, clause.end)])
-            anchor = _resolve_anchor(clause.kind, comment, functions, body_starts)
-            span = SourceSpan(file, line_of(abs_start), line_of(abs_end - 1))
-            annotations.append(Annotation(
-                kind=clause.kind,
-                text=clause.text(comment.content),
-                anchor=anchor,
-                span=span,
-            ))
+                end = max(end, *(b for _, b in clause.extra_spans))
+            anchor_type = _ANCHOR_RULES[kind][0]
+            anchor = anchors.get(anchor_type)
+            if anchor is None:
+                anchor = anchors[anchor_type] = _resolve_anchor(
+                    kind, comment, functions, body_starts)
+            span = _shared_span(file, bisect.bisect_right(line_starts, base + clause.start),
+                                bisect.bisect_right(line_starts, base + end - 1))
+            annotations.append(Annotation(kind, clause.text(content), anchor, span))
     return SpecificationSet(annotations)
-
-
-class _LineIndex:
-    def __init__(self, source: str):
-        self._starts = [0]
-        for m in re.finditer(r"\n", source):
-            self._starts.append(m.end())
-
-    def __call__(self, offset: int) -> int:
-        return bisect.bisect_right(self._starts, offset)
 
 
 def _resolve_anchor(kind: ConstructKind, comment: _AcslComment,

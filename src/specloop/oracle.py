@@ -95,7 +95,11 @@ class Oracle(ABC):
 
 
 def _program_id(program) -> str:
-    return getattr(program, "id", str(program))
+    """The program's `id`; formatted (its whole source) only without one."""
+    try:
+        return program.id
+    except AttributeError:
+        return str(program)
 
 
 # --------------------------------------------------------------------------

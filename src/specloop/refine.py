@@ -118,7 +118,10 @@ def _annotation_to_dict(a: Annotation) -> dict:
                   "ordinal": a.anchor.ordinal}
     else:
         anchor = {"kind": "global"}
-    return {"construct": a.kind.value, "text": a.text, "anchor": anchor}
+    return {"construct": a.kind.keyword, "text": a.text, "anchor": anchor}
+
+
+_KIND_OF_KEYWORD = {kind.keyword: kind for kind in ConstructKind}
 
 
 def _annotation_from_dict(d: dict) -> Annotation:
@@ -129,7 +132,9 @@ def _annotation_from_dict(d: dict) -> Annotation:
         anchor = Loop(raw["function"], raw["ordinal"])
     else:
         anchor = GLOBAL
-    return Annotation(ConstructKind(d["construct"]), d["text"], anchor)
+    # the enum lookup only raises its ValueError for an unknown construct
+    kind = _KIND_OF_KEYWORD.get(d["construct"]) or ConstructKind(d["construct"])
+    return Annotation(kind, d["text"], anchor)
 
 
 class RunLogger:

@@ -15,7 +15,7 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence
+from typing import IO, Sequence
 
 from .acsl import declared_functions
 from .config import TemplateStore, canonical_config
@@ -113,7 +113,8 @@ class RecordStore:
     Each append writes a run's verifier-call lines to `events.jsonl` beside
     the records file, then its record, in one hold of the lock. A crash
     between the two leaves no record, so the cell re-runs: never a record
-    without its events.
+    without its events. The first append opens both files; they stay open
+    until `close`, and each write is flushed, events before the record.
 
     An undecodable last line without its newline is an interrupted append:
     `load` skips it and the first `append` cuts it off, in either file. The
@@ -125,7 +126,7 @@ class RecordStore:
         self.path = Path(path)
         self.events_path = self.path.with_name("events.jsonl")
         self._lock = threading.Lock()
-        self._tail_checked = False
+        self._files: tuple[IO[str], IO[str]] | None = None   # events, records
 
     def load(self) -> list[RunRecord]:
         if not self.path.is_file():
@@ -150,16 +151,25 @@ class RecordStore:
         them), then its record."""
         line = json.dumps(record.to_dict(), sort_keys=True)
         with self._lock:
-            if not self._tail_checked:
+            if self._files is None:
                 self.path.parent.mkdir(parents=True, exist_ok=True)
                 _end_last_line(self.events_path)
                 _end_last_line(self.path)
                 _cut_orphan_events(self.events_path, self.path)
-                self._tail_checked = True
-            with self.events_path.open("a", encoding="utf-8") as fh:
-                fh.write(events)
-            with self.path.open("a", encoding="utf-8") as fh:
-                fh.write(line + "\n")
+                self._files = (self.events_path.open("a", encoding="utf-8"),
+                               self.path.open("a", encoding="utf-8"))
+            events_fh, records_fh = self._files
+            events_fh.write(events)
+            events_fh.flush()
+            records_fh.write(line + "\n")
+            records_fh.flush()
+
+    def close(self) -> None:
+        """Close the append handles; a later append opens them again."""
+        with self._lock:
+            files, self._files = self._files, None
+        for fh in files or ():
+            fh.close()
 
 
 def _end_last_line(path: Path) -> None:
@@ -245,11 +255,15 @@ def run_experiment(plan: ExperimentPlan, corpus: Sequence[Program],
         return record
 
     workers = plan.worker_count(oracle, verifier)
-    if workers > 1 and pending:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            fresh = list(pool.map(execute, pending))
-    else:
-        fresh = [execute(cell) for cell in pending]
+    try:
+        if workers > 1 and pending:
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                fresh = list(pool.map(execute, pending))
+        else:
+            fresh = [execute(cell) for cell in pending]
+    finally:
+        if store:
+            store.close()
 
     for record in fresh:
         done[_record_key(record)] = record

@@ -33,6 +33,7 @@ from .acsl import (
     weave,
 )
 from .errors import AnchorNotFound, UnmappableFailure, VerifierNotInstalled
+from .oracle import _program_id
 
 
 class GoalStatus(Enum):
@@ -126,7 +127,7 @@ def spec_key(spec: SpecificationSet) -> str:
     """SHA-256 over the canonicalized annotation list (sorted by kind,
     anchor, text). Stable across annotation ordering and spans."""
     rows = sorted(
-        (ann.kind.value, *_anchor_sort_key(ann), ann.text)
+        (ann.kind.keyword, *_anchor_sort_key(ann), ann.text)
         for ann in spec
     )
     payload = json.dumps(rows, separators=(",", ":")).encode("utf-8")
@@ -304,8 +305,9 @@ class MockVerifier(Verifier):
     def verify(self, program, spec: SpecificationSet) -> VerifierReport:
         with self._lock:
             self.calls += 1
-        program_id = getattr(program, "id", str(program))
-        stored = self._verdicts.get(program_id, {}).get(spec_key(spec))
+        table = self._verdicts.get(_program_id(program))
+        # the key costs a JSON dump and a hash: only a table can use it
+        stored = table.get(spec_key(spec)) if table else None
         if stored is not None:
             return _rehydrate_report(stored, spec)
         goals = []

@@ -316,6 +316,38 @@ def test_trailing_attributes_do_not_name_the_function(head):
     assert requires.anchor == FunctionContract("f")
 
 
+@pytest.mark.parametrize("comment, kind, text", [
+    ("/*@ ensures \\result != ';'; */", ConstructKind.ENSURES,
+     "ensures \\result != ';';"),
+    ("/*@ requires c != '}'; */", ConstructKind.REQUIRES, "requires c != '}';"),
+    ("/*@ axiomatic A {\n      predicate p(char c) = c != '}';\n    } */",
+     ConstructKind.PREDICATE, "predicate p(char c) = c != '}';"),
+])
+def test_character_constants_in_clauses(comment, kind, text):
+    src = f"{comment}\nint f(char c) {{\n  return c;\n}}\n"
+    spec = parse_annotations(src)
+    assert [(a.kind, a.text) for a in spec] == [(kind, text)]
+    assert parse_annotations(weave(strip_annotations(src), spec)) == spec
+
+
+def test_parenthesised_function_name_is_named():
+    assert acsl.declared_functions("int (f)(int x) { return x; }") == ["f"]
+    src = "/*@ requires x >= 0; */\nint ( f )\n(int x) {\n  return x;\n}\n"
+    assert acsl.declared_functions(src) == ["f"]
+    (requires,) = parse_annotations(src)
+    assert requires.anchor == FunctionContract("f")
+    # a group holding more than one name is no parenthesised name
+    assert acsl.declared_functions("int (struct s)(int x) { return x; }") == []
+
+
+def test_compound_literal_names_no_function():
+    src = ("struct s { int a; };\nstruct s v = (struct s){1};\n"
+           "/*@ requires n >= 0; */\nint g(int n) { return n; }\n")
+    assert acsl.declared_functions(src) == ["g"]
+    (requires,) = parse_annotations(src)
+    assert requires.anchor == FunctionContract("g")
+
+
 @pytest.mark.parametrize("head", [
     "int (*pick(int s))(int) {",
     "int (*(*pick(int s))(int))(char)\n{",
@@ -421,6 +453,7 @@ int beta(int y) {
 
 _contract_kinds = st.sampled_from([
     (ConstructKind.REQUIRES, "requires {} > {};"),
+    (ConstructKind.REQUIRES, "requires {} != ';' && '}}' != {};"),
     (ConstructKind.ENSURES, "ensures \\result > {} + {};"),
     (ConstructKind.ASSIGNS, "assigns \\nothing;"),
 ])
@@ -445,12 +478,15 @@ def _random_annotation(draw):
         ordinal = draw(st.sampled_from([1, 2]))
         return Annotation(kind, template.format(a, b), Loop("alpha", ordinal))
     name = f"g{a}{b}"
-    pick = draw(st.integers(min_value=0, max_value=2))
+    pick = draw(st.integers(min_value=0, max_value=3))
     if pick == 0:
         return Annotation(ConstructKind.LEMMA, f"lemma {name}: {a} <= {a} + {b};")
     if pick == 1:
         return Annotation(ConstructKind.PREDICATE,
                           f"predicate {name}(integer v) = v > {a};")
+    if pick == 2:
+        return Annotation(ConstructKind.PREDICATE,
+                          f"predicate {name}(char c) = c != '}}' && c != '{a}';")
     return Annotation(ConstructKind.AXIOM,
                       f"axiom {name}: \\forall integer v; v + {a} >= v;")
 
@@ -498,7 +534,10 @@ def test_roundtrip_property(annotations, form, closer_in):
 # The reference below is the scanner the forward-pass one replaced: it steps
 # one character at a time and finds each declaration start by searching the
 # whole prefix. Both must give the same masked text, comments, functions and
-# anchors, or raise the same error with the same message.
+# anchors, or raise the same error with the same message. Both sides were
+# changed together on purpose where the behaviour changed: a function
+# returning a function pointer, a name alone in parentheses (`int (f)(int)`)
+# and character literals in the brace matcher.
 
 def _ref_lex(source):
     n = len(source)
@@ -521,7 +560,7 @@ def _ref_lex(source):
                 raise MalformedAnnotation(f"unterminated comment at offset {i}")
             if is_acsl:
                 comments.append(acsl._AcslComment(
-                    content=acsl._blank_decorations(source[i + open_len:end]),
+                    content=_ref_blank_decorations(source[i + open_len:end]),
                     content_offset=i + open_len,
                     start_offset=i,
                     end_offset=end + 2,
@@ -572,9 +611,9 @@ def _ref_match_block(content, open_pos):
             depth -= 1
             if depth == 0:
                 return i
-        elif c == '"':
+        elif c in "\"'":
             i += 1
-            while i < n and content[i] != '"':
+            while i < n and content[i] != c:
                 i += 2 if content[i] == "\\" else 1
         i += 1
     raise MalformedAnnotation(f"unbalanced '{{' at offset {open_pos}")
@@ -582,6 +621,7 @@ def _ref_match_block(content, open_pos):
 
 def _ref_function_at_brace(masked, brace_pos):
     j = brace_pos - 1
+    name = None
     while True:
         while j >= 0 and masked[j].isspace():
             j -= 1
@@ -601,15 +641,28 @@ def _ref_function_at_brace(masked, brace_pos):
         j -= 1
         while j >= 0 and masked[j].isspace():
             j -= 1
-        # a ')' before the parameters closes a group holding the name and
-        # its own parameters, as in `int (*pick(int s))(int)`
+        # a ')' before the parameters closes a group holding the name alone,
+        # as in `int (f)(int x)`, or the name and its own parameters, as in
+        # `int (*pick(int s))(int)`
         if j < 0 or masked[j] != ")":
             break
-        j -= 1
-    name_end = j + 1
-    while j >= 0 and (masked[j].isalnum() or masked[j] == "_"):
-        j -= 1
-    name = masked[j + 1:name_end]
+        close, depth = j, 0
+        while j >= 0:
+            depth += {")": 1, "(": -1}.get(masked[j], 0)
+            if depth == 0:
+                break
+            j -= 1
+        lone = re.fullmatch(r"\s*(\w+)\s*", masked[j + 1:close]) if j >= 0 else None
+        if lone:
+            name = lone.group(1)
+            j -= 1
+            break
+        j = close - 1
+    if name is None:
+        name_end = j + 1
+        while j >= 0 and (masked[j].isalnum() or masked[j] == "_"):
+            j -= 1
+        name = masked[j + 1:name_end]
     if not name or name[0].isdigit() or name in acsl._C_KEYWORDS:
         return None
     head = masked[:j + 1]
@@ -734,7 +787,8 @@ _HEADS = [
     "\n#define M(x) { x; }\nint m(int a, int b) {", "int (*pick(int s))(int) {",
     "int À(int n) {", "int é_x(int y) {", "名前(v) {", "int 9bad(int n) {",
     "while (x) {", "\n#define F int d(void) {", "int\nw\t(int n)\n{",
-    "int arr[] = {1, 2, {3}};\nint q() {",
+    "int arr[] = {1, 2, {3}};\nint q() {", "int (f)(int x) {", "int ( g2 )\n(void) {",
+    "int (struct s)(int x) {",
 ]
 
 _STATEMENTS = [
@@ -745,6 +799,7 @@ _STATEMENTS = [
     "//@ loop assigns x;\nwhile (x) x--;", "/*@ loop invariant x >= 0; */while (x) x--;",
     "if (a) { b; } else { c; }",
     "{ for (;;) { } }", "Àfor (;;) {}", "9while (z) {}", "_while = forx + dofor;",
+    "_9for (;;) {}", "xéfor (;;) {}", "é9do {} while (1);",
     's = "{ ; } while";', "c = '}';", "c = '\\'';", "// } while\n", "/* { do */",
     "return f(x);", "x = (a + (b));",
 ]
@@ -753,6 +808,7 @@ _C_FRAGMENTS = [
     # stray braces and parentheses, top-level braces that open no function
     "}", "{", "};", ";", "(", ")", "struct S { int a; };", "enum E { A, B };",
     "int (*fp)(int) = 0;", "do {", "} while (y);", "for (;;) {",
+    "= (struct s){1};", "(T)(struct s){1};",
     # comments holding braces, quotes and annotations
     "/* { ; } */", "/* \" ' */", "/*@ requires x > 0; */",
     "/*@ loop invariant i >= 0; */", "//@ ensures \\result >= 0;\n",
@@ -786,6 +842,196 @@ def test_layout_scan_matches_the_reference(text):
     ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_layout_scan_matches_the_reference_on_fixtures(path):
     _assert_same_layout(path.read_text())
+
+
+# --------------------------------------------------------------------------
+# clause split: differential check against the character-stepping scanner
+# --------------------------------------------------------------------------
+# The references below are the clause scanner and decoration blanking the
+# regex-stepped ones replaced: the scanner steps one character at a time.
+# Both must give the same blanked content and the same clauses (kinds,
+# spans, texts), or raise the same error with the same message.
+
+def _ref_blank_decorations(content):
+    def spaces(m):
+        return m.group(0).replace("@", " ")
+
+    content = re.sub(r"\A(@+)", spaces, content)
+    content = re.sub(r"(@+)[ \t]*\Z", spaces, content)
+    return re.sub(r"(?m)^[ \t]*(@+)", spaces, content)
+
+
+def _ref_find_terminator(content, start, what):
+    depth = 0
+    pending_binders = 0
+    i = start
+    n = len(content)
+    while i < n:
+        c = content[i]
+        if c in "([{":
+            depth += 1
+        elif c in ")]}":
+            depth -= 1
+        elif c in "\"'":
+            i += 1
+            while i < n and content[i] != c:
+                i += 2 if content[i] == "\\" else 1
+        elif c == "\\":
+            for binder in ("\\forall", "\\exists", "\\let", "\\lambda"):
+                end = i + len(binder)
+                if content.startswith(binder, i) and not (
+                        end < n and (content[end].isalnum() or content[end] == "_")):
+                    pending_binders += 1
+                    i = end
+                    break
+            else:
+                i += 1
+            continue
+        elif c == ";":
+            if pending_binders:
+                pending_binders -= 1
+            elif depth == 0:
+                return i
+        i += 1
+    raise MalformedAnnotation(f"{what} clause has no terminating ';'")
+
+
+def _ref_skip_ws(text, i):
+    while i < len(text) and text[i].isspace():
+        i += 1
+    return i
+
+
+_REF_WORD = re.compile(r"[A-Za-z_]\w*")
+_REF_SIMPLE = {"requires": ConstructKind.REQUIRES, "ensures": ConstructKind.ENSURES,
+               "assigns": ConstructKind.ASSIGNS, "predicate": ConstructKind.PREDICATE,
+               "logic": ConstructKind.LOGIC, "lemma": ConstructKind.LEMMA,
+               "axiom": ConstructKind.AXIOM}
+_REF_LOOP = {"invariant": ConstructKind.LOOP_INVARIANT,
+             "variant": ConstructKind.LOOP_VARIANT, "assigns": ConstructKind.LOOP_ASSIGNS}
+
+
+def _ref_split_clauses(content):
+    clauses = []
+    open_behavior = None
+    i = 0
+    n = len(content)
+    while i < n:
+        if content[i].isspace():
+            i += 1
+            continue
+        m = _REF_WORD.match(content, i)
+        if not m:
+            raise MalformedAnnotation(
+                f"unexpected {content[i]!r} at start of clause in annotation")
+        word = m.group(0)
+        after = m.end()
+        if word == "loop":
+            m2 = _REF_WORD.match(content, _ref_skip_ws(content, after))
+            sub = m2.group(0) if m2 else ""
+            if sub not in _REF_LOOP:
+                raise ClassificationError(f"not a supported construct keyword: 'loop {sub}'")
+            end = _ref_find_terminator(content, m2.end(), f"loop {sub}")
+            clauses.append(acsl._Clause(_REF_LOOP[sub], i, end + 1))
+            i = end + 1
+        elif word == "behavior":
+            colon = content.find(":", after)
+            if colon < 0:
+                raise MalformedAnnotation("behavior header has no ':'")
+            open_behavior = acsl._Clause(ConstructKind.BEHAVIOR, i, colon + 1)
+            clauses.append(open_behavior)
+            i = colon + 1
+        elif word == "assumes":
+            if open_behavior is None:
+                raise ClassificationError(
+                    "not a supported construct keyword: 'assumes' (outside behavior)")
+            end = _ref_find_terminator(content, after, "assumes")
+            open_behavior.extra_spans.append((i, end + 1))
+            i = end + 1
+        elif word == "axiomatic":
+            brace = content.find("{", after)
+            if brace < 0:
+                raise MalformedAnnotation("axiomatic block has no '{'")
+            close = _ref_match_block(content, brace)
+            for c in _ref_split_clauses(content[brace + 1:close]):
+                if c.kind not in LOGICAL_CONSTRUCTS:
+                    raise ClassificationError(
+                        f"'{c.kind.value}' is not valid inside an axiomatic block")
+                clauses.append(acsl._Clause(
+                    c.kind, c.start + brace + 1, c.end + brace + 1,
+                    [(a + brace + 1, b + brace + 1) for a, b in c.extra_spans]))
+            i = close + 1
+        elif word in _REF_SIMPLE:
+            end = _ref_find_terminator(content, after, word)
+            clauses.append(acsl._Clause(_REF_SIMPLE[word], i, end + 1))
+            i = end + 1
+        else:
+            raise ClassificationError(f"not a supported construct keyword: {word!r}")
+    return clauses
+
+
+def _ref_clause_text(clause, content):
+    pieces = [content[clause.start:clause.end]]
+    pieces += [content[a:b] for a, b in clause.extra_spans]
+    text = re.sub(r"\s+", " ", " ".join(pieces)).strip()
+    if "*/" in text:
+        raise MalformedAnnotation(f"{clause.kind.value} clause contains '*/'")
+    return text
+
+
+_CLAUSE_HEADS = [
+    "requires ", "ensures ", "assigns ", "loop invariant ", "loop variant ",
+    "loop\t assigns ", "predicate p(integer x) = ", "logic integer f(integer x) = ",
+    "lemma l: ", "axiom a: ",
+]
+_BAD_HEADS = [
+    "loop frees ", "loop", "behavior b ", "assumes ", "terminates ", "ghost ",
+    "é ", "9 ", "axiomatic A ", "} ", "@ ", "\n  @ ",
+]
+_CLAUSE_TERMS = [
+    "x > 0", "\\result", "(a)", "[i]", "{b}", "(c[(i)])",
+    # binders, nested or not, and backslash words that are no binders
+    "\\forall integer i; ", "\\exists integer j; ", "\\let y = 1; ",
+    "\\lambda integer k; ", "\\forallx ", "\\letter ", "\\lambda_",
+    # string and char literals with escaped quotes
+    '"a;b"', '"\\";"', "'c'", "';'", "'\\''", "'}'", "'{'",
+    "@", " ", "\n", "\t", " ", " ", "\x1c",
+]
+# unbalanced brackets, unterminated literals, stray ';', '*/' and '\'
+_BAD_TERMS = ["(", ")", "[", "]", "{", "}", '"', "'", ";", "*/", "\\\\", "\\"]
+
+
+
+def _clauses(heads):
+    clause = st.builds(
+        lambda head, terms, end: head + "".join(terms) + end,
+        st.sampled_from(heads * (60 // len(heads)) + _BAD_HEADS),
+        st.lists(st.sampled_from(_CLAUSE_TERMS * 10 + _BAD_TERMS), max_size=6),
+        st.sampled_from([";"] * 6 + [" ;", ";\n", "", "; @"]))
+    return st.lists(clause, min_size=1, max_size=3).map("".join)
+
+
+_comment_content = st.builds(
+    lambda head, body, tail: head + "".join(body) + tail,
+    st.sampled_from(["", "@", "@@ ", " @ ", "@ @", "\n@"]),
+    st.lists(st.one_of(
+        _clauses(_CLAUSE_HEADS),
+        _clauses(["assumes "]).map(lambda body: "behavior b:\n  " + body),
+        _clauses(_CLAUSE_HEADS[6:]).map(lambda body: "axiomatic A {\n" + body + "}"),
+    ), max_size=4),
+    st.sampled_from(["", "@", " @ \t", "@@", "\n  @"]))
+
+
+@settings(max_examples=600, deadline=None)
+@given(_comment_content)
+def test_clause_split_matches_the_reference(raw):
+    content = acsl._blank_decorations(raw)
+    assert content == _ref_blank_decorations(raw)
+    clauses = _outcome(acsl._split_clauses, content)
+    assert clauses == _outcome(_ref_split_clauses, content)
+    if isinstance(clauses, list):
+        assert ([_outcome(c.text, content) for c in clauses]
+                == [_outcome(_ref_clause_text, c, content) for c in clauses])
 
 
 # --------------------------------------------------------------------------

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import gc
 import json
 import tempfile
+import warnings
 from pathlib import Path
 
 import pytest
@@ -213,11 +215,45 @@ def test_load_keeps_a_complete_last_line_without_newline(tmp_path, toy_corpus,
     records = run_experiment(plan, toy_corpus[:2], replay_oracle, rule_verifier)
     store = RecordStore(tmp_path / "records.jsonl")
     store.append(records[0])
+    store.close()
     store.path.write_text(store.path.read_text().rstrip("\n"))
     want = [r.to_dict() for r in records]
     assert [r.to_dict() for r in store.load()] == want[:1]
-    RecordStore(store.path).append(records[1])
+    again = RecordStore(store.path)
+    again.append(records[1])
+    again.close()
     assert [r.to_dict() for r in RecordStore(store.path).load()] == want
+
+
+def test_store_holds_its_files_open_and_flushes_each_append(
+        tmp_path, toy_corpus, replay_oracle, rule_verifier):
+    plan = little_plan(configs=("CB",), runs_per_cell=1)
+    records = run_experiment(plan, toy_corpus[:2], replay_oracle, rule_verifier)
+    lines = [json.dumps(r.to_dict(), sort_keys=True) + "\n" for r in records]
+    event = json.dumps({key: records[0].to_dict()[key] for key in
+                        ("program_id", "config", "paradigm", "run_index")}) + "\n"
+    store = RecordStore(tmp_path / "records.jsonl")
+    store.append(records[0], event)
+    assert store.path.read_text() == lines[0]
+    assert store.events_path.read_text() == event
+    store.append(records[1])
+    assert store.path.read_text() == lines[0] + lines[1]
+    store.close()
+    # closed: the next append opens the files again
+    store.append(records[0])
+    store.close()
+    assert store.path.read_text() == lines[0] + lines[1] + lines[0]
+
+
+def test_run_experiment_leaves_no_file_open(tmp_path, toy_corpus,
+                                            replay_oracle, rule_verifier):
+    plan = little_plan(configs=("CB",), runs_per_cell=1)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        run_experiment(plan, toy_corpus[:2], replay_oracle, rule_verifier,
+                       tmp_path / "out")
+        gc.collect()
+    assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
 
 
 def test_bad_line_followed_by_good_lines_raises(tmp_path, toy_corpus,

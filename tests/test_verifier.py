@@ -121,6 +121,37 @@ def test_verdict_table_returns_stored_report_verbatim():
     assert failing[0].source_annotation.kind is K.ENSURES
 
 
+def test_spec_key_is_computed_only_for_a_program_with_a_verdict_table(monkeypatch):
+    import specloop.verifier
+
+    keyed = []
+    monkeypatch.setattr(specloop.verifier, "spec_key",
+                        lambda spec: keyed.append(spec) or spec_key(spec))
+    spec = contract_spec()
+    stored = {"status": "Verified", "goals": [
+        {"goal_name": "typed_f_requires", "status": "Proved"}]}
+    mock = MockVerifier(verdicts={"prog1": {spec_key(spec): stored}})
+    assert mock.verify(FakeProgram("other"), spec).status is ReportStatus.VERIFIED
+    assert keyed == []
+    assert mock.verify(FakeProgram(), spec).raw_output == "stored verdict"
+    assert keyed == [spec]
+
+
+class _UnformattableProgram(FakeProgram):
+    def __repr__(self):
+        raise AssertionError("the program was formatted")
+
+
+def test_program_with_an_id_is_never_formatted():
+    program = _UnformattableProgram()
+    assert MockVerifier().verify(program, contract_spec()).status is ReportStatus.VERIFIED
+    seen = []
+    oracle = ScriptedOracle(lambda request: seen.append(request.program_id) or
+                            "```c\n/*@ requires x >= 0; */\nint f(int x) { return x; }\n```")
+    oracle.propose(program, "p", config_name="CB")
+    assert seen == ["prog1"]
+
+
 def test_rule_mode_fails_matching_texts():
     spec = contract_spec(bad_ensures=True)
     mock = MockVerifier(always_failing=["ensures \\result == x + 1;"])
