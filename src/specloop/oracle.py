@@ -53,20 +53,24 @@ class OracleResponse:
             raise ValueError("latency must be non-negative")
 
 
-def _respond(raw_completion: str, latency: float) -> OracleResponse:
+def _extract(raw_completion: str) -> SpecificationSet:
     try:
-        extracted = extract_spec(raw_completion)
+        return extract_spec(raw_completion)
     except NoAnnotationsFound as exc:
         raise EmptyCompletion(str(exc)) from exc
     except AcslError as exc:
         raise UnparseableCompletion(f"{type(exc).__name__}: {exc}") from exc
-    return OracleResponse(raw_completion, extracted, latency)
 
 
 class Oracle(ABC):
     """Completion source for both phases. Implementations must be safe for
     concurrent in-flight requests; per-run sequencing (propose before
-    repair, attempt ordering) is the caller's job."""
+    repair, attempt ordering) is the caller's job.
+
+    Each instance parses a distinct completion text once (two concurrent
+    calls on a new text may both parse it): the spec is kept, keyed by the
+    text, for the life of the instance. A completion that does not parse is
+    not kept, so it raises again on every call."""
 
     #: calls worth running at once; in-process work holds the GIL
     concurrency = 1
@@ -91,7 +95,13 @@ class Oracle(ABC):
                                 config_name, attempt_index, prompt)
         started = time.perf_counter()
         raw = self.complete(request)
-        return _respond(raw, time.perf_counter() - started)
+        latency = time.perf_counter() - started
+        # made here, not in __init__, which a subclass may not chain to
+        parsed = self.__dict__.setdefault("_parsed", {})
+        extracted = parsed.get(raw)
+        if extracted is None:
+            extracted = parsed[raw] = _extract(raw)
+        return OracleResponse(raw, extracted, latency)
 
 
 def _program_id(program) -> str:
@@ -141,20 +151,25 @@ class ReplayOracle(Oracle):
 
         <root>/<program_id>/<config>/<phase>-<attempt>.txt
 
-    e.g. ``prog1/CB/generate-0.txt``, ``prog1/CB/repair-1.txt``. Files are
-    loaded eagerly, so the oracle is read-only afterwards and safe to share
-    across threads.
+    e.g. ``prog1/CB/generate-0.txt``, ``prog1/CB/repair-1.txt``. Other
+    names, and files outside a program and config directory, are ignored.
+    Files are read eagerly, so the fixtures are read-only afterwards and
+    safe to share across threads; the parsed specs the oracle adds to as it
+    answers (see `Oracle`) belong to the instance.
     """
 
     def __init__(self, root: str | Path):
         self.root = Path(root)
         self._fixtures: dict[tuple[str, str, str, int], str] = {}
-        for path in sorted(self.root.glob("*/*/*.txt")):
-            phase, _, attempt = path.stem.partition("-")
-            if phase not in ("generate", "repair") or not attempt.isdigit():
-                continue
-            key = (path.parent.parent.name, path.parent.name, phase, int(attempt))
-            self._fixtures[key] = path.read_text(encoding="utf-8")
+        for program in _entries(self.root):
+            for config in _entries(program.path) if program.is_dir() else ():
+                for entry in _entries(config.path) if config.is_dir() else ():
+                    fixture = _FIXTURE_NAME.fullmatch(entry.name)
+                    if fixture is None:
+                        continue
+                    with open(entry.path, encoding="utf-8") as fh:
+                        self._fixtures[(program.name, config.name, fixture[1],
+                                        int(fixture[2]))] = fh.read()
 
     def complete(self, request: OracleRequest) -> str:
         key = (request.program_id, request.config_name,
@@ -164,6 +179,18 @@ class ReplayOracle(Oracle):
         except KeyError:
             raise FixtureMissing(
                 f"no replay fixture for {key} under {self.root}") from None
+
+
+_FIXTURE_NAME = re.compile(r"(generate|repair)-(\d+)\.txt")
+
+
+def _entries(path) -> list[os.DirEntry]:
+    """The entries of a directory in name order; none if it is missing."""
+    try:
+        with os.scandir(path) as entries:
+            return sorted(entries, key=lambda e: e.name)
+    except FileNotFoundError:
+        return []
 
 
 class ScriptedOracle(Oracle):

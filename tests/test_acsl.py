@@ -338,6 +338,19 @@ def test_parenthesised_function_name_is_named():
     assert requires.anchor == FunctionContract("f")
     # a group holding more than one name is no parenthesised name
     assert acsl.declared_functions("int (struct s)(int x) { return x; }") == []
+    assert acsl.declared_functions("int *(f)(int x) { return 0; }") == ["f"]
+
+
+@pytest.mark.parametrize("declaration", [
+    "T v = (T)(struct s){1};", "T a = 0, b = (T)(struct s){1};",
+    "T *p = &(T)(struct s){1};",
+])
+def test_cast_of_a_compound_literal_names_no_function(declaration):
+    src = (f"typedef struct s T;\n/*@ requires n >= 0; */\n{declaration}\n"
+           "int g(int n) { return n; }\n")
+    assert acsl.declared_functions(src) == ["g"]
+    (requires,) = parse_annotations(src)
+    assert requires.anchor == FunctionContract("g")
 
 
 def test_compound_literal_names_no_function():
@@ -653,7 +666,18 @@ def _ref_function_at_brace(masked, brace_pos):
                 break
             j -= 1
         lone = re.fullmatch(r"\s*(\w+)\s*", masked[j + 1:close]) if j >= 0 else None
-        if lone:
+        # the name alone follows a type's last word or `*`; a cast, as in
+        # `v = (T)(struct s){1}`, follows something else
+        k = j - 1
+        while k >= 0 and masked[k].isspace():
+            k -= 1
+        word_end = k + 1
+        while k >= 0 and (masked[k].isalnum() or masked[k] == "_"):
+            k -= 1
+        word = masked[k + 1:word_end]
+        typed = (word not in acsl._C_KEYWORDS if word
+                 else word_end > 0 and masked[word_end - 1] == "*")
+        if lone and typed:
             name = lone.group(1)
             j -= 1
             break
@@ -788,7 +812,9 @@ _HEADS = [
     "int À(int n) {", "int é_x(int y) {", "名前(v) {", "int 9bad(int n) {",
     "while (x) {", "\n#define F int d(void) {", "int\nw\t(int n)\n{",
     "int arr[] = {1, 2, {3}};\nint q() {", "int (f)(int x) {", "int ( g2 )\n(void) {",
-    "int (struct s)(int x) {",
+    "int (struct s)(int x) {", "int *(f)(int x) {", "(f)(int x) {",
+    "T v = (T)(struct s){1};\nint h(void) {", "x = a, (T)(U){",
+    "return (T)(U){",
 ]
 
 _STATEMENTS = [

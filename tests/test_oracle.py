@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
 
+import specloop.oracle
 from specloop import (
     ConstructKind,
     HttpChatOracle,
@@ -20,6 +22,7 @@ from specloop.errors import (
     FixtureMissing,
     NoAnnotationsFound,
     OracleUnavailable,
+    UnparseableCompletion,
 )
 
 import toyworld
@@ -111,6 +114,27 @@ def test_replay_fixture_missing(tmp_path):
         oracle.propose(FakeProgram(), "p", config_name="CB")
 
 
+def test_replay_reads_only_fixture_names_in_config_directories(tmp_path):
+    cell = tmp_path / "prog1" / "CB"
+    cell.mkdir(parents=True)
+    for name in ("generate-0.txt", "repair-12.txt"):
+        (cell / name).write_text(name, encoding="utf-8")
+    for name in ("notes.txt", "generate-x.txt", "generate-1.md", "propose-0.txt",
+                 "generate-1.txt.bak", "Generate-1.txt", "repair-1-2.txt"):
+        (cell / name).write_text("stray", encoding="utf-8")
+    # stray files where a program or config directory belongs
+    (tmp_path / "generate-0.txt").write_text("stray", encoding="utf-8")
+    (tmp_path / "prog1" / "generate-0.txt").write_text("stray", encoding="utf-8")
+    (tmp_path / "prog1" / "CB" / "nested").mkdir()
+    (tmp_path / "prog1" / "CB" / "nested" / "generate-1.txt").write_text("stray")
+    oracle = ReplayOracle(tmp_path)
+    assert oracle._fixtures == {
+        ("prog1", "CB", "generate", 0): "generate-0.txt",
+        ("prog1", "CB", "repair", 12): "repair-12.txt",
+    }
+    assert ReplayOracle(tmp_path / "absent")._fixtures == {}
+
+
 def test_replay_repair_chain(toy_corpus, persona_dir, replay_oracle):
     flagged = [p for p in toy_corpus if toyworld.roles(toy_corpus)[p.id]["bad"]
                and not toyworld.roles(toy_corpus)[p.id]["never_fixed"]]
@@ -120,6 +144,107 @@ def test_replay_repair_chain(toy_corpus, persona_dir, replay_oracle):
     repaired = replay_oracle.repair(program, initial.extracted, None, "p",
                                     config_name="CB", attempt_index=1)
     assert all(a.text != toyworld.BAD_ENSURES for a in repaired.extracted)
+
+
+# --------------------------------------------------------------------------
+# one parse per distinct completion
+# --------------------------------------------------------------------------
+
+_SPEC_A = "```c\n/*@ requires x > 0; */\nint f(int x) { return x; }\n```"
+_SPEC_B = "```c\n/*@ ensures \\result > 0; */\nint f(int x) { return x; }\n```"
+
+
+@pytest.fixture()
+def parses(monkeypatch):
+    """Counts extract_spec calls made by the oracles."""
+    seen = []
+
+    def counting(raw_completion):
+        seen.append(raw_completion)
+        return extract_spec(raw_completion)
+    monkeypatch.setattr(specloop.oracle, "extract_spec", counting)
+    return seen
+
+
+def _scripted(*completions):
+    answers = iter(completions)
+    return ScriptedOracle(lambda request: next(answers))
+
+
+def test_each_distinct_completion_is_parsed_once_per_instance(parses):
+    # copies, so a hit cannot rest on the identity of the string
+    texts = [_SPEC_A, _SPEC_B, "".join(_SPEC_A), "".join(_SPEC_A),
+             "".join(_SPEC_B)]
+    oracle = _scripted(*texts)
+    responses = [oracle.propose(FakeProgram(), "p", config_name="CB")
+                 for _ in texts]
+    assert parses == [_SPEC_A, _SPEC_B]
+    for text, response in zip(texts, responses):
+        assert response.raw_completion is text
+        assert response.extracted == extract_spec(text)
+    # a hit reuses the spec in a response of its own
+    assert responses[2].extracted is responses[0].extracted
+    assert responses[3] is not responses[2]
+    # another instance keeps its own specs
+    again = _scripted(_SPEC_A).propose(FakeProgram(), "p", config_name="CB")
+    assert parses == [_SPEC_A, _SPEC_B, _SPEC_A]
+    assert again.extracted is not responses[0].extracted
+
+
+@pytest.mark.parametrize("completion, error", [
+    ("no annotations here", EmptyCompletion),
+    ("```c\n```", EmptyCompletion),
+    ("```c\n/*@ requires x >= 0 */\nint f(int x) { return x; }\n```",
+     UnparseableCompletion),
+])
+def test_a_completion_that_fails_to_parse_fails_every_time(parses, completion,
+                                                           error):
+    oracle = _scripted(*[completion] * 3)
+    raised = []
+    for _ in range(3):
+        with pytest.raises(error) as info:
+            oracle.repair(FakeProgram(), None, None, "p", config_name="CB",
+                          attempt_index=1)
+        raised.append((type(info.value), str(info.value)))
+    assert len(set(raised)) == 1
+    assert parses == [completion] * 3
+
+
+def test_an_oracle_that_skips_the_base_init_parses_once(parses):
+    class Bare(specloop.oracle.Oracle):
+        def __init__(self):
+            self.calls = 0
+
+        def complete(self, request):
+            self.calls += 1
+            return _SPEC_A
+
+    oracle = Bare()
+    first = oracle.propose(FakeProgram(), "p", config_name="CB")
+    second = oracle.propose(FakeProgram(), "p", config_name="CB")
+    assert oracle.calls == 2 and parses == [_SPEC_A]
+    assert second.extracted is first.extracted
+
+
+def _outcome(oracle):
+    try:
+        return oracle.propose(FakeProgram(), "p", config_name="CB").extracted
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=toyworld.completions())
+def test_a_repeated_completion_gives_what_a_fresh_parse_gives(text):
+    oracle = ScriptedOracle(lambda request: text)
+    _outcome(oracle)
+    second = _outcome(oracle)
+    fresh = _outcome(ScriptedOracle(lambda request: text))
+    if isinstance(second, tuple):
+        assert second == fresh
+    else:
+        assert second.annotations == extract_spec(text).annotations
+        assert second.annotations == fresh.annotations
 
 
 # --------------------------------------------------------------------------

@@ -298,31 +298,8 @@ def test_grid_with_an_unparseable_completion_finishes(name, toy_corpus,
     assert all(r.error.startswith("UnparseableCompletion: ") for r in errored)
 
 
-_CLAUSES = ["requires x >= 0;", "ensures \\result >= 0;", "assigns \\nothing;",
-            "behavior b: assumes x > 0; ensures \\result > 0;", "decreases x;",
-            "assert x > 0;", "requires x >= 0", "ensures", ";", "@", "{", "}",
-            "*/", "/*@", "predicate p(integer v) = v > 0;", "lemma l: p(1);",
-            "axiomatic A { axiom a: \\true; }", "axiomatic A {",
-            "loop invariant 0 <= x;", "loop variant x;",
-            "ensures \\result >= 0 */ ;"]
-
-
-@st.composite
-def _completions(draw):
-    """Arbitrary text, or a fenced program whose `/*@` comment or `//@` line
-    holds drawn clauses, valid or not, with one more character spliced in."""
-    if draw(st.booleans()):
-        return draw(st.text(max_size=60))
-    clauses = " ".join(draw(st.lists(st.sampled_from(_CLAUSES), max_size=4)))
-    comment = f"/*@ {clauses} */" if draw(st.booleans()) else f"//@ {clauses}"
-    text = (f"```c\n{comment}\nint f(int x) {{\n"
-            f"  while (x > 0) {{ x--; }}\n  return x;\n}}\n```")
-    at = draw(st.integers(0, len(text)))
-    return text[:at] + draw(st.text(max_size=1)) + text[at:]
-
-
 @settings(max_examples=300, deadline=None)
-@given(text=_completions(), paradigm=st.sampled_from(Paradigm))
+@given(text=toyworld.completions(), paradigm=st.sampled_from(Paradigm))
 def test_run_once_returns_a_record_for_any_completion(text, paradigm, wp_stub):
     oracle = ScriptedOracle(lambda request: text)
     # the mock never weaves; the Frama-C adapter weaves and re-parses
