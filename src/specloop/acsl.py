@@ -363,9 +363,10 @@ _CLAUSE_HEAD = re.compile(r"\s*([A-Za-z_]\w*)?")
 _WORD_CHARS = re.compile(r"\w*")
 #: a group holding one name only, as in `int (f)(int x)`
 _LONE_NAME = re.compile(r"\s*(\w+)\s*")
-#: on reversed text, what ends before such a group: a type's last word or
-#: `*`; a cast, as in `v = (T)(struct s){1}`, follows something else
-_TYPE_END = re.compile(r"\s*(\*|\w+)")
+#: on reversed text, what ends before such a group: a type's last word,
+#: perhaps with `*`s after it; a cast, as in `v = (T)(struct s){1}` or
+#: `v = 2 * (T)(struct s){1}`, follows something else
+_TYPE_END = re.compile(r"[\s*]*(\w+)")
 #: a brace, or a loop keyword ending a word (`_starts_word` tells whether
 #: it starts one); branches open with literals, which scan fast
 _LOOP_TOKEN = re.compile(r"\{|\}|for(?!\w)|do(?!\w)|while(?!\w)")
@@ -450,7 +451,8 @@ def _function_at_brace(masked: str, brace_pos: int,
             group = marks.opener.get(j, -1)
             lone = group >= 0 and _LONE_NAME.fullmatch(masked, group + 1, j)
             typed = lone and _TYPE_END.match(rev, last - group + 1)
-            if typed and typed[1][::-1] not in _C_KEYWORDS:
+            if (typed and not typed[1][-1].isdigit()
+                    and typed[1][::-1] not in _C_KEYWORDS):
                 name, j = lone.group(1), group - 1
                 break
             # `int (*pick(int s))(int)`: the group holds name and parameters

@@ -343,7 +343,8 @@ def test_parenthesised_function_name_is_named():
 
 @pytest.mark.parametrize("declaration", [
     "T v = (T)(struct s){1};", "T a = 0, b = (T)(struct s){1};",
-    "T *p = &(T)(struct s){1};",
+    "T *p = &(T)(struct s){1};", "int v = 2 * (T)(struct s){1};",
+    "int v = (2) * (T)(struct s){1};", "int v = 2 *\n(T)(struct s){1};",
 ])
 def test_cast_of_a_compound_literal_names_no_function(declaration):
     src = (f"typedef struct s T;\n/*@ requires n >= 0; */\n{declaration}\n"
@@ -666,17 +667,18 @@ def _ref_function_at_brace(masked, brace_pos):
                 break
             j -= 1
         lone = re.fullmatch(r"\s*(\w+)\s*", masked[j + 1:close]) if j >= 0 else None
-        # the name alone follows a type's last word or `*`; a cast, as in
-        # `v = (T)(struct s){1}`, follows something else
+        # the name alone follows a type's last word, perhaps with `*`s after
+        # it; a cast, as in `v = (T)(struct s){1}` or `v = 2 * (T)(U){1}`,
+        # follows something else
         k = j - 1
-        while k >= 0 and masked[k].isspace():
+        while k >= 0 and (masked[k].isspace() or masked[k] == "*"):
             k -= 1
         word_end = k + 1
         while k >= 0 and (masked[k].isalnum() or masked[k] == "_"):
             k -= 1
         word = masked[k + 1:word_end]
-        typed = (word not in acsl._C_KEYWORDS if word
-                 else word_end > 0 and masked[word_end - 1] == "*")
+        typed = (word != "" and not word[0].isdigit()
+                 and word not in acsl._C_KEYWORDS)
         if lone and typed:
             name = lone.group(1)
             j -= 1
@@ -814,7 +816,8 @@ _HEADS = [
     "int arr[] = {1, 2, {3}};\nint q() {", "int (f)(int x) {", "int ( g2 )\n(void) {",
     "int (struct s)(int x) {", "int *(f)(int x) {", "(f)(int x) {",
     "T v = (T)(struct s){1};\nint h(void) {", "x = a, (T)(U){",
-    "return (T)(U){",
+    "return (T)(U){", "int v = 2 * (T)(T){1};\nint g(void) {", "x = (a) * (T)(U){",
+    "T **(f)(int x) {", "T * * (f)(int x) {",
 ]
 
 _STATEMENTS = [

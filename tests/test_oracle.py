@@ -25,6 +25,7 @@ from specloop.errors import (
     UnparseableCompletion,
 )
 
+import strategies
 import toyworld
 
 
@@ -234,7 +235,7 @@ def _outcome(oracle):
 
 
 @settings(max_examples=300, deadline=None)
-@given(text=toyworld.completions())
+@given(text=strategies.completions())
 def test_a_repeated_completion_gives_what_a_fresh_parse_gives(text):
     oracle = ScriptedOracle(lambda request: text)
     _outcome(oracle)

@@ -32,6 +32,7 @@ from specloop import (
 )
 from specloop.refine import RunOutcome
 
+import strategies
 import toyworld
 
 K = ConstructKind
@@ -299,7 +300,7 @@ def test_grid_with_an_unparseable_completion_finishes(name, toy_corpus,
 
 
 @settings(max_examples=300, deadline=None)
-@given(text=toyworld.completions(), paradigm=st.sampled_from(Paradigm))
+@given(text=strategies.completions(), paradigm=st.sampled_from(Paradigm))
 def test_run_once_returns_a_record_for_any_completion(text, paradigm, wp_stub):
     oracle = ScriptedOracle(lambda request: text)
     # the mock never weaves; the Frama-C adapter weaves and re-parses
