@@ -167,12 +167,15 @@ GLOBAL = Global()
 Anchor = Union[FunctionContract, Loop, Global]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Annotation:
     kind: ConstructKind
     text: str
     anchor: Anchor = GLOBAL
     span: SourceSpan = UNPLACED
+    #: declared_name() once computed, "" for none; not part of the value
+    _declared: str | None = field(default=None, init=False, repr=False,
+                                  compare=False)
 
     def __post_init__(self) -> None:
         if not self.text.strip():
@@ -188,7 +191,11 @@ class Annotation:
     def declared_name(self) -> str | None:
         """Name introduced by a named construct (lemma foo:, predicate p(...),
         logic integer f(...), axiom a:, behavior b:), if any."""
-        return _declared_name(self.kind, self.text)
+        name = self._declared
+        if name is None:
+            name = _declared_name(self.kind, self.text) or ""
+            object.__setattr__(self, "_declared", name)
+        return name or None
 
 
 #: each kind's anchor type, and the error for any other anchor

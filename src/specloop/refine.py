@@ -137,6 +137,12 @@ def _annotation_from_dict(d: dict) -> Annotation:
     return Annotation(kind, d["text"], anchor)
 
 
+#: encodes one line of `events.jsonl` or `records.jsonl`, as
+#: `json.dumps(obj, sort_keys=True)` does without building an encoder per
+#: line; it keeps no state between calls
+JSON_LINE = json.JSONEncoder(sort_keys=True)
+
+
 class RunLogger:
     """Writes one JSON line per verifier call to a stream, for post-hoc
     audit: the run's key, the attempt, status, goal counts, spec size, wall
@@ -152,7 +158,7 @@ class RunLogger:
         if self._stream is None:
             return
         proved = sum(1 for g in report.goals if g.status is GoalStatus.PROVED)
-        self._stream.write(json.dumps({
+        self._stream.write(JSON_LINE.encode({
             **run,
             "attempt": attempt,
             "cache_hit": report.cache_hit,
@@ -161,7 +167,7 @@ class RunLogger:
             "goals_total": len(report.goals),
             "spec_size": spec_size,
             "elapsed": round(report.wall_time, 6),
-        }, sort_keys=True) + "\n")
+        }) + "\n")
 
     def close(self) -> None:
         if self._stream is not None:

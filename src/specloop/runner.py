@@ -21,7 +21,7 @@ from .acsl import declared_functions
 from .config import TemplateStore, canonical_config
 from .errors import DuplicateId, EmptyCorpus, MissingTargetFunction
 from .oracle import Oracle
-from .refine import Paradigm, RunLimits, RunLogger, RunRecord, run_once
+from .refine import JSON_LINE, Paradigm, RunLimits, RunLogger, RunRecord, run_once
 from .verifier import Verifier
 
 
@@ -149,7 +149,7 @@ class RecordStore:
     def append(self, record: RunRecord, events: str = "") -> None:
         """Persist one run: its verifier-call lines (as `RunLogger` wrote
         them), then its record."""
-        line = json.dumps(record.to_dict(), sort_keys=True)
+        line = JSON_LINE.encode(record.to_dict())
         with self._lock:
             if self._files is None:
                 self.path.parent.mkdir(parents=True, exist_ok=True)

@@ -49,7 +49,7 @@ class ReportStatus(Enum):
     TIMEOUT = "Timeout"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GoalResult:
     goal_name: str
     status: GoalStatus
@@ -68,13 +68,12 @@ class VerifierReport:
     cache_hit: bool = False
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "goals", tuple(self.goals))
-        all_proved = bool(self.goals) and all(
-            g.status is GoalStatus.PROVED for g in self.goals)
-        if self.status is ReportStatus.VERIFIED and not all_proved:
+        goals = tuple(self.goals)
+        object.__setattr__(self, "goals", goals)
+        unproved = any(g.status is not GoalStatus.PROVED for g in goals)
+        if self.status is ReportStatus.VERIFIED and (unproved or not goals):
             raise ValueError("Verified report requires non-empty, all-proved goals")
-        if self.status is ReportStatus.FAILED and not any(
-                g.status is not GoalStatus.PROVED for g in self.goals):
+        if self.status is ReportStatus.FAILED and not unproved:
             raise ValueError("Failed report requires at least one unproved goal")
 
     def failing_goals(self) -> tuple[GoalResult, ...]:
@@ -94,9 +93,10 @@ def report_from_goals(goals: Sequence[GoalResult], raw_output: str = "",
         return VerifierReport(ReportStatus.TOOL_ERROR, (),
                               raw_output or "verifier produced no proof goals",
                               wall_time)
-    if all(g.status is GoalStatus.PROVED for g in goals):
-        return VerifierReport(ReportStatus.VERIFIED, goals, raw_output, wall_time)
-    return VerifierReport(ReportStatus.FAILED, goals, raw_output, wall_time)
+    status = (ReportStatus.FAILED
+              if any(g.status is not GoalStatus.PROVED for g in goals)
+              else ReportStatus.VERIFIED)
+    return VerifierReport(status, goals, raw_output, wall_time)
 
 
 class Verifier(ABC):
@@ -230,18 +230,26 @@ def _linker(spec: SpecificationSet, read: SpecificationSet):
     declared name, then the goal's source line within the span an
     annotation has in `read`, the parsed text the verifier read."""
     by_key = {a.key(): a for a in spec.annotations}
-    named = [(name, a) for a in spec.annotations if (name := a.declared_name())]
+    # a declared name fits a goal holding it as a whole word, and a lemma's
+    # name also fits WP's `typed_lemma_<name>`; of several names that fit,
+    # the longest wins
+    named = []
+    for a in spec.annotations:
+        if name := a.declared_name():
+            lemma = "(?:typed_lemma_)?" if a.kind is ConstructKind.LEMMA else ""
+            named.append((len(name), rf"\b{lemma}{re.escape(name)}\b", a))
+    named.sort(key=lambda item: -item[0])
     read_spans = {a.key(): a.span for a in read.annotations}
-    spans = [(read_spans[a.key()], a) for a in spec.annotations
-             if a.key() in read_spans]
+    spans = [(read_spans[key], a) for key, a in by_key.items()
+             if key in read_spans]
 
     def link(goal: GoalResult) -> Annotation | None:
         if goal.source_annotation is not None:
             hit = by_key.get(goal.source_annotation.key())
             if hit is not None:
                 return hit
-        for name, ann in named:
-            if re.search(rf"\b{re.escape(name)}\b", goal.goal_name):
+        for _, pattern, ann in named:
+            if re.search(pattern, goal.goal_name):
                 return ann
         if goal.source_line is not None:
             for span, ann in spans:
@@ -255,19 +263,16 @@ def _linker(spec: SpecificationSet, read: SpecificationSet):
 # Mock adapter
 # --------------------------------------------------------------------------
 
-def _mock_goal_name(annotation: Annotation, ordinal: int) -> str:
-    slug = annotation.kind.keyword.replace(" ", "_")
-    name = annotation.declared_name()
-    anchor = annotation.anchor
+#: each kind's part of a mock goal name
+_MOCK_SLUGS = {kind: kind.keyword.replace(" ", "_") for kind in ConstructKind}
+
+
+def _mock_scope(anchor) -> str:
     if isinstance(anchor, FunctionContract):
-        scope = anchor.function
-    elif isinstance(anchor, Loop):
-        scope = f"{anchor.function}_loop{anchor.ordinal}"
-    else:
-        scope = "global"
-    if name:
-        return f"typed_{slug}_{name}"
-    return f"typed_{scope}_{slug}_{ordinal}"
+        return anchor.function
+    if isinstance(anchor, Loop):
+        return f"{anchor.function}_loop{anchor.ordinal}"
+    return "global"
 
 
 class MockVerifier(Verifier):
@@ -277,9 +282,11 @@ class MockVerifier(Verifier):
 
     * a verdict table mapping (program id, canonical spec key) to a stored
       report, returned verbatim;
-    * a rule form: one goal per non-axiom annotation, failing iff the
-      annotation text matches an always-failing rule (exact text or
-      substring). Axioms are admitted and generate no goal.
+    * a rule form: one goal per non-axiom annotation, failing iff an
+      always-failing rule is a substring of the annotation text (the whole
+      text included). Axioms are admitted and generate no goal. A goal is
+      named `typed_<kind>_<declared name>`, or else
+      `typed_<scope>_<kind>_<ordinal in the spec>`.
     """
 
     def __init__(self, verdicts: dict | None = None,
@@ -298,10 +305,6 @@ class MockVerifier(Verifier):
                    always_failing=data.get("always_failing", ()),
                    wall_time=data.get("wall_time", 0.0))
 
-    def _fails(self, annotation: Annotation) -> bool:
-        return any(rule == annotation.text or rule in annotation.text
-                   for rule in self._rules)
-
     def verify(self, program, spec: SpecificationSet) -> VerifierReport:
         with self._lock:
             self.calls += 1
@@ -310,17 +313,22 @@ class MockVerifier(Verifier):
         stored = table.get(spec_key(spec)) if table else None
         if stored is not None:
             return _rehydrate_report(stored, spec)
+        rules = self._rules
         goals = []
         for ordinal, ann in enumerate(spec.annotations, start=1):
-            if ann.kind is ConstructKind.AXIOM:
+            kind = ann.kind
+            if kind is ConstructKind.AXIOM:
                 continue
-            status = GoalStatus.UNKNOWN if self._fails(ann) else GoalStatus.PROVED
+            status = GoalStatus.PROVED
+            for rule in rules:
+                if rule in ann.text:
+                    status = GoalStatus.UNKNOWN
+                    break
+            name = ann.declared_name()
             goals.append(GoalResult(
-                goal_name=_mock_goal_name(ann, ordinal),
-                status=status,
-                source_annotation=ann,
-                source_line=ann.span.start_line,
-            ))
+                f"typed_{_MOCK_SLUGS[kind]}_{name}" if name else
+                f"typed_{_mock_scope(ann.anchor)}_{_MOCK_SLUGS[kind]}_{ordinal}",
+                status, ann, ann.span.start_line))
         return report_from_goals(goals, raw_output="mock verifier (rule mode)",
                                  wall_time=self._wall_time)
 

@@ -2,12 +2,24 @@
 `toyworld`, which the demos import without the test dependencies.
 
 `completions` draws adversarial oracle completions for the properties that
-must hold whatever an oracle returns.
+must hold whatever an oracle returns; `annotations` and `specs` draw
+annotation values of every kind, with and without declared names.
 """
 
 from __future__ import annotations
 
 from hypothesis import strategies as st
+
+from specloop import (
+    GLOBAL,
+    LOGICAL_CONSTRUCTS,
+    Annotation,
+    ConstructKind,
+    FunctionContract,
+    Loop,
+    SourceSpan,
+    SpecificationSet,
+)
 
 COMPLETION_CLAUSES = [
     "requires x >= 0;", "ensures \\result >= 0;", "assigns \\nothing;",
@@ -33,3 +45,38 @@ def completions(draw):
             f"  while (x > 0) {{ x--; }}\n  return x;\n}}\n```")
     at = draw(st.integers(0, len(text)))
     return text[:at] + draw(st.text(max_size=1)) + text[at:]
+
+
+#: declared names, some of them parts of others, and what may follow one
+_NAMES = ["f", "fact", "first_fact", "second_fact", "typed_f", "L2", "pos"]
+_AFTER_NAME = [":", " :", "(integer n) = n;", "{L}(integer n)", " ", ""]
+_BODIES = ["\\true;", "x >= 0;", "\\result == fact(n);", "assumes x > 0;",
+           "MARK", "MARKER;", " "]
+
+
+@st.composite
+def annotations(draw):
+    """An annotation of any kind on an anchor its kind allows. Its text is
+    the kind's keyword, perhaps a type and a declared name, and a body, so
+    a named kind may declare a name or not."""
+    kind = draw(st.sampled_from(ConstructKind))
+    if kind in LOGICAL_CONSTRUCTS:
+        anchor = GLOBAL
+    elif kind.keyword.startswith("loop"):
+        anchor = Loop(draw(st.sampled_from(["f", "fact"])), draw(st.integers(1, 3)))
+    else:
+        anchor = FunctionContract(draw(st.sampled_from(["f", "fact"])))
+    text = "".join([
+        draw(st.sampled_from(["", " ", "\n"])), kind.keyword,
+        draw(st.sampled_from([" ", "  ", " integer "])),
+        draw(st.sampled_from(["", *_NAMES])),
+        draw(st.sampled_from(_AFTER_NAME)),
+        draw(st.sampled_from(_BODIES) | st.text(max_size=6)),
+    ])
+    line = draw(st.integers(1, 40))
+    span = SourceSpan("s.c", line, line + draw(st.integers(0, 3)))
+    return Annotation(kind, text, anchor, span)
+
+
+def specs():
+    return st.lists(annotations(), max_size=8).map(SpecificationSet)

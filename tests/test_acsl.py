@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import re
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -29,6 +30,8 @@ from specloop.errors import (
     ClassificationError,
     MalformedAnnotation,
 )
+
+import strategies
 
 
 # --------------------------------------------------------------------------
@@ -108,6 +111,34 @@ def test_annotation_anchor_rules():
         Annotation(ConstructKind.REQUIRES, "requires \\true;", GLOBAL)
     with pytest.raises(ValueError):
         Annotation(ConstructKind.ENSURES, "   ", FunctionContract("f"))
+
+
+def _fields(a: Annotation) -> tuple:
+    return (a.kind, a.text, a.anchor, a.span)
+
+
+@settings(max_examples=200, deadline=None)
+@given(strategies.annotations(), strategies.annotations())
+def test_annotation_value_ignores_the_computed_name(a, other):
+    """Equality, hash and repr are those of the four fields alone, whether
+    or not declared_name() has filled its slot on one side."""
+    twin = Annotation(*_fields(a))
+    a.declared_name()
+    assert twin == a and hash(twin) == hash(a) == hash(_fields(a))
+    assert (a == other) == (_fields(a) == _fields(other))
+    assert repr(a) == repr(twin) == (
+        f"Annotation(kind={a.kind!r}, text={a.text!r}, anchor={a.anchor!r}, "
+        f"span={a.span!r})")
+
+
+@settings(max_examples=200, deadline=None)
+@given(strategies.annotations(), strategies.annotations())
+def test_declared_name_follows_the_text_through_replace(a, other):
+    assert a.declared_name() == acsl._declared_name(a.kind, a.text)
+    assert a.declared_name() == acsl._declared_name(a.kind, a.text)
+    b = replace(a, kind=other.kind, text=other.text, anchor=other.anchor)
+    assert b.declared_name() == acsl._declared_name(b.kind, b.text)
+    assert replace(a, span=other.span).declared_name() == a.declared_name()
 
 
 def test_specification_set_collapses_duplicates():

@@ -26,6 +26,7 @@ from specloop import (
     run_experiment,
 )
 from specloop.cli import main as cli_main
+from specloop.refine import JSON_LINE
 from specloop.runner import RecordStore
 
 import toyworld
@@ -284,6 +285,19 @@ def test_records_roundtrip_through_store(toy_corpus, replay_oracle,
         # reports built in the run and from the file must see the same times
         assert twin.elapsed == record.elapsed
         assert twin.final_spec == record.final_spec
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=8)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_JSON_VALUES)
+def test_store_lines_are_sorted_key_json_dumps(value):
+    assert JSON_LINE.encode(value) == json.dumps(value, sort_keys=True)
 
 
 _RUN_KEY = ("program_id", "config", "paradigm", "run_index")

@@ -34,7 +34,10 @@ from specloop import (
 )
 from specloop.errors import UnmappableFailure
 from specloop.refine import RunLogger
+from specloop.acsl import _declared_name
 from specloop.verifier import _goal_kind_hint, parse_wp_output, report_from_goals
+
+import strategies
 
 K = ConstructKind
 
@@ -199,6 +202,74 @@ def test_mock_from_file(tmp_path):
     assert report.wall_time == 0.25
 
 
+def _reference_goal_name(annotation: Annotation, ordinal: int) -> str:
+    slug = annotation.kind.keyword.replace(" ", "_")
+    name = _declared_name(annotation.kind, annotation.text)
+    anchor = annotation.anchor
+    if isinstance(anchor, FunctionContract):
+        scope = anchor.function
+    elif isinstance(anchor, Loop):
+        scope = f"{anchor.function}_loop{anchor.ordinal}"
+    else:
+        scope = "global"
+    if name:
+        return f"typed_{slug}_{name}"
+    return f"typed_{scope}_{slug}_{ordinal}"
+
+
+def _reference_rule_verify(rules, wall_time: float,
+                           spec: SpecificationSet) -> VerifierReport:
+    """Rule-mode `MockVerifier.verify` as first written, one helper per
+    step, against which the single-pass version is checked."""
+    goals = []
+    for ordinal, ann in enumerate(spec.annotations, start=1):
+        if ann.kind is K.AXIOM:
+            continue
+        fails = any(rule == ann.text or rule in ann.text for rule in rules)
+        goals.append(GoalResult(
+            goal_name=_reference_goal_name(ann, ordinal),
+            status=GoalStatus.UNKNOWN if fails else GoalStatus.PROVED,
+            source_annotation=ann,
+            source_line=ann.span.start_line,
+        ))
+    raw = "mock verifier (rule mode)"
+    if not goals:
+        return VerifierReport(ReportStatus.TOOL_ERROR, (), raw, wall_time)
+    if all(g.status is GoalStatus.PROVED for g in goals):
+        return VerifierReport(ReportStatus.VERIFIED, tuple(goals), raw, wall_time)
+    return VerifierReport(ReportStatus.FAILED, tuple(goals), raw, wall_time)
+
+
+def _report_fields(report: VerifierReport) -> tuple:
+    return (report.status, report.raw_output, report.wall_time, report.cache_hit,
+            [(g.goal_name, g.status, g.source_annotation.key(), g.source_line)
+             for g in report.goals])
+
+
+@st.composite
+def _rules(draw, spec: SpecificationSet):
+    """Always-failing rules: the empty rule, a whole clause text, a
+    substring of one, or any short text."""
+    texts = [a.text for a in spec.annotations] or ["requires x;"]
+    text = draw(st.sampled_from(texts))
+    start = draw(st.integers(0, len(text)))
+    stop = draw(st.integers(start, len(text)))
+    return draw(st.lists(st.sampled_from(["", text, text[start:stop]])
+                         | st.text(max_size=3), max_size=3))
+
+
+@settings(max_examples=300, deadline=None)
+@given(spec=strategies.specs(), data=st.data())
+def test_rule_mode_matches_the_reference(spec, data):
+    rules = data.draw(_rules(spec))
+    wall_time = data.draw(st.sampled_from([0.0, 0.25]))
+    mock = MockVerifier(always_failing=rules, wall_time=wall_time)
+    want = _report_fields(_reference_rule_verify(rules, wall_time, spec))
+    # the second call reads the names the first one computed
+    assert _report_fields(mock.verify(FakeProgram(), spec)) == want
+    assert _report_fields(mock.verify(FakeProgram(), spec)) == want
+
+
 # --------------------------------------------------------------------------
 # failure mapping
 # --------------------------------------------------------------------------
@@ -228,6 +299,35 @@ def test_lemma_goal_maps_by_declared_name():
         GoalResult("typed_lemma_digit_sum_step", GoalStatus.TIMEOUT),
     ))
     assert map_failures_to_annotations(report, spec) == [lemma]
+
+
+_NAMED_SPEC = SpecificationSet([
+    Annotation(K.LOGIC, "logic integer fact(integer n) = n;"),
+    Annotation(K.LEMMA, "lemma first_fact: fact(1) == 1;"),
+    Annotation(K.LEMMA, "lemma second_fact: fact(2) == 2;"),
+    Annotation(K.LEMMA, "lemma f: \\true;"),
+    Annotation(K.ENSURES, "ensures \\result >= 1;", FunctionContract("f")),
+    Annotation(K.BEHAVIOR, "behavior first_fact_case: assumes n == 1;",
+               FunctionContract("fact")),
+])
+
+
+@pytest.mark.parametrize("goal_name,blamed", [
+    # WP's lemma goals; `_` is a word character, so only the prefix links them
+    ("typed_lemma_first_fact", "lemma first_fact"),
+    ("typed_lemma_second_fact", "lemma second_fact"),
+    ("typed_lemma_f", "lemma f"),
+    # of the names that fit, the longest wins
+    ("Post-condition for 'first_fact_case' (file woven.c, line 9) in 'fact'",
+     "behavior first_fact_case"),
+    # a name inside another goal's name links nothing: the kind hint decides
+    ("typed_f_ensures", "ensures"),
+])
+def test_declared_name_step_picks_the_named_annotation(goal_name, blamed):
+    report = VerifierReport(ReportStatus.FAILED, (
+        GoalResult(goal_name, GoalStatus.UNKNOWN),))
+    [mapped] = map_failures_to_annotations(report, _NAMED_SPEC)
+    assert mapped.text.startswith(blamed)
 
 
 def test_explicit_linkage_wins():
