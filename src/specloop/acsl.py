@@ -306,10 +306,6 @@ def _blank_decorations(content: str) -> str:
     return content[:k].replace("@", " ") + "".join(parts)
 
 
-#: the body of a literal after its opening quote: up to the closing quote
-#: or the end of the text; a backslash escapes the next character
-_QUOTED_REST = {q: re.compile(rf"[^{q}\\]*(?:\\.[^{q}\\]*)*", re.S) for q in "\"'"}
-
 #: a block comment (group 1: the '@' of an ACSL one, 2: its content), an
 #: unterminated one (3), a line comment (4, 5), or a string or char literal
 #: (to the end if unclosed); branches open with literals, which scan fast
@@ -362,7 +358,6 @@ _C_KEYWORDS = {
 }
 _ATTRIBUTE_WORDS = {"__attribute__", "__attribute"}
 
-_BRACE = re.compile(r"[{}]")
 _NON_SPACE = re.compile(r"\S")
 _SPACE = re.compile(r"\s*")
 #: the keyword heading a clause, after the whitespace before it
@@ -374,10 +369,9 @@ _LONE_NAME = re.compile(r"\s*(\w+)\s*")
 #: perhaps with `*`s after it; a cast, as in `v = (T)(struct s){1}` or
 #: `v = 2 * (T)(struct s){1}`, follows something else
 _TYPE_END = re.compile(r"[\s*]*(\w+)")
-#: a brace, or a loop keyword ending a word (`_starts_word` tells whether
-#: it starts one); branches open with literals, which scan fast
-_LOOP_TOKEN = re.compile(r"\{|\}|for(?!\w)|do(?!\w)|while(?!\w)")
-_DECL_MARK = re.compile(r"[;{}()]")
+#: what the layout scan reads: ';', a brace, a parenthesis, or a loop
+#: keyword ending a word (`_starts_word` tells whether it starts one)
+_LAYOUT_TOKEN = re.compile(r"[;{}()]|for(?!\w)|do(?!\w)|while(?!\w)")
 #: a preprocessor line at the start of the text, and one after a newline
 _FIRST_DIRECTIVE = re.compile(r"[ \t]*#[^\n]*")
 _DIRECTIVE = re.compile(r"\n[ \t]*#[^\n]*")
@@ -393,9 +387,9 @@ class _FunctionInfo:
 
 
 class _DeclarationMarks:
-    """Forward passes over masked text recording where a declaration can
-    start and which '(' each ')' closes. The pass over ';{}()' runs only as
-    far as `advance` asks: nothing after the last top-level '{' is needed."""
+    """Where a declaration can start and which '(' each ')' closes, in the
+    masked text before the '{' being read; `_scan_layout` appends the marks
+    as its pass goes."""
 
     def __init__(self, masked: str):
         #: the masked text reversed, for regex steps backwards
@@ -409,21 +403,6 @@ class _DeclarationMarks:
         self.bounds: list[int] = []
         #: ')' offset -> offset of the '(' it closes
         self.opener: dict[int, int] = {}
-        self._open_parens: list[int] = []
-        self._marks = _DECL_MARK.finditer(masked)
-
-    def advance(self, end: int) -> None:
-        """Record the marks up to offset end (which only grows)."""
-        for m in self._marks:
-            mark = m.group()
-            if mark == "(":
-                self._open_parens.append(m.start())
-            elif mark != ")":
-                self.bounds.append(m.start())
-            elif self._open_parens:
-                self.opener[m.start()] = self._open_parens.pop()
-            if m.start() >= end:
-                return
 
     def decl_start(self, name_start: int) -> int:
         """Offset just after the last ';', '}', '{' or preprocessor line
@@ -442,7 +421,6 @@ def _function_at_brace(masked: str, brace_pos: int,
     """If the top-level '{' at brace_pos opens a function body, return
     (name, decl_start); otherwise None."""
     # a run ending at offset j is a match at last - j in the reversed text
-    marks.advance(brace_pos)
     rev = marks.reverse
     last = len(masked) - 1
     j = brace_pos - 1
@@ -477,34 +455,6 @@ def _function_at_brace(masked: str, brace_pos: int,
     return name, code.start() if code else brace_pos
 
 
-def _collect_loops(masked: str, body_start: int, body_end: int) -> list[int]:
-    """Offsets of loop statements inside a function body, textual order.
-    The 'while' of a do-while is not counted as a separate loop."""
-    loops: list[int] = []
-    pending_do: list[int] = []
-    depth = 0
-    for m in _LOOP_TOKEN.finditer(masked, body_start, body_end):
-        token = m.group()
-        if token == "{":
-            depth += 1
-        elif token == "}":
-            depth -= 1
-            while pending_do and pending_do[-1] > depth:
-                pending_do.pop()
-        elif not _starts_word(masked, m.start()):
-            continue
-        elif token == "for":
-            loops.append(m.start())
-        elif token == "do":
-            loops.append(m.start())
-            pending_do.append(depth)
-        elif pending_do and pending_do[-1] == depth:
-            pending_do.pop()   # the while of a do-while
-        else:
-            loops.append(m.start())
-    return loops
-
-
 def _starts_word(text: str, i: int) -> bool:
     """Whether a word starts at offset i: at the first ASCII letter or '_'
     of a run of word characters, so in `9for`, not in `_9for` or `xéfor`."""
@@ -515,23 +465,53 @@ def _starts_word(text: str, i: int) -> bool:
 
 
 def _scan_layout(masked: str) -> list[_FunctionInfo]:
+    """The function definitions of masked C text, with the loops of each,
+    in one forward pass. A file-scope '{' opens a body when
+    `_function_at_brace` names a function there; the body closes at its
+    matching '}'. The 'while' of a do-while is not counted as a loop."""
     marks = _DeclarationMarks(masked)
+    open_parens: list[int] = []
     functions: list[_FunctionInfo] = []
-    depth = 0
-    m = _BRACE.search(masked)
-    while m:
-        i = m.start()
-        if m.group() == "}":
-            depth -= 1
-        elif depth == 0 and (hit := _function_at_brace(masked, i, marks)):
-            name, decl_start = hit
-            body_end = _match_block(masked, i)
-            functions.append(_FunctionInfo(name, decl_start, i, body_end,
-                                           _collect_loops(masked, i + 1, body_end)))
-            i = body_end
+    body = None   # the function whose body is open
+    depth = 0     # brace depth at file scope, or within the open body
+    pending_do: list[int] = []   # body depth of each 'do' awaiting its 'while'
+    for m in _LAYOUT_TOKEN.finditer(masked):
+        token, i = m.group(), m.start()
+        if token == "(":
+            open_parens.append(i)
+        elif token == ")":
+            if open_parens:
+                marks.opener[i] = open_parens.pop()
+        elif token == ";":
+            marks.bounds.append(i)
+        elif token == "{":
+            marks.bounds.append(i)
+            if body is None and depth == 0 and (
+                    hit := _function_at_brace(masked, i, marks)):
+                body = _FunctionInfo(*hit, i, -1)
+            else:
+                depth += 1
+        elif token == "}":
+            marks.bounds.append(i)
+            if body is not None and depth == 0:
+                body.body_end = i
+                functions.append(body)
+                body = None
+                pending_do.clear()
+            else:
+                depth -= 1
+                while pending_do and pending_do[-1] > depth:
+                    pending_do.pop()
+        elif body is None or not _starts_word(masked, i):
+            continue
+        elif token == "while" and pending_do and pending_do[-1] == depth:
+            pending_do.pop()   # the while of a do-while
         else:
-            depth += 1
-        m = _BRACE.search(masked, i + 1)
+            body.loop_offsets.append(i)
+            if token == "do":
+                pending_do.append(depth)
+    if body is not None:
+        raise MalformedAnnotation(f"unbalanced '{{' at offset {body.body_start}")
     return functions
 
 
@@ -663,27 +643,18 @@ def _split_clauses(content: str) -> list[_Clause]:
             raise ClassificationError(f"not a supported construct keyword: {word!r}")
 
 
-_BLOCK_TOKEN = re.compile(r"""[{}"']""")
-
-
 def _match_block(content: str, open_pos: int) -> int:
-    """Offset of the '}' closing the '{' at open_pos, skipping string and
-    character literals."""
+    """Offset of the '}' closing the '{' at open_pos, stepping over the
+    clause tokens, so over string and character literals."""
     depth = 0
-    m = _BLOCK_TOKEN.search(content, open_pos)
-    while m:
-        i = m.start()
-        c = m.group()
-        if c == "{":
+    for m in _CLAUSE_TOKEN.finditer(content, open_pos):
+        token = m.group()
+        if token == "{":
             depth += 1
-        elif c == "}":
+        elif token == "}":
             depth -= 1
             if depth == 0:
-                return i
-        else:
-            # i lands on the closing quote; without one nothing follows
-            i = _QUOTED_REST[c].match(content, i + 1).end()
-        m = _BLOCK_TOKEN.search(content, i + 1)
+                return m.start()
     raise MalformedAnnotation(f"unbalanced '{{' at offset {open_pos}")
 
 

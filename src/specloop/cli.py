@@ -19,8 +19,6 @@ from .refine import Paradigm, RunLimits, RunOutcome
 from .runner import ExperimentPlan, RecordStore, load_dataset, run_experiment
 from .verifier import FramaCSettings, FramaCVerifier, MockVerifier, Verifier
 
-_PARADIGMS = {"delete": Paradigm.DELETION, "modify": Paradigm.MODIFICATION}
-
 
 def _build_oracle(persona: str) -> Oracle:
     if persona == "http":
@@ -101,10 +99,12 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    corpus = load_dataset(args.dataset)
     configs = tuple(name.strip() for name in args.configs.split(",") if name.strip())
-    paradigms = tuple(_PARADIGMS[p.strip()]
-                      for p in args.paradigms.split(",") if p.strip())
+    try:
+        paradigms = tuple(Paradigm(p.strip())
+                          for p in args.paradigms.split(",") if p.strip())
+    except ValueError as exc:   # "'modfy' is not a valid Paradigm"
+        raise SpecloopError(f"{exc}; expected delete or modify") from None
     plan = ExperimentPlan(
         configs=configs,
         paradigms=paradigms,
@@ -113,6 +113,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
                          wall_budget=args.run_wall_budget),
         workers=args.workers,
     )
+    corpus = load_dataset(args.dataset)
     oracle = _build_oracle(args.oracle)
     verifier = _build_verifier(args)
     templates = TemplateStore(args.templates) if args.templates else None

@@ -8,6 +8,7 @@ set. Four canonical configurations ship (CB, CV, CA, CF); arbitrary
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from importlib import resources
 from pathlib import Path
 
@@ -37,6 +38,12 @@ class Configuration:
     def __post_init__(self) -> None:
         if not self.mandatory <= self.permitted:
             raise ValueError("mandatory constructs must be permitted")
+
+    @cached_property
+    def permitted_keywords(self) -> str:
+        """Comma-separated ACSL keywords of the permitted constructs, in
+        declaration order; built on first use, once per configuration."""
+        return ", ".join(k.keyword for k in ConstructKind if k in self.permitted)
 
 
 _CANONICAL = {
@@ -109,11 +116,6 @@ def mandatory_instruction(config: Configuration) -> str:
     return f"Your specification MUST use at least one of: {keywords}."
 
 
-def permitted_keywords(config: Configuration) -> str:
-    """Comma-separated ACSL keywords permitted by a configuration."""
-    return ", ".join(k.keyword for k in ConstructKind if k in config.permitted)
-
-
 class TemplateStore:
     """Prompt templates, one file per configuration per phase.
 
@@ -171,7 +173,7 @@ def _fill(phase: str, program, config: Configuration,
     template = (template_store or _DEFAULT_STORE).load(phase, config.name)
     return template.format(
         program=program.source if hasattr(program, "source") else str(program),
-        permitted_keywords=permitted_keywords(config),
+        permitted_keywords=config.permitted_keywords,
         mandatory_instruction=mandatory_instruction(config),
         **fields,
     )
@@ -179,9 +181,8 @@ def _fill(phase: str, program, config: Configuration,
 
 def _render_feedback(report) -> str:
     lines = [f"verification status: {report.status.value}"]
-    for goal in report.goals:
-        if goal.status.value != "Proved":
-            lines.append(f"failed goal: {goal.goal_name} ({goal.status.value})")
+    for goal in report.failing_goals():
+        lines.append(f"failed goal: {goal.goal_name} ({goal.status.value})")
     excerpt = (report.raw_output or "").strip()
     if excerpt:
         lines.append("verifier output (excerpt):")

@@ -84,6 +84,8 @@ class ExperimentPlan:
     def __post_init__(self) -> None:
         if not self.configs or not self.paradigms or self.runs_per_cell < 1:
             raise ValueError("plan needs configs, paradigms and a positive run count")
+        for name in self.configs:
+            canonical_config(name)   # an unknown name raises before any cell
 
     def worker_count(self, *components: Oracle | Verifier) -> int:
         """`workers` if set, else the components' largest `concurrency`

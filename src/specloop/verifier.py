@@ -230,9 +230,10 @@ def _linker(spec: SpecificationSet, read: SpecificationSet):
     declared name, then the goal's source line within the span an
     annotation has in `read`, the parsed text the verifier read."""
     by_key = {a.key(): a for a in spec.annotations}
-    # a declared name fits a goal holding it as a whole word, and a lemma's
-    # name also fits WP's `typed_lemma_<name>`; of several names that fit,
-    # the longest wins
+    # a declared name fits a goal whose own words (not its `(file …)` or
+    # `in '<function>'` parts) hold it as a whole word, and a lemma's name
+    # also fits WP's `typed_lemma_<name>`; of several names that fit, the
+    # longest wins
     named = []
     for a in spec.annotations:
         if name := a.declared_name():
@@ -248,8 +249,9 @@ def _linker(spec: SpecificationSet, read: SpecificationSet):
             hit = by_key.get(goal.source_annotation.key())
             if hit is not None:
                 return hit
+        words = _GOAL_PLACE.sub(" ", goal.goal_name)
         for _, pattern, ann in named:
-            if re.search(pattern, goal.goal_name):
+            if re.search(pattern, words):
                 return ann
         if goal.source_line is not None:
             for span, ann in spans:

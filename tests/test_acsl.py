@@ -25,6 +25,7 @@ from specloop import (
     weave,
 )
 from specloop import acsl
+from specloop.acsl import declared_functions
 from specloop.errors import (
     AnchorNotFound,
     ClassificationError,
@@ -329,6 +330,31 @@ def test_string_literals_do_not_confuse_the_scanner(annotated_dir):
     assert all(isinstance(a.anchor, FunctionContract) for a in spec)
 
 
+def test_a_quote_left_open_in_a_body_leaves_the_body_open():
+    # the lexer masks `'}` to the end of the text, so no '}' closes f
+    for scan in (declared_functions, parse_annotations):
+        with pytest.raises(MalformedAnnotation, match="unbalanced '{' at offset 13"):
+            scan("int f(int n) {'}")
+
+
+def test_literals_in_a_body_neither_close_it_nor_count_as_loops():
+    src = ('int g(int n) {\n    const char *s = "}";\n    char c = \'{\';\n'
+           '    const char *w = "do";\n    int i = 0;\n'
+           '    /*@ loop invariant 0 <= i <= n; */\n    while (i < n) i++;\n'
+           '    return i;\n}\nint h(void) { return 0; }\n')
+    assert declared_functions(src) == ["g", "h"]
+    [ann] = parse_annotations(src)
+    assert ann.anchor == Loop("g", 1)
+    assert (ann.span.start_line, ann.span.end_line) == (6, 6)
+
+
+def test_a_do_left_open_in_one_body_takes_no_while_of_the_next():
+    src = ("int f(int x) { do x--; }\n"
+           "int g(int y) {\n  /*@ loop invariant y >= 0; */\n  while (y) y--;\n}\n")
+    [ann] = parse_annotations(src)
+    assert ann.anchor == Loop("g", 1)
+
+
 def test_do_while_counts_once():
     src = (annotated := Path(__file__).parent / "fixtures" / "annotated" / "three_loops.c").read_text()
     spec = parse_annotations(src)
@@ -583,6 +609,12 @@ def test_roundtrip_property(annotations, form, closer_in):
 # changed together on purpose where the behaviour changed: a function
 # returning a function pointer, a name alone in parentheses (`int (f)(int)`)
 # and character literals in the brace matcher.
+#
+# The layout scan is compared on masked text only, which is all its callers
+# pass. On raw text the reference skips literals when it looks for a body's
+# end but not when it collects loops or declaration marks, so no single pass
+# can agree with it there (`int f(int n) {'}`). The brace matcher, which
+# closes axiomatic blocks in clause content, is still compared on raw text.
 
 def _ref_lex(source):
     n = len(source)
@@ -821,18 +853,17 @@ def _outcome(fn, *args):
 def _assert_same_layout(text):
     lexed = _outcome(acsl._lex, text)
     assert lexed == _outcome(_ref_lex, text)
-    masked, comments = lexed if isinstance(lexed[0], str) else (None, [])
-    # the scan must agree on raw text too, where quotes reach the brace matcher
-    for scanned in ([] if masked is None else [masked]) + [text]:
-        functions = _outcome(acsl._scan_layout, scanned)
-        assert functions == _outcome(_ref_scan_layout, scanned)
-        if not isinstance(functions, list):
-            continue
-        starts = [f.body_start for f in functions]
-        for comment in comments:
-            for kind in (ConstructKind.LOOP_INVARIANT, ConstructKind.REQUIRES):
-                assert (_outcome(acsl._resolve_anchor, kind, comment, functions, starts)
-                        == _outcome(_ref_resolve_anchor, kind, comment, functions))
+    if isinstance(lexed[0], str):
+        masked, comments = lexed
+        functions = _outcome(acsl._scan_layout, masked)
+        assert functions == _outcome(_ref_scan_layout, masked)
+        if isinstance(functions, list):
+            starts = [f.body_start for f in functions]
+            for comment in comments:
+                for kind in (ConstructKind.LOOP_INVARIANT, ConstructKind.REQUIRES):
+                    assert (_outcome(acsl._resolve_anchor, kind, comment, functions, starts)
+                            == _outcome(_ref_resolve_anchor, kind, comment, functions))
+    # on raw text quotes reach the brace matcher, which must skip literals
     for m in re.finditer(r"\{", text):
         assert (_outcome(acsl._match_block, text, m.start())
                 == _outcome(_ref_match_block, text, m.start()))

@@ -217,6 +217,14 @@ def test_prompts_are_deterministic():
         build_generation_prompt(program, config)
 
 
+def test_permitted_keywords_are_built_once_per_configuration():
+    config = Configuration("X", frozenset({K.LEMMA, K.REQUIRES}))
+    first = config.permitted_keywords
+    assert first == "requires, lemma"
+    assert config.permitted_keywords is first
+    assert config == Configuration("X", frozenset({K.LEMMA, K.REQUIRES}))
+
+
 def test_missing_template(tmp_path):
     store = TemplateStore(tmp_path)
     with pytest.raises(MissingTemplate):

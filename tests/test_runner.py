@@ -34,6 +34,7 @@ from specloop.errors import (
     DuplicateId,
     EmptyCorpus,
     MissingTargetFunction,
+    UnknownConfiguration,
 )
 
 
@@ -616,3 +617,26 @@ def test_cli_bad_oracle_persona(tmp_path):
         "--verifier", "mock", "--out", str(tmp_path / "o"),
     ])
     assert code == 2
+
+
+@pytest.mark.parametrize("option,value,bad", [
+    ("--configs", "CB,CX", "'CX'"),
+    ("--paradigms", "delete,modfy", "'modfy'"),
+])
+def test_cli_rejects_a_bad_grid_before_any_run(persona_dir, mock_rules_file,
+                                               tmp_path, capsys, option, value, bad):
+    corpus = Path(__file__).parent / "fixtures" / "toy_corpus"
+    out = tmp_path / "out"
+    code = cli_main([
+        "run", "--dataset", str(corpus), "--runs", "1", option, value,
+        "--oracle", str(persona_dir), "--verifier", "mock",
+        "--mock-fixtures", str(mock_rules_file), "--out", str(out),
+    ])
+    assert code == 2
+    assert bad in capsys.readouterr().err
+    assert not (out / "records.jsonl").exists()
+
+
+def test_plan_rejects_an_unknown_configuration():
+    with pytest.raises(UnknownConfiguration, match="'CX'"):
+        ExperimentPlan(configs=("CB", "CX"))

@@ -27,6 +27,7 @@ from specloop import (
     canonical_config,
     extract_spec,
     map_failures_to_annotations,
+    parse_annotations,
     refine_delete,
     run_once,
     spec_key,
@@ -35,7 +36,8 @@ from specloop import (
 from specloop.errors import UnmappableFailure
 from specloop.refine import RunLogger
 from specloop.acsl import _declared_name
-from specloop.verifier import _goal_kind_hint, parse_wp_output, report_from_goals
+from specloop.verifier import (
+    _goal_kind_hint, _wp_report, parse_wp_output, report_from_goals)
 
 import strategies
 
@@ -320,6 +322,7 @@ _NAMED_SPEC = SpecificationSet([
     # of the names that fit, the longest wins
     ("Post-condition for 'first_fact_case' (file woven.c, line 9) in 'fact'",
      "behavior first_fact_case"),
+    ("Post-condition 'first_fact_case' of fact", "behavior first_fact_case"),
     # a name inside another goal's name links nothing: the kind hint decides
     ("typed_f_ensures", "ensures"),
 ])
@@ -328,6 +331,72 @@ def test_declared_name_step_picks_the_named_annotation(goal_name, blamed):
         GoalResult(goal_name, GoalStatus.UNKNOWN),))
     [mapped] = map_failures_to_annotations(report, _NAMED_SPEC)
     assert mapped.text.startswith(blamed)
+
+
+def _blame(goal_name):
+    report = VerifierReport(ReportStatus.FAILED, (
+        GoalResult(goal_name, GoalStatus.UNKNOWN),))
+    try:
+        return map_failures_to_annotations(report, _NAMED_SPEC)
+    except UnmappableFailure:
+        return None
+
+
+@settings(max_examples=200, deadline=None)
+@given(words=st.lists(st.sampled_from([
+           "typed", "lemma", "f", "fact", "first_fact", "second_fact",
+           "first_fact_case", "ensures", "post", "assigns", "x", "'first_fact'"]),
+           min_size=1, max_size=5),
+       sep=st.sampled_from(["_", " "]),
+       function=st.sampled_from(["f", "fact", "first_fact", "first_fact_case", "g"]))
+def test_a_goals_location_and_function_change_no_blame(words, sep, function):
+    name = sep.join(words)
+    assert _blame(f"{name} (file woven.c, line 99) in '{function}'") == _blame(name)
+
+
+#: a logic function named after the C function it specifies, and a failing
+#: `ensures` on line 3 of the woven file
+_SHARED_NAME_WOVEN = (
+    "/*@ logic integer fact(integer n) = n <= 0 ? 1 : n * fact(n - 1); */\n"
+    "/*@ requires 0 <= n <= 5;\n"
+    "    ensures \\result == fact(n) + 1; */\n"
+    "int fact(int n) { return n <= 0 ? 1 : n * fact(n - 1); }\n")
+_SHARED_NAME_OUTPUT = """\
+------------------------------------------------------------
+Goal Post-condition (file woven.c, line 3) in 'fact':
+Prover Alt-Ergo returns Unknown
+
+[wp] Proved goals:    0 / 1
+"""
+
+
+def test_a_logic_function_named_like_the_c_function_takes_no_blame():
+    spec = parse_annotations(_SHARED_NAME_WOVEN, file="woven.c")
+    report = _wp_report(spec, _SHARED_NAME_OUTPUT, spec, 0.0)
+    [goal] = report.failing_goals()
+    assert goal.source_annotation.text.startswith("ensures")
+    [blamed] = map_failures_to_annotations(report, spec)
+    assert blamed.text.startswith("ensures")
+    # the same goal without the adapter's link: the line step decides
+    bare = VerifierReport(ReportStatus.FAILED, (
+        GoalResult(goal.goal_name, GoalStatus.UNKNOWN, source_line=3),))
+    assert map_failures_to_annotations(bare, spec) == [blamed]
+
+
+@settings(max_examples=200, deadline=None)
+@given(spec=strategies.specs(), function=st.sampled_from(["f", "fact"]),
+       kind=st.sampled_from([K.LOGIC, K.PREDICATE]))
+def test_a_goal_block_blames_the_clause_on_its_line(spec, function, kind):
+    # the drawn spans end by line 43
+    shared = Annotation(kind, f"{kind.keyword} integer {function}(integer n) = n;",
+                        span=SourceSpan("s.c", 1, 1))
+    failing = Annotation(K.ENSURES, "ensures \\result == 0;",
+                         FunctionContract(function), SourceSpan("s.c", 50, 50))
+    spec = SpecificationSet([shared, *spec, failing])
+    report = VerifierReport(ReportStatus.FAILED, (GoalResult(
+        f"Post-condition (file s.c, line 50) in '{function}'",
+        GoalStatus.UNKNOWN, source_line=50),))
+    assert map_failures_to_annotations(report, spec) == [failing]
 
 
 def test_explicit_linkage_wins():
