@@ -81,21 +81,8 @@ _CONTRACT_KINDS = frozenset({
     ConstructKind.BEHAVIOR,
 })
 
-_SIMPLE_KEYWORDS = {
-    "requires": ConstructKind.REQUIRES,
-    "ensures": ConstructKind.ENSURES,
-    "assigns": ConstructKind.ASSIGNS,
-    "predicate": ConstructKind.PREDICATE,
-    "logic": ConstructKind.LOGIC,
-    "lemma": ConstructKind.LEMMA,
-    "axiom": ConstructKind.AXIOM,
-}
-
-_LOOP_KEYWORDS = {
-    "invariant": ConstructKind.LOOP_INVARIANT,
-    "variant": ConstructKind.LOOP_VARIANT,
-    "assigns": ConstructKind.LOOP_ASSIGNS,
-}
+#: the construct kind each clause keyword heads, "loop invariant" as one key
+KIND_OF_KEYWORD = {kind.keyword: kind for kind in ConstructKind}
 
 
 def classify_construct(clause_keyword: Union[str, Sequence[str]]) -> ConstructKind:
@@ -107,14 +94,10 @@ def classify_construct(clause_keyword: Union[str, Sequence[str]]) -> ConstructKi
     """
     if not isinstance(clause_keyword, str):
         clause_keyword = " ".join(clause_keyword)
-    tokens = clause_keyword.split()
-    if len(tokens) == 1 and tokens[0] in _SIMPLE_KEYWORDS:
-        return _SIMPLE_KEYWORDS[tokens[0]]
-    if len(tokens) == 2 and tokens[0] == "loop" and tokens[1] in _LOOP_KEYWORDS:
-        return _LOOP_KEYWORDS[tokens[1]]
-    if tokens == ["behavior"]:
-        return ConstructKind.BEHAVIOR
-    raise ClassificationError(f"not a supported construct keyword: {clause_keyword!r}")
+    kind = KIND_OF_KEYWORD.get(" ".join(clause_keyword.split()))
+    if kind is None:
+        raise ClassificationError(f"not a supported construct keyword: {clause_keyword!r}")
+    return kind
 
 
 # --------------------------------------------------------------------------
@@ -363,6 +346,8 @@ _SPACE = re.compile(r"\s*")
 #: the keyword heading a clause, after the whitespace before it
 _CLAUSE_HEAD = re.compile(r"\s*([A-Za-z_]\w*)?")
 _WORD_CHARS = re.compile(r"\w*")
+#: what `axiomatic` is followed by: the block's name, if any, and its '{'
+_AXIOMATIC_HEAD = re.compile(r"\s*(?:[A-Za-z_]\w*\s*)?\{")
 #: a group holding one name only, as in `int (f)(int x)`
 _LONE_NAME = re.compile(r"\s*(\w+)\s*")
 #: on reversed text, what ends before such a group: a type's last word,
@@ -597,20 +582,11 @@ def _split_clauses(content: str) -> list[_Clause]:
             raise MalformedAnnotation(
                 f"unexpected {content[m.end()]!r} at start of clause in annotation")
         i, after = m.span(1)
-        kind = _SIMPLE_KEYWORDS.get(word)
-        if kind is not None:
-            end = _find_terminator(content, after, word)
-            clauses.append(_Clause(kind, i, end + 1))
-            i = end + 1
-        elif word == "loop":
-            m2 = _CLAUSE_HEAD.match(content, after)
-            sub = m2.group(1) or ""
-            if sub not in _LOOP_KEYWORDS:
-                raise ClassificationError(f"not a supported construct keyword: 'loop {sub}'")
-            end = _find_terminator(content, m2.end(), f"loop {sub}")
-            clauses.append(_Clause(_LOOP_KEYWORDS[sub], i, end + 1))
-            i = end + 1
-        elif word == "behavior":
+        if word == "loop":
+            m = _CLAUSE_HEAD.match(content, after)
+            word, after = f"loop {m.group(1) or ''}", m.end()
+        kind = KIND_OF_KEYWORD.get(word)
+        if kind is ConstructKind.BEHAVIOR:
             colon = content.find(":", after)
             if colon < 0:
                 raise MalformedAnnotation("behavior header has no ':'")
@@ -618,6 +594,10 @@ def _split_clauses(content: str) -> list[_Clause]:
             clauses.append(clause)
             open_behavior = clause
             i = colon + 1
+        elif kind is not None:
+            end = _find_terminator(content, after, word)
+            clauses.append(_Clause(kind, i, end + 1))
+            i = end + 1
         elif word == "assumes":
             if open_behavior is None:
                 raise ClassificationError(
@@ -626,9 +606,10 @@ def _split_clauses(content: str) -> list[_Clause]:
             open_behavior.extra_spans.append((i, end + 1))
             i = end + 1
         elif word == "axiomatic":
-            brace = content.find("{", after)
-            if brace < 0:
-                raise MalformedAnnotation("axiomatic block has no '{'")
+            head = _AXIOMATIC_HEAD.match(content, after)
+            if head is None:
+                raise MalformedAnnotation("axiomatic block has no '{' after its name")
+            brace = head.end() - 1
             close = _match_block(content, brace)
             inner = _split_clauses(content[brace + 1:close])
             for c in inner:
@@ -753,55 +734,35 @@ def weave(bare_source: str, spec: SpecificationSet) -> str:
 
     masked, _ = _lex(bare_source)
     functions = {f.name: f for f in _scan_layout(masked)}
-    ordered_functions = sorted(functions.values(), key=lambda f: f.decl_start)
-
     globals_: list[Annotation] = []
-    contracts: dict[str, list[Annotation]] = {}
-    loops: dict[tuple[str, int], list[Annotation]] = {}
+    blocks: dict[int, list[str]] = {}   # insertion offset -> its clause texts
     for ann in spec:
-        if isinstance(ann.anchor, Global):
+        anchor = ann.anchor
+        if isinstance(anchor, Global):
             globals_.append(ann)
-        elif isinstance(ann.anchor, FunctionContract):
-            fn = ann.anchor.function
-            if fn not in functions:
-                raise AnchorNotFound(f"function '{fn}' not found in source")
-            contracts.setdefault(fn, []).append(ann)
+            continue
+        f = functions.get(anchor.function)
+        if f is None:
+            raise AnchorNotFound(f"function '{anchor.function}' not found in source")
+        if isinstance(anchor, FunctionContract):
+            offset = f.decl_start
+        elif 1 <= anchor.ordinal <= len(f.loop_offsets):
+            offset = f.loop_offsets[anchor.ordinal - 1]
         else:
-            fn, ordinal = ann.anchor.function, ann.anchor.ordinal
-            f = functions.get(fn)
-            if f is None:
-                raise AnchorNotFound(f"function '{fn}' not found in source")
-            if not 1 <= ordinal <= len(f.loop_offsets):
-                raise AnchorNotFound(
-                    f"function '{fn}' has {len(f.loop_offsets)} loops, "
-                    f"no ordinal {ordinal}")
-            loops.setdefault((fn, ordinal), []).append(ann)
-
-    insertions: dict[int, list[str]] = {}
-
-    def plan(offset: int, block: str) -> None:
-        insertions.setdefault(offset, []).append(block)
-
-    if globals_:
-        offset = ordered_functions[0].decl_start if ordered_functions else 0
-        indent = _line_indent(bare_source, offset)
-        plan(offset, _render_globals(globals_, indent))
-
-    for fn, anns in contracts.items():
-        f = functions[fn]
-        indent = _line_indent(bare_source, f.decl_start)
-        plan(f.decl_start, _render_block([a.text for a in anns], indent))
-
-    for (fn, ordinal), anns in loops.items():
-        f = functions[fn]
-        offset = f.loop_offsets[ordinal - 1]
-        indent = _line_indent(bare_source, offset)
-        plan(offset, _render_block([a.text for a in anns], indent))
+            raise AnchorNotFound(
+                f"function '{anchor.function}' has {len(f.loop_offsets)} loops, "
+                f"no ordinal {anchor.ordinal}")
+        blocks.setdefault(offset, []).append(ann.text)
 
     out = bare_source
-    for offset in sorted(insertions, reverse=True):
-        text = "".join(insertions[offset])
-        out = out[:offset] + text + out[offset:]
+    for offset in sorted(blocks, reverse=True):
+        block = _render_block(blocks[offset], _line_indent(bare_source, offset))
+        out = out[:offset] + block + out[offset:]
+    if globals_:
+        # last, so that it lands before a contract at the same offset
+        offset = min((f.decl_start for f in functions.values()), default=0)
+        block = _render_globals(globals_, _line_indent(bare_source, offset))
+        out = out[:offset] + block + out[offset:]
     return out
 
 
@@ -812,8 +773,6 @@ def _line_indent(source: str, offset: int) -> str:
 
 
 def _render_block(clause_texts: list[str], indent: str) -> str:
-    if len(clause_texts) == 1:
-        return f"/*@ {clause_texts[0]} */\n{indent}"
     inner = f"\n{indent}    ".join(clause_texts)
     return f"/*@ {inner} */\n{indent}"
 

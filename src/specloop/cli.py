@@ -11,7 +11,7 @@ import json
 import sys
 from pathlib import Path
 
-from .config import TemplateStore
+from .config import CANONICAL_NAMES, TemplateStore, canonical_config
 from .errors import SpecloopError
 from .metrics import emit_reports
 from .oracle import HttpChatOracle, HttpOracleSettings, Oracle, ReplayOracle
@@ -79,7 +79,9 @@ def _add_report_parser(subparsers) -> None:
     p = subparsers.add_parser("report", help="recompute reports from records")
     p.add_argument("--records", required=True, help="records.jsonl file")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--configs", default="CB,CV,CA,CF")
+    p.add_argument("--configs", default=None,
+                   help="comma-separated configuration names (default: those "
+                        "the records hold)")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -105,14 +107,17 @@ def _cmd_run(args: argparse.Namespace) -> int:
                           for p in args.paradigms.split(",") if p.strip())
     except ValueError as exc:   # "'modfy' is not a valid Paradigm"
         raise SpecloopError(f"{exc}; expected delete or modify") from None
-    plan = ExperimentPlan(
-        configs=configs,
-        paradigms=paradigms,
-        runs_per_cell=args.runs,
-        limits=RunLimits(max_repair_iterations=args.max_iters,
-                         wall_budget=args.run_wall_budget),
-        workers=args.workers,
-    )
+    try:
+        plan = ExperimentPlan(
+            configs=configs,
+            paradigms=paradigms,
+            runs_per_cell=args.runs,
+            limits=RunLimits(max_repair_iterations=args.max_iters,
+                             wall_budget=args.run_wall_budget),
+            workers=args.workers,
+        )
+    except ValueError as exc:   # an empty list, or a count or budget not above 0
+        raise SpecloopError(str(exc)) from None
     corpus = load_dataset(args.dataset)
     oracle = _build_oracle(args.oracle)
     verifier = _build_verifier(args)
@@ -142,7 +147,12 @@ def _cmd_report(args: argparse.Namespace) -> int:
     if not store.path.is_file():
         raise SpecloopError(f"no records file at {store.path}")
     records = store.load()
-    configs = tuple(name.strip() for name in args.configs.split(",") if name.strip())
+    if args.configs is None:
+        held = {r.config_name for r in records}
+        configs = tuple(name for name in CANONICAL_NAMES if name in held)
+    else:   # an unknown name raises before any file is written
+        configs = tuple(canonical_config(name.strip()).name
+                        for name in args.configs.split(",") if name.strip())
     emit_reports(records, args.out, configs=configs)
     print(f"reports in {Path(args.out) / 'report'}")
     return 0

@@ -403,14 +403,21 @@ def emit_reports(records: Sequence[RunRecord], out_dir: str | Path,
                  persona: str = "oracle",
                  configs: Sequence[str] = _CONFIG_ORDER) -> dict:
     """Write the consolidated summary, the human-readable table and the
-    plotting data files under out_dir/report. Returns the summary dict."""
+    plotting data files under out_dir/report. Returns the summary dict.
+
+    Raises IncompleteGrid, before writing any file, when a configuration in
+    `configs` has no records under a paradigm the records hold."""
+    cells = _compute_cells(records)
+    held = {paradigm for _, paradigm in cells}
+    for config, paradigm in itertools.product(configs, Paradigm):
+        if paradigm in held and (config, paradigm) not in cells:
+            raise IncompleteGrid(f"no records for {config} under {paradigm.value}")
     out = Path(out_dir) / "report"
     out.mkdir(parents=True, exist_ok=True)
-    cells = _compute_cells(records)
     summary = _summary(cells, configs)
     _write_json(out / "summary.json", summary)
 
-    if len({paradigm for _, paradigm in cells}) == 2:
+    if len(held) == 2:
         table = MetricsTable(personas=(persona,), configs=tuple(configs),
                              cells={persona: cells})
         _write_text(out / "table.txt", render_table(table))

@@ -16,6 +16,7 @@ from typing import IO
 
 from .acsl import (
     GLOBAL,
+    KIND_OF_KEYWORD,
     Annotation,
     ConstructKind,
     FunctionContract,
@@ -121,9 +122,6 @@ def _annotation_to_dict(a: Annotation) -> dict:
     return {"construct": a.kind.keyword, "text": a.text, "anchor": anchor}
 
 
-_KIND_OF_KEYWORD = {kind.keyword: kind for kind in ConstructKind}
-
-
 def _annotation_from_dict(d: dict) -> Annotation:
     raw = d["anchor"]
     if raw["kind"] == "function":
@@ -133,7 +131,7 @@ def _annotation_from_dict(d: dict) -> Annotation:
     else:
         anchor = GLOBAL
     # the enum lookup only raises its ValueError for an unknown construct
-    kind = _KIND_OF_KEYWORD.get(d["construct"]) or ConstructKind(d["construct"])
+    kind = KIND_OF_KEYWORD.get(d["construct"]) or ConstructKind(d["construct"])
     return Annotation(kind, d["text"], anchor)
 
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import functools
 import re
 import time
 from dataclasses import replace
@@ -255,6 +256,22 @@ def test_parse_assumes_outside_behavior_is_classification_error():
 def test_parse_unknown_clause_keyword():
     with pytest.raises(ClassificationError):
         parse_annotations("/*@ terminates \\true; */\nint f(int x) { return x; }\n")
+
+
+@pytest.mark.parametrize("header", [
+    "axiomatic A requires x > 0; ensures y; {", "axiomatic A B {", "axiomatic 9 {",
+    "axiomatic A", "axiomatic",
+])
+def test_only_a_name_stands_between_axiomatic_and_its_brace(header):
+    src = f"/*@ {header} axiom a: \\true; }} */\nint f(int x) {{ return x; }}\n"
+    with pytest.raises(MalformedAnnotation, match="no '{' after its name"):
+        parse_annotations(src)
+
+
+@pytest.mark.parametrize("header", ["axiomatic A {", "axiomatic{", "axiomatic\n  A\t{"])
+def test_an_axiomatic_block_named_or_not_holds_its_members(header):
+    (axiom,) = parse_annotations(f"/*@ {header} axiom a: \\true; }} */\n")
+    assert axiom.kind is ConstructKind.AXIOM and axiom.text == "axiom a: \\true;"
 
 
 def test_parse_unterminated_comment():
@@ -936,12 +953,140 @@ def test_layout_scan_matches_the_reference_on_fixtures(path):
 
 
 # --------------------------------------------------------------------------
+# weave: differential check against the grouping weave
+# --------------------------------------------------------------------------
+# The reference below is the weave the one-pass one replaced: it sorts the
+# spec into globals, contracts by function and loops by (function, ordinal)
+# before it places anything. Both must give the same woven bytes, or raise
+# the same error with the same message.
+
+def _ref_render_block(clause_texts, indent):
+    if len(clause_texts) == 1:
+        return f"/*@ {clause_texts[0]} */\n{indent}"
+    inner = f"\n{indent}    ".join(clause_texts)
+    return f"/*@ {inner} */\n{indent}"
+
+
+def _ref_weave(bare_source, spec):
+    if not spec:
+        return bare_source
+
+    masked, _ = acsl._lex(bare_source)
+    functions = {f.name: f for f in acsl._scan_layout(masked)}
+    ordered_functions = sorted(functions.values(), key=lambda f: f.decl_start)
+
+    globals_ = []
+    contracts = {}
+    loops = {}
+    for ann in spec:
+        if isinstance(ann.anchor, acsl.Global):
+            globals_.append(ann)
+        elif isinstance(ann.anchor, FunctionContract):
+            fn = ann.anchor.function
+            if fn not in functions:
+                raise AnchorNotFound(f"function '{fn}' not found in source")
+            contracts.setdefault(fn, []).append(ann)
+        else:
+            fn, ordinal = ann.anchor.function, ann.anchor.ordinal
+            f = functions.get(fn)
+            if f is None:
+                raise AnchorNotFound(f"function '{fn}' not found in source")
+            if not 1 <= ordinal <= len(f.loop_offsets):
+                raise AnchorNotFound(
+                    f"function '{fn}' has {len(f.loop_offsets)} loops, "
+                    f"no ordinal {ordinal}")
+            loops.setdefault((fn, ordinal), []).append(ann)
+
+    insertions = {}
+
+    def plan(offset, block):
+        insertions.setdefault(offset, []).append(block)
+
+    if globals_:
+        offset = ordered_functions[0].decl_start if ordered_functions else 0
+        indent = acsl._line_indent(bare_source, offset)
+        plan(offset, acsl._render_globals(globals_, indent))
+
+    for fn, anns in contracts.items():
+        f = functions[fn]
+        indent = acsl._line_indent(bare_source, f.decl_start)
+        plan(f.decl_start, _ref_render_block([a.text for a in anns], indent))
+
+    for (fn, ordinal), anns in loops.items():
+        f = functions[fn]
+        offset = f.loop_offsets[ordinal - 1]
+        indent = acsl._line_indent(bare_source, offset)
+        plan(offset, _ref_render_block([a.text for a in anns], indent))
+
+    out = bare_source
+    for offset in sorted(insertions, reverse=True):
+        text = "".join(insertions[offset])
+        out = out[:offset] + text + out[offset:]
+    return out
+
+
+_ANNOTATED = sorted((Path(__file__).parent / "fixtures" / "annotated").glob("*.c"))
+
+
+@functools.lru_cache(maxsize=None)
+def _weave_pool(path):
+    """A fixture's bare text; its annotations with each of its contract and
+    loop texts anchored to every function and to every loop of each; and
+    those texts anchored to a function it lacks and to loop ordinals 0 and
+    one past the last."""
+    src = path.read_text()
+    bare = strip_annotations(src)
+    loop_counts = {f.name: len(f.loop_offsets)
+                   for f in acsl._scan_layout(acsl._lex(bare)[0])}
+    placed, unplaced = list(parse_annotations(src)), []
+    for ann in list(placed):
+        if isinstance(ann.anchor, FunctionContract):
+            placed += [replace(ann, anchor=FunctionContract(fn)) for fn in loop_counts]
+            unplaced.append(replace(ann, anchor=FunctionContract("absent")))
+        elif isinstance(ann.anchor, Loop):
+            for fn, n in [*loop_counts.items(), ("absent", 0)]:
+                anchors = [Loop(fn, k) for k in range(n + 2)]
+                placed += [replace(ann, anchor=a) for a in anchors[1:-1]]
+                unplaced += [replace(ann, anchor=a) for a in (anchors[0], anchors[-1])]
+    return bare, tuple(placed), tuple(unplaced)
+
+
+@st.composite
+def _fixture_weave(draw):
+    """A fixture's bare text and a spec of any subset and order of its pool,
+    with at most one annotation that cannot be placed."""
+    bare, placed, unplaced = _weave_pool(draw(st.sampled_from(_ANNOTATED)))
+    anns = draw(st.lists(st.sampled_from(placed), max_size=12))
+    if unplaced:
+        anns += draw(st.lists(st.sampled_from(unplaced), max_size=1))
+    return bare, SpecificationSet(draw(st.permutations(anns)))
+
+
+@settings(max_examples=500, deadline=None)
+@given(_fixture_weave())
+def test_weave_matches_the_reference(case):
+    bare, spec = case
+    assert _outcome(weave, bare, spec) == _outcome(_ref_weave, bare, spec)
+
+
+@pytest.mark.parametrize("path", _ANNOTATED, ids=lambda p: p.name)
+def test_weave_matches_the_reference_on_whole_fixtures(path):
+    src = path.read_text()
+    bare, spec = strip_annotations(src), parse_annotations(src)
+    for order in (spec, SpecificationSet(reversed(spec.annotations))):
+        assert weave(bare, order) == _ref_weave(bare, order)
+
+
+# --------------------------------------------------------------------------
 # clause split: differential check against the character-stepping scanner
 # --------------------------------------------------------------------------
 # The references below are the clause scanner and decoration blanking the
 # regex-stepped ones replaced: the scanner steps one character at a time.
 # Both must give the same blanked content and the same clauses (kinds,
-# spans, texts), or raise the same error with the same message.
+# spans, texts), or raise the same error with the same message. Both sides
+# were changed together on purpose where the behaviour changed: only the
+# block's name may stand between `axiomatic` and its '{' (both took the
+# first '{' anywhere after the keyword, and dropped the clauses before it).
 
 def _ref_blank_decorations(content):
     def spaces(m):
@@ -1002,6 +1147,42 @@ _REF_LOOP = {"invariant": ConstructKind.LOOP_INVARIANT,
              "variant": ConstructKind.LOOP_VARIANT, "assigns": ConstructKind.LOOP_ASSIGNS}
 
 
+
+def _ref_classify_construct(clause_keyword):
+    if not isinstance(clause_keyword, str):
+        clause_keyword = " ".join(clause_keyword)
+    tokens = clause_keyword.split()
+    if len(tokens) == 1 and tokens[0] in _REF_SIMPLE:
+        return _REF_SIMPLE[tokens[0]]
+    if len(tokens) == 2 and tokens[0] == "loop" and tokens[1] in _REF_LOOP:
+        return _REF_LOOP[tokens[1]]
+    if tokens == ["behavior"]:
+        return ConstructKind.BEHAVIOR
+    raise ClassificationError(f"not a supported construct keyword: {clause_keyword!r}")
+
+
+_KEYWORD_WORDS = sorted({word for kind in ConstructKind for word in kind.keyword.split()})
+_JUNK_WORDS = ["", "ghost", "assumes", "axiomatic", "Requires", "loop_invariant",
+               "invariantx", "loopinvariant", "é"]
+_SEPARATORS = ["", " ", "  ", "\t", "\n", "\u00a0", "\u2028"]
+
+
+def test_classify_construct_matches_the_reference():
+    """Every one- and two-word combination of the keywords' words and junk
+    words, as a string and as a token sequence, with whitespace variants
+    between and around the words."""
+    words = _KEYWORD_WORDS + _JUNK_WORDS
+    for first in words:
+        for second in [None, *words]:
+            for sep in _SEPARATORS:
+                for pad in ("", " ", "\n\t", "\u00a0"):
+                    head = first if second is None else first + sep + second
+                    tokens = (first,) if second is None else (pad + first, second + sep)
+                    for keyword in (pad + head + pad, tokens, list(tokens)):
+                        assert (_outcome(classify_construct, keyword)
+                                == _outcome(_ref_classify_construct, keyword)), keyword
+
+
 def _ref_split_clauses(content):
     clauses = []
     open_behavior = None
@@ -1040,9 +1221,12 @@ def _ref_split_clauses(content):
             open_behavior.extra_spans.append((i, end + 1))
             i = end + 1
         elif word == "axiomatic":
-            brace = content.find("{", after)
-            if brace < 0:
-                raise MalformedAnnotation("axiomatic block has no '{'")
+            brace = _ref_skip_ws(content, after)
+            name = _REF_WORD.match(content, brace)
+            if name:
+                brace = _ref_skip_ws(content, name.end())
+            if not content.startswith("{", brace):
+                raise MalformedAnnotation("axiomatic block has no '{' after its name")
             close = _ref_match_block(content, brace)
             for c in _ref_split_clauses(content[brace + 1:close]):
                 if c.kind not in LOGICAL_CONSTRUCTS:

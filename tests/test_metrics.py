@@ -11,6 +11,7 @@ from specloop import (
     SpecificationSet,
     build_table,
     compute_cell,
+    emit_reports,
     csccr,
     improvement_ratio,
     nsvp,
@@ -373,3 +374,19 @@ def test_summarize_shape():
     assert {"config", "paradigm", "csccr", "nvp", "nsvp", "nvtc", "rt",
             "reduction_rate", "verified_programs", "errored",
             "distribution"} <= set(cell)
+
+
+@pytest.mark.parametrize("configs,missing", [
+    (("CB", "CV"), "no records for CV under modify"),
+    (("CB", "CF"), "no records for CF under delete"),
+])
+def test_emit_reports_names_a_missing_cell_before_writing(tmp_path, configs, missing):
+    """A requested configuration lacking records under a paradigm the
+    records hold fails the report, where the table would need its cell."""
+    records = (full_grid(config="CB") + full_grid(config="CB", paradigm=Paradigm.MODIFICATION)
+               + full_grid(config="CV"))
+    with pytest.raises(IncompleteGrid, match=missing):
+        emit_reports(records, tmp_path / "out", configs=configs)
+    assert not (tmp_path / "out").exists()
+    emit_reports(records, tmp_path / "out", configs=("CB",))
+    assert (tmp_path / "out" / "report" / "table.txt").is_file()

@@ -257,6 +257,8 @@ UNPARSEABLE = {
                         "  while (x > 0) { x--;\n  return x;\n}\n```",
     "comment_closer": "```c\n//@ ensures \\result >= 0 */ ;\n"
                       "int f(int x) {\n  return x;\n}\n```",
+    "axiomatic_header": "```c\n/*@ axiomatic A requires x > 0; { axiom a: \\true; } */\n"
+                        "int f(int x) {\n  return x;\n}\n```",
 }
 
 

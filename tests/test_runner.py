@@ -602,6 +602,43 @@ def test_cli_report_on_a_torn_records_file(persona_dir, mock_rules_file,
                 == (tmp_path / "intact" / "report" / name).read_bytes())
 
 
+@pytest.fixture()
+def cb_records(persona_dir, mock_rules_file, tmp_path):
+    """records.jsonl of a one-configuration, two-paradigm toy-corpus run."""
+    corpus = Path(__file__).parent / "fixtures" / "toy_corpus"
+    out = tmp_path / "cb"
+    assert cli_main([
+        "run", "--dataset", str(corpus), "--configs", "CB", "--runs", "1",
+        "--oracle", str(persona_dir), "--verifier", "mock",
+        "--mock-fixtures", str(mock_rules_file), "--out", str(out),
+    ]) == 0
+    return out / "records.jsonl"
+
+
+def test_cli_report_defaults_to_the_configurations_the_records_hold(
+        cb_records, tmp_path):
+    out = tmp_path / "redo"
+    assert cli_main(["report", "--records", str(cb_records), "--out", str(out)]) == 0
+    summary = json.loads((out / "report" / "summary.json").read_text())
+    assert {cell["config"] for cell in summary["cells"]} == {"CB"}
+    assert "CB" in (out / "report" / "table.txt").read_text()
+
+
+@pytest.mark.parametrize("configs,bad", [
+    ("CB,CX", "'CX'"),
+    ("CB,CV", "no records for CV under delete"),
+])
+def test_cli_report_rejects_configurations_before_writing(cb_records, tmp_path,
+                                                          capsys, configs, bad):
+    out = tmp_path / "redo"
+    code = cli_main(["report", "--records", str(cb_records), "--configs", configs,
+                     "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and bad in err
+    assert not out.exists()
+
+
 def _strip_volatile(node):
     if isinstance(node, dict):
         return {k: _strip_volatile(v) for k, v in node.items() if k != "rt"}
@@ -622,6 +659,11 @@ def test_cli_bad_oracle_persona(tmp_path):
 @pytest.mark.parametrize("option,value,bad", [
     ("--configs", "CB,CX", "'CX'"),
     ("--paradigms", "delete,modfy", "'modfy'"),
+    ("--configs", ",", "plan needs configs, paradigms"),
+    ("--paradigms", ",", "plan needs configs, paradigms"),
+    ("--runs", "0", "positive run count"),
+    ("--max-iters", "0", "run limits must be positive"),
+    ("--run-wall-budget", "0", "run limits must be positive"),
 ])
 def test_cli_rejects_a_bad_grid_before_any_run(persona_dir, mock_rules_file,
                                                tmp_path, capsys, option, value, bad):
@@ -633,8 +675,9 @@ def test_cli_rejects_a_bad_grid_before_any_run(persona_dir, mock_rules_file,
         "--mock-fixtures", str(mock_rules_file), "--out", str(out),
     ])
     assert code == 2
-    assert bad in capsys.readouterr().err
-    assert not (out / "records.jsonl").exists()
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and bad in err
+    assert not out.exists()
 
 
 def test_plan_rejects_an_unknown_configuration():
