@@ -41,7 +41,6 @@ from .oracle import (
     OracleResponse,
     ReplayOracle,
     ScriptedOracle,
-    SplitOracle,
     extract_spec,
 )
 from .verifier import (
@@ -71,20 +70,12 @@ from .metrics import (
     CellMetrics,
     build_table,
     compute_cell,
-    csccr,
     emit_reports,
     improvement_ratio,
-    nsvp,
-    nvp,
-    nvtc,
     optimal_config_proportions,
     reduction_rate,
     render_table,
-    rt,
-    sample_distribution,
-    summarize,
     venn_sets,
-    verified_program_set,
 )
 from . import errors
 

@@ -26,6 +26,7 @@ from .errors import IncompleteGrid, UndefinedMetric
 from .refine import Paradigm, RunOutcome, RunRecord
 
 _CONFIG_ORDER = ("CB", "CV", "CA", "CF")
+_VENN_CONFIGS = ("CB", "CV", "CA")
 _METRIC_COLUMNS = ("nvp", "nsvp", "nvtc", "rt")
 
 
@@ -37,15 +38,28 @@ _METRIC_COLUMNS = ("nvp", "nsvp", "nvtc", "rt")
 class CellMetrics:
     config_name: str
     paradigm: Paradigm
+    #: share of samples whose initially proposed specification complied
+    #: with the configuration's construct constraints
     csccr: float
+    #: strict variant: share of programs compliant in every run
     csccr_per_program: float
+    #: programs verified in at least one of the N runs
     nvp: int
+    #: programs verified in at least two of the N runs
     nsvp: int
+    #: mean over runs of the total verifier calls across the dataset,
+    #: including the initial check of every guess-verify-refine loop
     nvtc: float
+    #: mean over runs of the total elapsed seconds across the dataset
+    #: (generation start through verification end, per program)
     rt: float
+    #: (NVP-NSVP)/NVP
     reduction_rate: float
+    #: the programs NVP counts
     verified_program_set: frozenset[str]
     errored: int
+    #: quadrant counts over samples, compliance x verification outcome;
+    #: errored samples land in the failed quadrants and are also tallied
     distribution: Mapping[str, int] = field(hash=False)
     # per-program means over runs in program order, for the optimal shares
     mean_tool_calls: Mapping[str, float] = field(hash=False, repr=False)
@@ -54,8 +68,8 @@ class CellMetrics:
     def value(self, column: str) -> float:
         return getattr(self, column)
 
-    def to_dict(self, distribution: dict | None = None) -> dict:
-        data = {
+    def to_dict(self) -> dict:
+        return {
             "config": self.config_name,
             "paradigm": self.paradigm.value,
             "csccr": round(self.csccr, 4),
@@ -67,10 +81,8 @@ class CellMetrics:
             "reduction_rate": round(self.reduction_rate, 4),
             "verified_programs": sorted(self.verified_program_set),
             "errored": self.errored,
+            "distribution": dict(self.distribution),
         }
-        if distribution is not None:
-            data["distribution"] = distribution
-        return data
 
 
 def compute_cell(records: Sequence[RunRecord]) -> CellMetrics:
@@ -136,50 +148,6 @@ def compute_cell(records: Sequence[RunRecord]) -> CellMetrics:
     )
 
 
-def csccr(records: Sequence[RunRecord]) -> float:
-    """Share of samples whose initially proposed specification complied
-    with the configuration's construct constraints."""
-    return compute_cell(records).csccr
-
-
-def csccr_per_program(records: Sequence[RunRecord]) -> float:
-    """Strict per-program variant: share of programs compliant in every run."""
-    return compute_cell(records).csccr_per_program
-
-
-def verified_program_set(records: Sequence[RunRecord]) -> frozenset[str]:
-    """Programs verified in at least one run."""
-    return compute_cell(records).verified_program_set
-
-
-def nvp(records: Sequence[RunRecord]) -> int:
-    """Number of programs verified in at least one of the N runs."""
-    return compute_cell(records).nvp
-
-
-def nsvp(records: Sequence[RunRecord]) -> int:
-    """Number of programs verified in at least two of the N runs."""
-    return compute_cell(records).nsvp
-
-
-def nvtc(records: Sequence[RunRecord]) -> float:
-    """Mean over runs of the total verifier calls across the dataset,
-    including the initial check of every guess-verify-refine loop."""
-    return compute_cell(records).nvtc
-
-
-def rt(records: Sequence[RunRecord]) -> float:
-    """Mean over runs of the total elapsed seconds across the dataset
-    (generation start through verification end, per program)."""
-    return compute_cell(records).rt
-
-
-def sample_distribution(records: Sequence[RunRecord]) -> dict[str, int]:
-    """Quadrant counts over samples: compliance x verification outcome.
-    Errored samples land in the failed quadrants and are also tallied."""
-    return dict(compute_cell(records).distribution)
-
-
 def reduction_rate(nvp_value: float, nsvp_value: float) -> float:
     """Relative loss when requiring stable verification: (NVP-NSVP)/NVP."""
     if nvp_value < nsvp_value or nsvp_value < 0:
@@ -237,7 +205,7 @@ def _venn(named: Mapping[str, CellMetrics], paradigm: Paradigm) -> dict:
 
 
 def venn_sets(records: Iterable[RunRecord],
-              configs: Sequence[str] = ("CB", "CV", "CA"),
+              configs: Sequence[str] = _VENN_CONFIGS,
               paradigm: Paradigm = Paradigm.DELETION) -> dict:
     """Exclusive region cardinalities of the verified-program sets for the
     named configurations under one paradigm, plus the raw sets."""
@@ -261,7 +229,7 @@ def _optimal(named: Mapping[str, CellMetrics], metric: str) -> dict[str, float]:
 
 def optimal_config_proportions(records: Iterable[RunRecord],
                                metric: str = "nvtc",
-                               configs: Sequence[str] = ("CB", "CV", "CA"),
+                               configs: Sequence[str] = _VENN_CONFIGS,
                                paradigm: Paradigm = Paradigm.DELETION) -> dict[str, float]:
     """For each program, the configuration minimizing the per-program mean
     of the metric wins; ties split fractionally. Proportions sum to 1."""
@@ -283,10 +251,15 @@ class MetricsTable:
     average_exclude: tuple[str, ...] = ()
 
     def average(self, config: str, paradigm: Paradigm, column: str) -> float:
-        rows = [
-            self.cells[p][(config, paradigm)].value(column)
-            for p in self.personas if p not in self.average_exclude
-        ]
+        rows = []
+        for persona in self.personas:
+            if persona in self.average_exclude:
+                continue
+            cell = self.cells[persona].get((config, paradigm))
+            if cell is None:
+                raise UndefinedMetric(
+                    f"{persona} has no {config} cell under {paradigm.value}")
+            rows.append(cell.value(column))
         if not rows:
             raise UndefinedMetric("no personas contribute to the average")
         return sum(rows) / len(rows)
@@ -319,6 +292,12 @@ def render_table(table: MetricsTable) -> str:
     def fmt(value: float, column: str) -> str:
         return f"{value:g}" if column in ("nvp", "nsvp") else f"{value:.2f}"
 
+    def average(config: str, paradigm: Paradigm, column: str) -> str:
+        try:
+            return fmt(table.average(config, paradigm, column), column)
+        except UndefinedMetric:
+            return "-"
+
     def improvement(config: str, column: str) -> str:
         try:
             return f"{table.improvement(config, column) * 100:.2f}%"
@@ -341,7 +320,7 @@ def render_table(table: MetricsTable) -> str:
                 ["-"] * 4 if cell is None else [fmt(cell.value(c), c) for c in _METRIC_COLUMNS]
                 for cell in cells]))
         out.append(line("Average", [
-            [fmt(table.average(config, paradigm, c), c) for c in _METRIC_COLUMNS]
+            [average(config, paradigm, c) for c in _METRIC_COLUMNS]
             for config in table.configs]))
         out.append("")
     out.append(line("Improvement Ratio", [
@@ -352,34 +331,6 @@ def render_table(table: MetricsTable) -> str:
 # --------------------------------------------------------------------------
 # Report emission
 # --------------------------------------------------------------------------
-
-def summarize(records: Sequence[RunRecord],
-              configs: Sequence[str] = _CONFIG_ORDER) -> dict:
-    """Machine-readable consolidated summary: one object per cell plus
-    verified-set algebra and optimal-configuration proportions where the
-    three comparison configurations are present."""
-    return _summary(_compute_cells(r for r in records if r.config_name in configs),
-                    configs)
-
-
-def _summary(cells: Mapping[tuple[str, Paradigm], CellMetrics],
-             configs: Sequence[str]) -> dict:
-    summary: dict = {"cells": [
-        cells[(config, paradigm)].to_dict(dict(cells[(config, paradigm)].distribution))
-        for paradigm in (Paradigm.DELETION, Paradigm.MODIFICATION)
-        for config in configs if (config, paradigm) in cells
-    ]}
-    venn_configs = [c for c in ("CB", "CV", "CA") if c in configs]
-    for paradigm in (Paradigm.DELETION, Paradigm.MODIFICATION):
-        if len(venn_configs) == 3 and all(
-                (c, paradigm) in cells for c in venn_configs):
-            named = {c: cells[(c, paradigm)] for c in venn_configs}
-            summary.setdefault("venn", {})[paradigm.value] = _venn(named, paradigm)
-            for metric in ("nvtc", "rt"):
-                summary.setdefault(f"optimal_{metric}", {})[paradigm.value] = {
-                    k: round(v, 4) for k, v in _optimal(named, metric).items()}
-    return summary
-
 
 def _write_text(path: Path, text: str) -> None:
     """Write `text` unless the file already holds exactly it. Emitting the
@@ -405,16 +356,27 @@ def emit_reports(records: Sequence[RunRecord], out_dir: str | Path,
     """Write the consolidated summary, the human-readable table and the
     plotting data files under out_dir/report. Returns the summary dict.
 
-    Raises IncompleteGrid, before writing any file, when a configuration in
-    `configs` has no records under a paradigm the records hold."""
+    Raises IncompleteGrid, before writing any file, when there are no
+    records or no configurations, or when a configuration in `configs` has
+    no records under a paradigm the records hold."""
+    if not records or not configs:
+        raise IncompleteGrid(f"no {'records' if not records else 'configurations'} to report")
     cells = _compute_cells(records)
-    held = {paradigm for _, paradigm in cells}
-    for config, paradigm in itertools.product(configs, Paradigm):
-        if paradigm in held and (config, paradigm) not in cells:
+    held = [p for p in Paradigm if any(paradigm is p for _, paradigm in cells)]
+    for config, paradigm in itertools.product(configs, held):
+        if (config, paradigm) not in cells:
             raise IncompleteGrid(f"no records for {config} under {paradigm.value}")
+    summary: dict = {"cells": [cells[(config, paradigm)].to_dict()
+                               for paradigm in held for config in configs]}
+    if all(c in configs for c in _VENN_CONFIGS):
+        for paradigm in held:
+            named = {c: cells[(c, paradigm)] for c in _VENN_CONFIGS}
+            summary.setdefault("venn", {})[paradigm.value] = _venn(named, paradigm)
+            for metric in ("nvtc", "rt"):
+                summary.setdefault(f"optimal_{metric}", {})[paradigm.value] = {
+                    k: round(v, 4) for k, v in _optimal(named, metric).items()}
     out = Path(out_dir) / "report"
     out.mkdir(parents=True, exist_ok=True)
-    summary = _summary(cells, configs)
     _write_json(out / "summary.json", summary)
 
     if len(held) == 2:

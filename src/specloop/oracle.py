@@ -203,20 +203,6 @@ class ScriptedOracle(Oracle):
         return self._script(request)
 
 
-class SplitOracle(Oracle):
-    """Routes the two phases to distinct oracle personas."""
-
-    def __init__(self, generate: Oracle, repair: Oracle):
-        self._generate = generate
-        self._repair = repair
-        self.concurrency = max(generate.concurrency, repair.concurrency)
-
-    def complete(self, request: OracleRequest) -> str:
-        target = (self._generate if request.phase is OraclePhase.GENERATE
-                  else self._repair)
-        return target.complete(request)
-
-
 @dataclass
 class HttpOracleSettings:
     base_url: str

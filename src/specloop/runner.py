@@ -19,7 +19,7 @@ from typing import IO, Sequence
 
 from .acsl import declared_functions
 from .config import TemplateStore, canonical_config
-from .errors import DuplicateId, EmptyCorpus, MissingTargetFunction
+from .errors import CorpusError, DuplicateId, EmptyCorpus, MissingTargetFunction
 from .oracle import Oracle
 from .refine import JSON_LINE, Paradigm, RunLimits, RunLogger, RunRecord, run_once
 from .verifier import Verifier
@@ -57,7 +57,14 @@ def load_dataset(directory: str | Path) -> list[Program]:
         source = path.read_text(encoding="utf-8")
         manifest = path.with_suffix(".json")
         if manifest.is_file():
-            target = json.loads(manifest.read_text(encoding="utf-8"))["target_function"]
+            try:
+                data = json.loads(manifest.read_text(encoding="utf-8"))
+            except ValueError as exc:   # not JSON, or not UTF-8
+                raise CorpusError(f"manifest {manifest}: {exc}") from None
+            target = data.get("target_function") if isinstance(data, dict) else None
+            if not isinstance(target, str):
+                raise MissingTargetFunction(
+                    f"manifest {manifest} has no \"target_function\" string")
         else:
             functions = declared_functions(source)
             if not functions:

@@ -3,7 +3,8 @@
 
 `completions` draws adversarial oracle completions for the properties that
 must hold whatever an oracle returns; `annotations` and `specs` draw
-annotation values of every kind, with and without declared names.
+annotation values of every kind, with and without declared names;
+`wp_outputs` draws console output in the formats Frama-C/WP prints.
 """
 
 from __future__ import annotations
@@ -80,3 +81,33 @@ def annotations(draw):
 
 def specs():
     return st.lists(annotations(), max_size=8).map(SpecificationSet)
+
+
+#: every status word WP prints, and goal names built on the declared names
+#: above; the pool is small, so several lines report the same goal
+_WP_WORDS = ["Valid", "Unsuccess", "Timeout", "Unknown", "Failed", "Stuck"]
+_WP_GOALS = ["typed_f_ensures", "typed_fact_assigns", "typed_lemma_fact",
+             "typed_lemma_first_fact", "typed_L2_requires", "typed_pos"]
+
+
+def wp_outputs():
+    """Lines WP prints (bracket and prover lines for every status word,
+    goal blocks with and without a location, prover verdicts, summaries
+    with any counts), mixed with arbitrary text, joined by newlines."""
+    word = st.sampled_from(_WP_WORDS)
+    goal = st.sampled_from(_WP_GOALS)
+    place = st.builds(str.format, st.sampled_from(
+        ["", " (file woven.c, line {})", " (file woven.c, line {}) in 'f'"]),
+        st.integers(0, 45))
+    line = st.one_of(
+        st.builds("[wp] [{}] {} (Alt-Ergo)".format, word, goal),
+        st.builds("[wp] [Alt-Ergo] Goal {} : {} (12ms)".format, goal, word),
+        st.builds("Goal {}{}:".format,
+                  st.sampled_from(["Post-condition", "Lemma fact", "Loop assigns pos",
+                                   *_WP_GOALS]), place),
+        st.just("Prove: true."),
+        st.builds("Prover Alt-Ergo returns {}".format, word | st.just("garbage")),
+        st.builds("[wp] Proved goals: {} / {}".format, st.integers(0, 9), st.integers(0, 9)),
+        st.text(max_size=20),
+    )
+    return st.lists(line, max_size=16).map("\n".join)

@@ -29,7 +29,7 @@ from specloop import (
     build_table,
     canonical_config,
     check_compliance,
-    csccr,
+    compute_cell,
     map_failures_to_annotations,
     optimal_config_proportions,
     parse_annotations,
@@ -108,7 +108,7 @@ def test_c03_csccr_reproduction():
     for compliant, expected in ((70, 0.2857), (117, 0.4776), (188, 0.7673)):
         records = synth.make_compliance_records(compliant)
         assert len(records) == 245
-        assert csccr(records) == pytest.approx(expected, abs=0.01)
+        assert compute_cell(records).csccr == pytest.approx(expected, abs=0.01)
     ok(3, "245-sample fixtures yield 28.57/47.76/76.73% compliance ratios")
 
 

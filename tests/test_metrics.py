@@ -12,19 +12,11 @@ from specloop import (
     build_table,
     compute_cell,
     emit_reports,
-    csccr,
     improvement_ratio,
-    nsvp,
-    nvp,
-    nvtc,
     optimal_config_proportions,
     reduction_rate,
     render_table,
-    rt,
-    sample_distribution,
-    summarize,
     venn_sets,
-    verified_program_set,
 )
 from specloop.errors import IncompleteGrid, UndefinedMetric
 from specloop.refine import RunOutcome
@@ -60,28 +52,28 @@ def full_grid(n_programs=4, n_runs=5, **kw):
 def test_csccr_reproduces_reference_ratios(compliant, expected):
     records = synth.make_compliance_records(compliant)
     assert len(records) == 245
-    assert csccr(records) == pytest.approx(expected, abs=5e-5)
+    assert compute_cell(records).csccr == pytest.approx(expected, abs=5e-5)
 
 
 def test_csccr_upper_bound():
-    assert csccr(full_grid(compliant=True)) == 1.0
+    assert compute_cell(full_grid(compliant=True)).csccr == 1.0
 
 
 def test_csccr_permutation_invariant():
     records = synth.make_compliance_records(117)
     shuffled = records[:]
     random.Random(7).shuffle(shuffled)
-    assert csccr(shuffled) == csccr(records)
+    assert compute_cell(shuffled).csccr == compute_cell(records).csccr
 
 
 def test_csccr_incomplete_grid():
     records = full_grid()
     with pytest.raises(IncompleteGrid):
-        csccr(records[:-1])
+        compute_cell(records[:-1])
     with pytest.raises(IncompleteGrid):
-        csccr([])
+        compute_cell([])
     with pytest.raises(IncompleteGrid):
-        csccr(records + [records[0]])
+        compute_cell(records + [records[0]])
 
 
 # --------------------------------------------------------------------------
@@ -90,32 +82,33 @@ def test_csccr_incomplete_grid():
 
 def test_nvp_saturation():
     records = synth.make_cell_records("CB", Paradigm.DELETION, 49, 49, 102.2, 10.0)
-    assert nvp(records) == 49
+    assert compute_cell(records).nvp == 49
 
 
 def test_nvp_counts_single_run_verification():
     records = [record("p0", r, verified=(r == 3)) for r in range(1, 6)]
     records += [record("p1", r) for r in range(1, 6)]
-    assert nvp(records) == 1
-    assert verified_program_set(records) == {"p0"}
+    cell = compute_cell(records)
+    assert cell.nvp == 1
+    assert cell.verified_program_set == {"p0"}
 
 
 def test_nvp_gemini_cb_deletion_cell():
     values = synth.REFERENCE_TABLE[Paradigm.DELETION]["Gemini-2.5-Pro"]["CB"]
     records = synth.make_cell_records("CB", Paradigm.DELETION, *values)
-    assert nvp(records) == 42
+    assert compute_cell(records).nvp == 42
 
 
 def test_nsvp_two_of_five_counts():
     records = [record("p0", r, verified=(r in (1, 4))) for r in range(1, 6)]
     records += [record("p1", r, verified=(r == 3)) for r in range(1, 6)]
-    assert nsvp(records) == 1
+    assert compute_cell(records).nsvp == 1
 
 
 def test_nsvp_gpt5_cf_deletion_cell():
     values = synth.REFERENCE_TABLE[Paradigm.DELETION]["GPT-5"]["CF"]
     records = synth.make_cell_records("CF", Paradigm.DELETION, *values)
-    assert nsvp(records) == 39
+    assert compute_cell(records).nsvp == 39
 
 
 def test_nsvp_never_exceeds_nvp():
@@ -123,7 +116,8 @@ def test_nsvp_never_exceeds_nvp():
     for _ in range(50):
         records = [record(f"p{i}", r, verified=rng.random() < 0.4)
                    for i in range(6) for r in range(1, 6)]
-        assert nsvp(records) <= nvp(records) <= 6
+        cell = compute_cell(records)
+        assert cell.nsvp <= cell.nvp <= 6
 
 
 # --------------------------------------------------------------------------
@@ -132,33 +126,33 @@ def test_nsvp_never_exceeds_nvp():
 
 def test_nvtc_constant_two_calls():
     records = full_grid(n_programs=49, n_runs=5, tool_calls=2)
-    assert nvtc(records) == 98.0
+    assert compute_cell(records).nvtc == 98.0
 
 
 def test_nvtc_minimal_case():
-    assert nvtc([record("p0", 1, tool_calls=1)]) == 1.0
+    assert compute_cell([record("p0", 1, tool_calls=1)]).nvtc == 1.0
 
 
 def test_nvtc_gpt4o_cb_deletion_cell():
     values = synth.REFERENCE_TABLE[Paradigm.DELETION]["GPT-4o"]["CB"]
     records = synth.make_cell_records("CB", Paradigm.DELETION, *values)
-    assert nvtc(records) == pytest.approx(104.4, abs=1e-9)
+    assert compute_cell(records).nvtc == pytest.approx(104.4, abs=1e-9)
 
 
 def test_rt_constant_elapsed():
     records = full_grid(n_programs=49, n_runs=5, elapsed=10.0)
-    assert rt(records) == pytest.approx(490.0)
+    assert compute_cell(records).rt == pytest.approx(490.0)
 
 
 def test_rt_gpt5_cf_deletion_cell():
     values = synth.REFERENCE_TABLE[Paradigm.DELETION]["GPT-5"]["CF"]
     records = synth.make_cell_records("CF", Paradigm.DELETION, *values)
-    assert rt(records) == pytest.approx(632.47, abs=1e-6)
+    assert compute_cell(records).rt == pytest.approx(632.47, abs=1e-6)
 
 
 def test_rt_empty_cell_is_incomplete():
     with pytest.raises(IncompleteGrid):
-        rt([])
+        compute_cell([])
 
 
 # --------------------------------------------------------------------------
@@ -199,11 +193,11 @@ def test_errored_runs_cost_but_do_not_verify():
     records = [record("p0", r, verified=True, tool_calls=1) for r in (1, 2)]
     records += [record("p0", r, errored=True, tool_calls=3, elapsed=9.0)
                 for r in (3, 4, 5)]
-    assert nvp(records) == 1 and nsvp(records) == 1
-    assert nvtc(records) == pytest.approx((1 + 1 + 3 + 3 + 3) / 5)
     cell = compute_cell(records)
+    assert cell.nvp == 1 and cell.nsvp == 1
+    assert cell.nvtc == pytest.approx((1 + 1 + 3 + 3 + 3) / 5)
     assert cell.errored == 3
-    dist = sample_distribution(records)
+    dist = cell.distribution
     assert dist["errored"] == 3
     assert dist["compliant_verified"] == 2
     assert dist["compliant_failed"] == 3
@@ -358,7 +352,27 @@ def test_render_table_mentions_everything():
     assert "117.44" in text  # deletion CB NVTC average as tabulated
 
 
-def test_summarize_shape():
+def test_a_persona_missing_a_cell_leaves_that_average_undefined():
+    full = [r for config in ("CB", "CV") for paradigm in Paradigm
+            for r in full_grid(config=config, paradigm=paradigm)]
+    without_cv = [r for r in full if r.config_name != "CV"]
+    table = build_table({"a": full, "b": without_cv}, configs=("CB", "CV"))
+    with pytest.raises(UndefinedMetric, match="b has no CV cell under delete"):
+        table.average("CV", Paradigm.DELETION, "nvp")
+    assert table.average("CB", Paradigm.DELETION, "nvp") == 0
+    for persona_records in ({"a": full, "b": without_cv}, {"b": without_cv}):
+        text = render_table(build_table(persona_records, configs=("CB", "CV")))
+        average = [line for line in text.splitlines() if line.startswith("Average")]
+        assert len(average) == 2
+        for line in average:
+            cb, cv = line.split("|")[1:]
+            assert cb.split() == ["0", "0", "4.00", "4.00"] and cv.split() == ["-"] * 4
+    excluded = build_table({"a": full, "b": without_cv}, configs=("CB", "CV"),
+                           average_exclude=("b",))
+    assert excluded.average("CV", Paradigm.DELETION, "nvtc") == 4.0
+
+
+def test_summarize_shape(tmp_path):
     records = []
     for k, config in enumerate(("CB", "CV", "CA")):
         for paradigm in (Paradigm.DELETION, Paradigm.MODIFICATION):
@@ -366,7 +380,7 @@ def test_summarize_shape():
                                                nvp=6 + k, nsvp=4,
                                                nvtc_mean=22.0, rt_mean=30.0,
                                                n_programs=10, n_runs=2)
-    summary = summarize(records, configs=("CB", "CV", "CA"))
+    summary = emit_reports(records, tmp_path, configs=("CB", "CV", "CA"))
     assert len(summary["cells"]) == 6
     assert set(summary["venn"]) == {"delete", "modify"}
     assert set(summary["optimal_nvtc"]["delete"]) == {"CB", "CV", "CA"}
@@ -374,6 +388,17 @@ def test_summarize_shape():
     assert {"config", "paradigm", "csccr", "nvp", "nsvp", "nvtc", "rt",
             "reduction_rate", "verified_programs", "errored",
             "distribution"} <= set(cell)
+
+
+@pytest.mark.parametrize("records,configs,message", [
+    ([], ("CB",), "no records to report"),
+    (full_grid(), (), "no configurations to report"),
+])
+def test_emit_reports_with_nothing_to_report_writes_nothing(tmp_path, records,
+                                                            configs, message):
+    with pytest.raises(IncompleteGrid, match=message):
+        emit_reports(records, tmp_path / "out", configs=configs)
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("configs,missing", [

@@ -12,7 +12,6 @@ from specloop import (
     OracleRequest,
     ReplayOracle,
     ScriptedOracle,
-    SplitOracle,
     extract_spec,
     parse_annotations,
     weave,
@@ -265,19 +264,6 @@ def test_scripted_empty_completion_maps_to_error():
     oracle = ScriptedOracle(lambda request: "no annotations here")
     with pytest.raises(EmptyCompletion):
         oracle.propose(FakeProgram(), "prompt", config_name="CB")
-
-
-def test_split_oracle_routes_phases():
-    gen = ScriptedOracle(
-        lambda request: "```c\n/*@ requires x > 0; */\nint f(int x) { return x; }\n```")
-    rep = ScriptedOracle(
-        lambda request: "```c\n/*@ ensures \\result > 0; */\nint f(int x) { return x; }\n```")
-    oracle = SplitOracle(gen, rep)
-    proposed = oracle.propose(FakeProgram(), "p", config_name="CB")
-    repaired = oracle.repair(FakeProgram(), None, None, "p",
-                             config_name="CB", attempt_index=1)
-    assert proposed.extracted.annotations[0].kind is ConstructKind.REQUIRES
-    assert repaired.extracted.annotations[0].kind is ConstructKind.ENSURES
 
 
 def test_request_carries_phase_and_attempt():

@@ -21,7 +21,6 @@ from specloop import (
     Program,
     ReplayOracle,
     RunLimits,
-    SplitOracle,
     load_dataset,
     run_experiment,
 )
@@ -31,6 +30,7 @@ from specloop.runner import RecordStore
 
 import toyworld
 from specloop.errors import (
+    CorpusError,
     DuplicateId,
     EmptyCorpus,
     MissingTargetFunction,
@@ -82,6 +82,30 @@ def test_manifest_naming_missing_function(tmp_path):
     (d / "prog.json").write_text(json.dumps({"target_function": "ghost_fn"}))
     with pytest.raises(MissingTargetFunction):
         load_dataset(tmp_path)
+
+
+@pytest.mark.parametrize("manifest,error,message", [
+    ("{}", MissingTargetFunction, 'has no "target_function" string'),
+    ('{"target_function": 3}', MissingTargetFunction, 'has no "target_function" string'),
+    ('["target_function"]', MissingTargetFunction, 'has no "target_function" string'),
+    ("not json", CorpusError, "Expecting value"),
+])
+def test_a_bad_manifest_is_a_corpus_error_naming_it(tmp_path, capsys, manifest,
+                                                     error, message):
+    d = tmp_path / "corpus" / "cat"
+    d.mkdir(parents=True)
+    (d / "prog.c").write_text("int real(void) { return 0; }\n")
+    (d / "prog.json").write_text(manifest)
+    with pytest.raises(error, match=message) as caught:
+        load_dataset(tmp_path / "corpus")
+    assert str(d / "prog.json") in str(caught.value)
+    out = tmp_path / "out"
+    assert cli_main(["run", "--dataset", str(tmp_path / "corpus"),
+                     "--oracle", str(tmp_path), "--verifier", "mock",
+                     "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: manifest ") and message in err
+    assert not out.exists()
 
 
 def test_default_target_is_last_function(tmp_path):
@@ -485,7 +509,6 @@ def test_worker_count_follows_the_oracle_and_verifier(monkeypatch, replay_oracle
     assert plan.worker_count(replay_oracle, mock) == 1
     assert plan.worker_count(replay_oracle, framac) == min(4, processors)
     assert plan.worker_count(http, mock) == processors
-    assert plan.worker_count(SplitOracle(http, replay_oracle), mock) == processors
     assert ExperimentPlan(workers=3).worker_count(replay_oracle, mock) == 3
     assert plan.worker_count() == processors
 
@@ -627,6 +650,7 @@ def test_cli_report_defaults_to_the_configurations_the_records_hold(
 @pytest.mark.parametrize("configs,bad", [
     ("CB,CX", "'CX'"),
     ("CB,CV", "no records for CV under delete"),
+    (",", "no configurations to report"),
 ])
 def test_cli_report_rejects_configurations_before_writing(cb_records, tmp_path,
                                                           capsys, configs, bad):
@@ -636,6 +660,16 @@ def test_cli_report_rejects_configurations_before_writing(cb_records, tmp_path,
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and bad in err
+    assert not out.exists()
+
+
+def test_cli_report_on_an_empty_records_file_writes_nothing(tmp_path, capsys):
+    records = tmp_path / "records.jsonl"
+    records.write_text("")
+    out = tmp_path / "redo"
+    assert cli_main(["report", "--records", str(records), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "no records to report" in err
     assert not out.exists()
 
 

@@ -684,6 +684,24 @@ def test_parse_summary_only_and_garbage():
     assert goals == [] and summary is None
 
 
+@settings(max_examples=300, deadline=None)
+@given(output=strategies.wp_outputs(), spec=strategies.specs(), data=st.data())
+def test_raw_wp_output_reaches_the_blame_chain_without_raising(output, spec, data):
+    goals, _ = parse_wp_output(output)
+    names = [g.goal_name for g in goals]
+    assert len(names) == len(set(names))
+    # the woven file's spans, or annotations the spec lacks, which no goal
+    # may be linked to
+    spans = data.draw(strategies.specs() | st.just(spec))
+    report = _wp_report(spec, output, spans, 0.0)
+    if report.status is ReportStatus.VERIFIED:
+        assert report.goals and all(g.status is GoalStatus.PROVED for g in report.goals)
+    assert all(g.source_annotation is None or g.source_annotation.key() in spec.keys()
+               for g in report.goals)
+    if report.status is ReportStatus.FAILED and spec:
+        assert len(refine_delete(spec, report)) < len(spec)
+
+
 def test_goal_block_failure_maps_to_annotation_by_span():
     spec = SpecificationSet([
         Annotation(K.LOOP_ASSIGNS, "loop assigns i;", Loop("f", 1),
