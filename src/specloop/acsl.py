@@ -155,10 +155,12 @@ class Annotation:
     kind: ConstructKind
     text: str
     anchor: Anchor = GLOBAL
-    span: SourceSpan = UNPLACED
+    span: SourceSpan = field(default=UNPLACED, compare=False)
     #: declared_name() once computed, "" for none; not part of the value
     _declared: str | None = field(default=None, init=False, repr=False,
                                   compare=False)
+    #: hash((kind, text, anchor)), valid within one process only
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.text.strip():
@@ -166,10 +168,10 @@ class Annotation:
         anchor_type, message = _ANCHOR_RULES[self.kind]
         if not isinstance(self.anchor, anchor_type):
             raise ValueError(message)
+        object.__setattr__(self, "_hash", hash((self.kind, self.text, self.anchor)))
 
-    def key(self) -> tuple:
-        """Identity triple; spans are deliberately excluded."""
-        return (self.kind, self.text, self.anchor)
+    def __hash__(self) -> int:
+        return self._hash
 
     def declared_name(self) -> str | None:
         """Name introduced by a named construct (lemma foo:, predicate p(...),
@@ -213,29 +215,26 @@ def _declared_name(kind: ConstructKind, text: str) -> str | None:
 class SpecificationSet:
     """Ordered, duplicate-free collection of annotations.
 
-    Duplicates (same kind, text, anchor) are collapsed at construction,
-    keeping the first occurrence. Equality and hashing compare the set of
-    identity triples, so spans and ordering do not participate.
+    Equal annotations (same kind, text, anchor) are collapsed at
+    construction, keeping the first occurrence. Equality and hashing compare
+    the set of annotations, so spans and ordering do not participate.
     """
 
     __slots__ = ("annotations",)
 
     def __init__(self, annotations: Iterable[Annotation] = ()):
-        first: dict[tuple, Annotation] = {}   # hashes each key once
-        for ann in annotations:
-            first.setdefault(ann.key(), ann)
-        self.annotations: tuple[Annotation, ...] = tuple(first.values())
+        self.annotations: tuple[Annotation, ...] = tuple(dict.fromkeys(annotations))
 
     def constr(self) -> frozenset[ConstructKind]:
         """Deduplicated set of construct kinds used by the set."""
         return frozenset(a.kind for a in self.annotations)
 
-    def keys(self) -> frozenset[tuple]:
-        return frozenset(a.key() for a in self.annotations)
+    def keys(self) -> frozenset[Annotation]:
+        return frozenset(self.annotations)
 
     def without(self, removed: Iterable[Annotation]) -> "SpecificationSet":
-        gone = {a.key() for a in removed}
-        return SpecificationSet(a for a in self.annotations if a.key() not in gone)
+        gone = set(removed)
+        return SpecificationSet(a for a in self.annotations if a not in gone)
 
     def __len__(self) -> int:
         return len(self.annotations)

@@ -172,7 +172,7 @@ def _fill(phase: str, program, config: Configuration,
           template_store: TemplateStore | None, **fields: str) -> str:
     template = (template_store or _DEFAULT_STORE).load(phase, config.name)
     return template.format(
-        program=program.source if hasattr(program, "source") else str(program),
+        program=program.source,
         permitted_keywords=config.permitted_keywords,
         mandatory_instruction=mandatory_instruction(config),
         **fields,

@@ -91,7 +91,7 @@ class Oracle(ABC):
 
     def _ask(self, phase: OraclePhase, program, prompt: str,
              config_name: str, attempt_index: int) -> OracleResponse:
-        request = OracleRequest(phase, _program_id(program),
+        request = OracleRequest(phase, program.id,
                                 config_name, attempt_index, prompt)
         started = time.perf_counter()
         raw = self.complete(request)
@@ -102,14 +102,6 @@ class Oracle(ABC):
         if extracted is None:
             extracted = parsed[raw] = _extract(raw)
         return OracleResponse(raw, extracted, latency)
-
-
-def _program_id(program) -> str:
-    """The program's `id`; formatted (its whole source) only without one."""
-    try:
-        return program.id
-    except AttributeError:
-        return str(program)
 
 
 # --------------------------------------------------------------------------

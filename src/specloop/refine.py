@@ -204,10 +204,10 @@ def _close_over_dependents(spec: SpecificationSet,
     ]
     if not removed_names:
         return doomed
-    doomed_keys = {a.key() for a in doomed}
+    doomed_set = set(doomed)
     extra = []
     for ann in spec.annotations:
-        if ann.key() in doomed_keys:
+        if ann in doomed_set:
             continue
         if ann.kind in (ConstructKind.LEMMA, ConstructKind.AXIOM) and any(
                 re.search(rf"\b{re.escape(n)}\b", ann.text) for n in removed_names):

@@ -33,7 +33,6 @@ from .acsl import (
     weave,
 )
 from .errors import AnchorNotFound, UnmappableFailure, VerifierNotInstalled
-from .oracle import _program_id
 
 
 class GoalStatus(Enum):
@@ -190,22 +189,22 @@ def map_failures_to_annotations(report: VerifierReport,
         raise ValueError("map_failures_to_annotations requires a Failed report")
 
     link = _linker(spec, spec)
-    proved_keys = _proved_keys(report)
-    resolved: dict[tuple, Annotation] = {}
+    proved = _proved(report)
+    resolved: set[Annotation] = set()
     for goal in report.failing_goals():
         ann = link(goal)
         if ann is None and (kind := _goal_kind_hint(goal.goal_name)) is not None:
             candidates = [a for a in spec.annotations
-                          if a.kind is kind and a.key() not in proved_keys]
+                          if a.kind is kind and a not in proved]
             ann = candidates[-1] if candidates else None
         if ann is not None:
-            resolved[ann.key()] = ann
+            resolved.add(ann)
 
     if not resolved:
         raise UnmappableFailure(
             "no failing goal could be mapped to an annotation: "
             + ", ".join(g.goal_name for g in report.failing_goals()))
-    return [a for a in spec.annotations if a.key() in resolved]
+    return [a for a in spec.annotations if a in resolved]
 
 
 def tie_break_annotation(report: VerifierReport,
@@ -213,15 +212,15 @@ def tie_break_annotation(report: VerifierReport,
     """Last step of the blame chain (Houdini's "drop an unproved candidate"):
     the latest annotation not known to have proved, preferring a failing
     goal's kind; the last annotation only when every one proved."""
-    proved_keys = _proved_keys(report)
-    unproved = [a for a in spec.annotations if a.key() not in proved_keys]
+    proved = _proved(report)
+    unproved = [a for a in spec.annotations if a not in proved]
     failing_kinds = {_goal_kind_hint(g.goal_name) for g in report.failing_goals()}
     return next((a for a in reversed(unproved) if a.kind in failing_kinds),
                 (unproved or spec.annotations)[-1])
 
 
-def _proved_keys(report: VerifierReport) -> set[tuple]:
-    return {g.source_annotation.key() for g in report.goals
+def _proved(report: VerifierReport) -> set[Annotation]:
+    return {g.source_annotation for g in report.goals
             if g.status is GoalStatus.PROVED and g.source_annotation is not None}
 
 
@@ -229,7 +228,8 @@ def _linker(spec: SpecificationSet, read: SpecificationSet):
     """The link steps of the blame chain over `spec`: explicit linkage,
     declared name, then the goal's source line within the span an
     annotation has in `read`, the parsed text the verifier read."""
-    by_key = {a.key(): a for a in spec.annotations}
+    # an equal annotation of another set links to `spec`'s own object
+    own = {a: a for a in spec.annotations}
     # a declared name fits a goal whose own words (not its `(file …)` or
     # `in '<function>'` parts) hold it as a whole word, and a lemma's name
     # also fits WP's `typed_lemma_<name>`; of several names that fit, the
@@ -240,13 +240,12 @@ def _linker(spec: SpecificationSet, read: SpecificationSet):
             lemma = "(?:typed_lemma_)?" if a.kind is ConstructKind.LEMMA else ""
             named.append((len(name), rf"\b{lemma}{re.escape(name)}\b", a))
     named.sort(key=lambda item: -item[0])
-    read_spans = {a.key(): a.span for a in read.annotations}
-    spans = [(read_spans[key], a) for key, a in by_key.items()
-             if key in read_spans]
+    read_spans = {a: a.span for a in read.annotations}
+    spans = [(read_spans[a], a) for a in spec.annotations if a in read_spans]
 
     def link(goal: GoalResult) -> Annotation | None:
         if goal.source_annotation is not None:
-            hit = by_key.get(goal.source_annotation.key())
+            hit = own.get(goal.source_annotation)
             if hit is not None:
                 return hit
         words = _GOAL_PLACE.sub(" ", goal.goal_name)
@@ -310,7 +309,7 @@ class MockVerifier(Verifier):
     def verify(self, program, spec: SpecificationSet) -> VerifierReport:
         with self._lock:
             self.calls += 1
-        table = self._verdicts.get(_program_id(program))
+        table = self._verdicts.get(program.id)
         # the key costs a JSON dump and a hash: only a table can use it
         stored = table.get(spec_key(spec)) if table else None
         if stored is not None:

@@ -3,11 +3,14 @@
 
 `completions` draws adversarial oracle completions for the properties that
 must hold whatever an oracle returns; `annotations` and `specs` draw
-annotation values of every kind, with and without declared names;
+annotation values of every kind, with and without declared names, and
+`respanned` copies them to other spans;
 `wp_outputs` draws console output in the formats Frama-C/WP prints.
 """
 
 from __future__ import annotations
+
+from dataclasses import replace
 
 from hypothesis import strategies as st
 
@@ -74,13 +77,26 @@ def annotations(draw):
         draw(st.sampled_from(_AFTER_NAME)),
         draw(st.sampled_from(_BODIES) | st.text(max_size=6)),
     ])
-    line = draw(st.integers(1, 40))
-    span = SourceSpan("s.c", line, line + draw(st.integers(0, 3)))
-    return Annotation(kind, text, anchor, span)
+    return Annotation(kind, text, anchor, draw(spans()))
+
+
+def spans():
+    return st.builds(lambda line, extra: SourceSpan("s.c", line, line + extra),
+                     st.integers(1, 40), st.integers(0, 3))
 
 
 def specs():
     return st.lists(annotations(), max_size=8).map(SpecificationSet)
+
+
+@st.composite
+def respanned(draw, annotations):
+    """Copies of some of `annotations`, each perhaps more than once, with
+    spans drawn anew: values equal to the originals in other objects."""
+    if not annotations:
+        return []
+    picks = draw(st.lists(st.sampled_from(tuple(annotations)), max_size=10))
+    return [replace(a, span=draw(spans())) for a in picks]
 
 
 #: every status word WP prints, and goal names built on the declared names

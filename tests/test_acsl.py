@@ -115,22 +115,24 @@ def test_annotation_anchor_rules():
         Annotation(ConstructKind.ENSURES, "   ", FunctionContract("f"))
 
 
-def _fields(a: Annotation) -> tuple:
-    return (a.kind, a.text, a.anchor, a.span)
+def _key(a: Annotation) -> tuple:
+    return (a.kind, a.text, a.anchor)
 
 
 @settings(max_examples=200, deadline=None)
 @given(strategies.annotations(), strategies.annotations())
 def test_annotation_value_ignores_the_computed_name(a, other):
-    """Equality, hash and repr are those of the four fields alone, whether
-    or not declared_name() has filled its slot on one side."""
-    twin = Annotation(*_fields(a))
+    """Equality and hash are those of (kind, text, anchor), whatever the
+    span and whether or not declared_name() has filled its slot; repr
+    shows the four fields."""
+    twin = Annotation(*_key(a), other.span)
     a.declared_name()
-    assert twin == a and hash(twin) == hash(a) == hash(_fields(a))
-    assert (a == other) == (_fields(a) == _fields(other))
-    assert repr(a) == repr(twin) == (
-        f"Annotation(kind={a.kind!r}, text={a.text!r}, anchor={a.anchor!r}, "
-        f"span={a.span!r})")
+    assert twin == a and hash(twin) == hash(a) == hash(_key(a))
+    assert (a == other) == (_key(a) == _key(other))
+    for ann in (a, twin):
+        assert repr(ann) == (
+            f"Annotation(kind={ann.kind!r}, text={ann.text!r}, "
+            f"anchor={ann.anchor!r}, span={ann.span!r})")
 
 
 @settings(max_examples=200, deadline=None)
@@ -151,6 +153,48 @@ def test_specification_set_collapses_duplicates():
     spec = SpecificationSet([a, b, c, a])
     assert len(spec) == 2
     assert spec == SpecificationSet([c, b])  # order and spans do not matter
+
+
+def _ref_annotations(annotations) -> tuple:
+    """Reference: the first annotation of each (kind, text, anchor)."""
+    first: dict[tuple, Annotation] = {}
+    for ann in annotations:
+        first.setdefault(_key(ann), ann)
+    return tuple(first.values())
+
+
+def _ref_without(spec: SpecificationSet, removed) -> tuple:
+    gone = {_key(a) for a in removed}
+    return _ref_annotations(a for a in spec.annotations if _key(a) not in gone)
+
+
+def _ref_equal(x: SpecificationSet, y: SpecificationSet) -> bool:
+    return {_key(a) for a in x} == {_key(a) for a in y}
+
+
+def _same_objects(xs, ys) -> bool:
+    return len(xs) == len(ys) and all(x is y for x, y in zip(xs, ys))
+
+
+@settings(max_examples=300, deadline=None)
+@given(strategies.specs(), strategies.specs(), st.data())
+def test_specification_set_matches_the_key_tuple_reference(spec, other, data):
+    """Construction, `without` and equality keep, drop and compare the same
+    annotation objects as the (kind, text, anchor) tuple reference, with
+    spans redrawn and duplicates injected."""
+    anns = data.draw(st.permutations(
+        [*spec, *data.draw(strategies.respanned(spec)), *other]))
+    built = SpecificationSet(anns)
+    assert _same_objects(built.annotations, _ref_annotations(anns))
+    removed = data.draw(strategies.respanned(built))
+    assert _same_objects(built.without(removed).annotations,
+                         _ref_without(built, removed))
+    twin = SpecificationSet(data.draw(st.permutations(
+        [replace(a, span=data.draw(strategies.spans())) for a in built])))
+    part = SpecificationSet(data.draw(strategies.respanned(built)))
+    for x, y in ((built, twin), (built, part), (built, spec), (spec, other)):
+        assert (x == y) == _ref_equal(x, y)
+        assert x != y or hash(x) == hash(y)
 
 
 def test_constr_examples():

@@ -171,7 +171,7 @@ def test_woven_line_outside_every_span_blames_nothing(fake_framac):
     with pytest.raises(UnmappableFailure):
         map_failures_to_annotations(report, spec)
     remaining = refine_delete(spec, report)
-    assert requires.key() in remaining.keys()
+    assert requires in remaining.keys()
     assert remaining == spec.without([tie_break_annotation(report, spec)])
     assert len(remaining) == len(spec) - 1
 
@@ -352,7 +352,7 @@ def _spec(indices) -> SpecificationSet:
 def _summary(report):
     return (report.status, [
         (g.goal_name, g.status,
-         g.source_annotation.key() if g.source_annotation else None,
+         g.source_annotation,
          g.source_line) for g in report.goals])
 
 

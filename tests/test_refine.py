@@ -88,8 +88,8 @@ def test_delete_removes_blamed_annotation():
     ))
     remaining = refine_delete(spec, report)
     assert len(remaining) == 3
-    assert b.key() not in remaining.keys()
-    assert a.key() in remaining.keys()
+    assert b not in remaining.keys()
+    assert a in remaining.keys()
 
 
 def test_delete_everything_yields_empty_set():
@@ -144,7 +144,7 @@ def test_delete_tie_break_on_unmappable_failure():
     remaining = refine_delete(spec, report)
     assert len(remaining) == len(spec) - 1
     # the last annotation is the tie-break victim
-    assert spec.annotations[-1].key() not in remaining.keys()
+    assert spec.annotations[-1] not in remaining.keys()
 
 
 def test_delete_tie_break_keeps_an_annotation_that_proved():
@@ -514,13 +514,13 @@ def test_randomized_deletion_properties():
     program = FakeProgram()
     for _ in range(300):
         spec = random_scenario(rng)
-        good_keys = {a.key() for a in spec if "9090" not in a.text}
+        good = {a for a in spec if "9090" not in a.text}
         oracle = oracle_returning(program, spec)
         verifier = MockVerifier(always_failing=["9090"])
         record = run_once(program, canonical_config("CF"), Paradigm.DELETION,
                           oracle, verifier, RunLimits())
         assert record.tool_calls <= len(spec) + 1
         # exact goal mapping never deletes a fixture-good annotation
-        assert good_keys <= set(record.final_spec.keys())
-        if good_keys:
+        assert good <= record.final_spec.keys()
+        if good:
             assert record.outcome is RunOutcome.VERIFIED

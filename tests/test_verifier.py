@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import io
 import json
+import re
 from dataclasses import replace
 
 import pytest
@@ -30,6 +31,7 @@ from specloop import (
     parse_annotations,
     refine_delete,
     run_once,
+    tie_break_annotation,
     spec_key,
     weave,
 )
@@ -37,9 +39,11 @@ from specloop.errors import UnmappableFailure
 from specloop.refine import RunLogger
 from specloop.acsl import _declared_name
 from specloop.verifier import (
-    _goal_kind_hint, _wp_report, parse_wp_output, report_from_goals)
+    _GOAL_PLACE, _goal_kind_hint, _linker, _wp_report, parse_wp_output,
+    report_from_goals)
 
 import strategies
+from test_acsl import _key, _ref_without, _same_objects
 
 K = ConstructKind
 
@@ -244,7 +248,7 @@ def _reference_rule_verify(rules, wall_time: float,
 
 def _report_fields(report: VerifierReport) -> tuple:
     return (report.status, report.raw_output, report.wall_time, report.cache_hit,
-            [(g.goal_name, g.status, g.source_annotation.key(), g.source_line)
+            [(g.goal_name, g.status, g.source_annotation, g.source_line)
              for g in report.goals])
 
 
@@ -468,7 +472,7 @@ def test_mapping_is_exact_on_rule_mock_ground_truth(rule_verifier):
     report = rule_verifier.verify(FakeProgram(), spec)
     assert report.status is ReportStatus.FAILED
     mapped = map_failures_to_annotations(report, spec)
-    assert {a.key() for a in mapped} == {a.key() for a in bad}
+    assert set(mapped) == set(bad)
 
 
 _POOL = [
@@ -493,22 +497,22 @@ _GOAL_WORDS = ["typed_f", "ensures", "requires", "post", "pre", "assigns",
                "pos", "small", "small_zero", "pre_post", "rte", "mystery", "_", " "]
 
 
-def _adversarial_goal(spec: SpecificationSet):
+def _adversarial_goal(spec: SpecificationSet, words=_GOAL_WORDS):
     """A goal of any name and status, linked to nothing, to an annotation
     of spec, or to a stranger, with any source line."""
     links = st.one_of(st.none(), st.sampled_from(spec.annotations),
                       st.sampled_from(_STRANGERS))
     return st.builds(
         GoalResult,
-        goal_name=st.lists(st.sampled_from(_GOAL_WORDS), max_size=4).map("".join),
+        goal_name=st.lists(st.sampled_from(words), max_size=4).map("".join),
         status=st.sampled_from(GoalStatus),
         source_annotation=links,
         source_line=st.one_of(st.none(), st.integers(0, 16)))
 
 
 @st.composite
-def _failing_goals(draw, spec: SpecificationSet):
-    goal = _adversarial_goal(spec)
+def _failing_goals(draw, spec: SpecificationSet, words=_GOAL_WORDS):
+    goal = _adversarial_goal(spec, words)
     goals = draw(st.lists(goal, max_size=5))
     goals.append(draw(goal.filter(lambda g: g.status is not GoalStatus.PROVED)))
     return tuple(draw(st.permutations(goals)))
@@ -528,17 +532,126 @@ def _adversarial_failure(draw):
 @given(_adversarial_failure())
 def test_blame_chain_total_on_adversarial_reports(case):
     spec, report = case
-    order = [a.key() for a in spec.annotations]
+    order = list(spec.annotations)
     try:
         mapped = map_failures_to_annotations(report, spec)
     except UnmappableFailure:
         pass
     else:
-        positions = [order.index(a.key()) for a in mapped]
+        positions = [order.index(a) for a in mapped]
         assert positions and positions == sorted(set(positions))
     remaining = refine_delete(spec, report)
     assert len(remaining) < len(spec)
     assert remaining.keys() <= spec.keys()
+
+
+@st.composite
+def _respanned_failure(draw):
+    """A drawn spec and a Failed report whose goals link to its own
+    annotations, to equal copies of them on other spans, to strangers or
+    to nothing."""
+    spec = draw(strategies.specs().filter(bool))
+    links = SpecificationSet(draw(st.permutations(
+        [*spec, *draw(strategies.respanned(spec))])))
+    goals = draw(_failing_goals(links, _GOAL_WORDS + strategies._NAMES))
+    return spec, VerifierReport(ReportStatus.FAILED, goals)
+
+
+def _ref_linker(spec: SpecificationSet, read: SpecificationSet):
+    """Reference link steps, matching annotations by (kind, text, anchor)."""
+    by_key = {_key(a): a for a in spec.annotations}
+    named = []
+    for a in spec.annotations:
+        if name := a.declared_name():
+            lemma = "(?:typed_lemma_)?" if a.kind is K.LEMMA else ""
+            named.append((len(name), rf"\b{lemma}{re.escape(name)}\b", a))
+    named.sort(key=lambda item: -item[0])
+    read_spans = {_key(a): a.span for a in read.annotations}
+    spans = [(read_spans[key], a) for key, a in by_key.items() if key in read_spans]
+
+    def link(goal: GoalResult):
+        if goal.source_annotation is not None:
+            hit = by_key.get(_key(goal.source_annotation))
+            if hit is not None:
+                return hit
+        words = _GOAL_PLACE.sub(" ", goal.goal_name)
+        for _, pattern, ann in named:
+            if re.search(pattern, words):
+                return ann
+        if goal.source_line is not None:
+            for span, ann in spans:
+                if span.contains_line(goal.source_line):
+                    return ann
+        return None
+    return link
+
+
+def _ref_proved_keys(report: VerifierReport) -> set[tuple]:
+    return {_key(g.source_annotation) for g in report.goals
+            if g.status is GoalStatus.PROVED and g.source_annotation is not None}
+
+
+def _ref_map_failures(report: VerifierReport, spec: SpecificationSet) -> list:
+    link = _ref_linker(spec, spec)
+    proved_keys = _ref_proved_keys(report)
+    resolved: dict[tuple, Annotation] = {}
+    for goal in report.failing_goals():
+        ann = link(goal)
+        if ann is None and (kind := _goal_kind_hint(goal.goal_name)) is not None:
+            candidates = [a for a in spec.annotations
+                          if a.kind is kind and _key(a) not in proved_keys]
+            ann = candidates[-1] if candidates else None
+        if ann is not None:
+            resolved[_key(ann)] = ann
+    if not resolved:
+        raise UnmappableFailure("no failing goal could be mapped")
+    return [a for a in spec.annotations if _key(a) in resolved]
+
+
+def _ref_tie_break(report: VerifierReport, spec: SpecificationSet) -> Annotation:
+    proved_keys = _ref_proved_keys(report)
+    unproved = [a for a in spec.annotations if _key(a) not in proved_keys]
+    failing_kinds = {_goal_kind_hint(g.goal_name) for g in report.failing_goals()}
+    return next((a for a in reversed(unproved) if a.kind in failing_kinds),
+                (unproved or spec.annotations)[-1])
+
+
+def _ref_refine_delete(spec: SpecificationSet, report: VerifierReport) -> tuple:
+    try:
+        doomed = _ref_map_failures(report, spec)
+    except UnmappableFailure:
+        doomed = [_ref_tie_break(report, spec)]
+    names = [name for ann in doomed if ann.kind in (K.PREDICATE, K.LOGIC)
+             and (name := ann.declared_name())]
+    doomed_keys = {_key(a) for a in doomed}
+    doomed += [ann for ann in spec.annotations
+               if names and _key(ann) not in doomed_keys
+               and ann.kind in (K.LEMMA, K.AXIOM)
+               and any(re.search(rf"\b{re.escape(n)}\b", ann.text) for n in names)]
+    return _ref_without(spec, doomed)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(_adversarial_failure(), _respanned_failure()),
+       strategies.specs(), st.data())
+def test_blame_chain_matches_the_key_tuple_reference(case, other, data):
+    """Mapping, tie-break and deletion pick the same annotation objects as
+    the (kind, text, anchor) tuple reference, and so do links through the
+    spans of another file."""
+    spec, report = case
+    try:
+        mapped = map_failures_to_annotations(report, spec)
+    except UnmappableFailure:
+        with pytest.raises(UnmappableFailure):
+            _ref_map_failures(report, spec)
+    else:
+        assert _same_objects(mapped, _ref_map_failures(report, spec))
+    assert tie_break_annotation(report, spec) is _ref_tie_break(report, spec)
+    assert _same_objects(refine_delete(spec, report).annotations,
+                         _ref_refine_delete(spec, report))
+    read = SpecificationSet([*data.draw(strategies.respanned(spec)), *other])
+    link, ref_link = _linker(spec, read), _ref_linker(spec, read)
+    assert all(link(g) is ref_link(g) for g in report.goals)
 
 
 def _adversarial_report(spec: SpecificationSet):
@@ -696,7 +809,7 @@ def test_raw_wp_output_reaches_the_blame_chain_without_raising(output, spec, dat
     report = _wp_report(spec, output, spans, 0.0)
     if report.status is ReportStatus.VERIFIED:
         assert report.goals and all(g.status is GoalStatus.PROVED for g in report.goals)
-    assert all(g.source_annotation is None or g.source_annotation.key() in spec.keys()
+    assert all(g.source_annotation is None or g.source_annotation in spec.keys()
                for g in report.goals)
     if report.status is ReportStatus.FAILED and spec:
         assert len(refine_delete(spec, report)) < len(spec)
