@@ -116,11 +116,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
                              wall_budget=args.run_wall_budget),
             workers=args.workers,
         )
-    except ValueError as exc:   # an empty list, or a count or budget not above 0
+        verifier = _build_verifier(args)
+    except ValueError as exc:   # an empty list, or a count or budget out of range
         raise SpecloopError(str(exc)) from None
     corpus = load_dataset(args.dataset)
     oracle = _build_oracle(args.oracle)
-    verifier = _build_verifier(args)
     templates = TemplateStore(args.templates) if args.templates else None
 
     out = Path(args.out)

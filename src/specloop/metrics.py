@@ -120,15 +120,16 @@ def compute_cell(records: Sequence[RunRecord]) -> CellMetrics:
         elapsed_by_program[r.program_id] += r.elapsed
     if len(cells) != 1:
         raise IncompleteGrid(f"records span {len(cells)} cells, expected exactly 1")
+    config_name, paradigm = next(iter(cells))
     if duplicate is not None:
-        raise IncompleteGrid(
-            f"duplicate record for {duplicate.program_id!r} run {duplicate.run_index}")
+        raise IncompleteGrid(f"{config_name}/{paradigm.value}: duplicate record "
+                             f"for {duplicate.program_id!r} run {duplicate.run_index}")
     index_sets = {frozenset(v) for v in runs_by_program.values()}
     if len(index_sets) != 1:
-        raise IncompleteGrid("programs cover different run indexes")
+        raise IncompleteGrid(
+            f"{config_name}/{paradigm.value}: programs cover different run indexes")
     runs = sorted(next(iter(index_sets)))
     programs = sorted(runs_by_program)
-    config_name, paradigm = next(iter(cells))
     stable = sum(1 for count in wins.values() if count >= 2)
     return CellMetrics(
         config_name=config_name,
@@ -361,11 +362,12 @@ def emit_reports(records: Sequence[RunRecord], out_dir: str | Path,
     no records under a paradigm the records hold."""
     if not records or not configs:
         raise IncompleteGrid(f"no {'records' if not records else 'configurations'} to report")
-    cells = _compute_cells(records)
-    held = [p for p in Paradigm if any(paradigm is p for _, paradigm in cells)]
+    split = _split_cells(records)
+    held = [p for p in Paradigm if any(paradigm is p for _, paradigm in split)]
     for config, paradigm in itertools.product(configs, held):
-        if (config, paradigm) not in cells:
+        if (config, paradigm) not in split:
             raise IncompleteGrid(f"no records for {config} under {paradigm.value}")
+    cells = {key: compute_cell(cell) for key, cell in split.items() if key[0] in configs}
     summary: dict = {"cells": [cells[(config, paradigm)].to_dict()
                                for paradigm in held for config in configs]}
     if all(c in configs for c in _VENN_CONFIGS):

@@ -211,11 +211,15 @@ class HttpOracleSettings:
         base_url = os.environ.get("ORACLE_BASE_URL", "")
         if not base_url:
             raise OracleUnavailable("ORACLE_BASE_URL is not set")
+        try:
+            temperature = float(os.environ.get("ORACLE_TEMPERATURE", "0"))
+        except ValueError:
+            raise OracleUnavailable("ORACLE_TEMPERATURE is not a number") from None
         return cls(
             base_url=base_url,
             model=os.environ.get("ORACLE_MODEL", ""),
             api_key=os.environ.get("ORACLE_API_KEY", ""),
-            temperature=float(os.environ.get("ORACLE_TEMPERATURE", "0")),
+            temperature=temperature,
         )
 
     def record(self) -> dict:

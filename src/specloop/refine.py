@@ -54,7 +54,7 @@ class RunLimits:
     wall_budget: float = 3600.0  # per-run, seconds
 
     def __post_init__(self) -> None:
-        if self.max_repair_iterations < 1 or self.wall_budget <= 0:
+        if self.max_repair_iterations < 1 or not self.wall_budget > 0:
             raise ValueError("run limits must be positive")
 
 

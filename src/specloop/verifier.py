@@ -361,8 +361,8 @@ class FramaCSettings:
     executable: str = "frama-c"
     prover: str = "alt-ergo"
     prover_timeout: int = 10     # per-goal prover budget, seconds
-    wall_budget: float = 120.0   # per-invocation wall clock, seconds
-    max_processes: int = 4
+    wall_budget: float = 120.0   # per-invocation wall clock, seconds, finite
+    max_processes: int = 4       # tool runs at once, at least 1
     extra_args: tuple[str, ...] = ()
 
 
@@ -467,6 +467,10 @@ class FramaCVerifier(Verifier):
 
     def __init__(self, settings: FramaCSettings | None = None):
         self.settings = settings or FramaCSettings()
+        if not (self.settings.max_processes >= 1
+                and 0 < self.settings.wall_budget < float("inf")):
+            raise ValueError("verifier processes must be at least 1, and the "
+                             "wall budget finite and above 0")
         self._slots = threading.Semaphore(self.settings.max_processes)
         self.concurrency = min(self.settings.max_processes, os.cpu_count() or 1)
         # input hash -> (tool output, woven-file spans, wall time); a single

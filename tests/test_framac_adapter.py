@@ -231,6 +231,17 @@ def test_unparseable_output_with_nonzero_exit_is_tool_error(fake_framac):
     assert report.status is ReportStatus.TOOL_ERROR
 
 
+@pytest.mark.parametrize("changes", [
+    {"max_processes": 0}, {"max_processes": -1}, {"wall_budget": 0},
+    {"wall_budget": float("nan")}, {"wall_budget": float("inf")},
+])
+def test_settings_that_would_hang_or_crash_a_run_are_rejected(changes):
+    """No process slot blocks every call; a NaN or infinite budget makes
+    the subprocess wait raise out of verify."""
+    with pytest.raises(ValueError, match="verifier processes"):
+        FramaCVerifier(FramaCSettings(**changes))
+
+
 def test_missing_executable_raises():
     verifier = FramaCVerifier(FramaCSettings(executable="definitely-not-frama-c"))
     with pytest.raises(VerifierNotInstalled):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import json
 import random
 
 import pytest
@@ -68,11 +69,13 @@ def test_csccr_permutation_invariant():
 
 def test_csccr_incomplete_grid():
     records = full_grid()
-    with pytest.raises(IncompleteGrid):
+    with pytest.raises(IncompleteGrid,
+                       match="^CB/delete: programs cover different run indexes$"):
         compute_cell(records[:-1])
     with pytest.raises(IncompleteGrid):
         compute_cell([])
-    with pytest.raises(IncompleteGrid):
+    with pytest.raises(IncompleteGrid,
+                       match="^CB/delete: duplicate record for 'p0' run 1$"):
         compute_cell(records + [records[0]])
 
 
@@ -415,3 +418,15 @@ def test_emit_reports_names_a_missing_cell_before_writing(tmp_path, configs, mis
     assert not (tmp_path / "out").exists()
     emit_reports(records, tmp_path / "out", configs=("CB",))
     assert (tmp_path / "out" / "report" / "table.txt").is_file()
+
+
+def test_emit_reports_computes_only_the_requested_cells(tmp_path):
+    """An unrequested configuration's cell is neither reported nor checked;
+    once requested, its fault names it."""
+    records = full_grid(config="CB") + full_grid(config="CF")[:-1]
+    emit_reports(records, tmp_path / "out", configs=("CB",))
+    written = (tmp_path / "out" / "report" / "sample_distribution.json").read_text()
+    assert list(json.loads(written)) == ["CB/delete"]
+    with pytest.raises(IncompleteGrid, match="^CF/delete: programs cover"):
+        emit_reports(records, tmp_path / "all", configs=("CB", "CF"))
+    assert not (tmp_path / "all").exists()

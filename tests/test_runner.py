@@ -698,6 +698,7 @@ def test_cli_bad_oracle_persona(tmp_path):
     ("--runs", "0", "positive run count"),
     ("--max-iters", "0", "run limits must be positive"),
     ("--run-wall-budget", "0", "run limits must be positive"),
+    ("--run-wall-budget", "nan", "run limits must be positive"),
 ])
 def test_cli_rejects_a_bad_grid_before_any_run(persona_dir, mock_rules_file,
                                                tmp_path, capsys, option, value, bad):
@@ -707,6 +708,31 @@ def test_cli_rejects_a_bad_grid_before_any_run(persona_dir, mock_rules_file,
         "run", "--dataset", str(corpus), "--runs", "1", option, value,
         "--oracle", str(persona_dir), "--verifier", "mock",
         "--mock-fixtures", str(mock_rules_file), "--out", str(out),
+    ])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and bad in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("args,env,bad", [
+    (["--verifier-processes", "-1"], {}, "verifier processes must be at least 1"),
+    (["--verifier-wall-budget", "nan"], {}, "wall budget finite"),
+    (["--verifier-wall-budget", "inf"], {}, "wall budget finite"),
+    (["--oracle", "http"], {"ORACLE_BASE_URL": "http://localhost:9",
+                            "ORACLE_TEMPERATURE": "warm"},
+     "ORACLE_TEMPERATURE is not a number"),
+])
+def test_cli_rejects_bad_verifier_and_oracle_settings_before_any_run(
+        persona_dir, wp_stub, tmp_path, capsys, monkeypatch, args, env, bad):
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    corpus = Path(__file__).parent / "fixtures" / "toy_corpus"
+    out = tmp_path / "out"
+    code = cli_main([
+        "run", "--dataset", str(corpus), "--runs", "1",
+        "--oracle", str(persona_dir), "--verifier", "framac",
+        "--framac-path", str(wp_stub), *args, "--out", str(out),
     ])
     assert code == 2
     err = capsys.readouterr().err
