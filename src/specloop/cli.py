@@ -117,7 +117,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
             workers=args.workers,
         )
         verifier = _build_verifier(args)
-    except ValueError as exc:   # an empty list, or a count or budget out of range
+    except (ValueError, OSError) as exc:
+        # an empty list, a count or budget out of range, or a fixtures file
+        # that cannot be read or decoded
         raise SpecloopError(str(exc)) from None
     corpus = load_dataset(args.dataset)
     oracle = _build_oracle(args.oracle)

@@ -94,7 +94,10 @@ class RunRecord:
         }
 
     @classmethod
-    def from_dict(cls, data: dict) -> "RunRecord":
+    def from_dict(cls, data: dict, built: dict | None = None) -> "RunRecord":
+        """The record stored as `data`. Records loaded with one `built` dict
+        share one `Annotation` per distinct stored annotation."""
+        built = {} if built is None else built
         return cls(
             program_id=data["program_id"],
             config_name=data["config"],
@@ -106,7 +109,7 @@ class RunRecord:
             elapsed=data["elapsed"],
             iterations=data["iterations"],
             final_spec=SpecificationSet(
-                _annotation_from_dict(a) for a in data["final_spec"]),
+                _annotation_from_dict(a, built) for a in data["final_spec"]),
             error=data.get("error"),
         )
 
@@ -122,8 +125,15 @@ def _annotation_to_dict(a: Annotation) -> dict:
     return {"construct": a.kind.keyword, "text": a.text, "anchor": anchor}
 
 
-def _annotation_from_dict(d: dict) -> Annotation:
+def _annotation_from_dict(d: dict, built: dict) -> Annotation:
+    """The annotation stored as `d`: the one `built` holds under the same
+    stored fields, else a new one, which `built` then keeps."""
     raw = d["anchor"]
+    key = (d["construct"], d["text"], raw["kind"], raw.get("function"),
+           raw.get("ordinal"))
+    annotation = built.get(key)
+    if annotation is not None:
+        return annotation
     if raw["kind"] == "function":
         anchor = FunctionContract(raw["function"])
     elif raw["kind"] == "loop":
@@ -132,7 +142,8 @@ def _annotation_from_dict(d: dict) -> Annotation:
         anchor = GLOBAL
     # the enum lookup only raises its ValueError for an unknown construct
     kind = KIND_OF_KEYWORD.get(d["construct"]) or ConstructKind(d["construct"])
-    return Annotation(kind, d["text"], anchor)
+    annotation = built[key] = Annotation(kind, d["text"], anchor)
+    return annotation
 
 
 #: encodes one line of `events.jsonl` or `records.jsonl`, as

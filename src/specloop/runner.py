@@ -129,7 +129,11 @@ class RecordStore:
     `load` skips it and the first `append` cuts it off, in either file. The
     first `append` also cuts the event lines a crash left without their
     record, so each run keeps one group of event lines. An undecodable line
-    anywhere else raises."""
+    anywhere else raises.
+
+    One `load` builds each distinct stored annotation once: records it
+    returns share one `Annotation` object per equal stored annotation. An
+    unknown construct still raises at `load`."""
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
@@ -141,6 +145,7 @@ class RecordStore:
         if not self.path.is_file():
             return []
         records = []
+        built: dict = {}   # stored fields -> annotation, for this load only
         with self.path.open(encoding="utf-8") as fh:
             for line in fh:
                 if not line.strip():
@@ -152,7 +157,7 @@ class RecordStore:
                     if not line.endswith("\n"):
                         break
                     raise
-                records.append(RunRecord.from_dict(data))
+                records.append(RunRecord.from_dict(data, built))
         return records
 
     def append(self, record: RunRecord, events: str = "") -> None:

@@ -455,7 +455,10 @@ class FramaCVerifier(Verifier):
 
     Each invocation uses an isolated temporary directory; concurrent
     invocations are capped by a process semaphore. A run over the wall
-    budget is killed with every process it started.
+    budget is killed with every process it started. A run that exits with a
+    non-zero status or dies by a signal is a ToolError, whatever it printed.
+    The tool's output is read as bytes and decoded with replacement, so no
+    output can raise.
 
     The tool runs at most once per distinct input for the life of the
     instance: the tool output is kept under a hash of the woven program and
@@ -509,27 +512,32 @@ class FramaCVerifier(Verifier):
                 # processes WP starts along with it
                 proc = subprocess.Popen(
                     cmd, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-                    text=True, cwd=tmp, start_new_session=True,
+                    cwd=tmp, start_new_session=True,
                 )
             except FileNotFoundError as exc:
                 raise VerifierNotInstalled(
                     f"cannot execute {self.settings.executable!r}") from exc
+            timed_out = False
             with proc:
                 try:
-                    stdout, stderr = proc.communicate(timeout=self.settings.wall_budget)
+                    out, err = proc.communicate(timeout=self.settings.wall_budget)
                 except subprocess.TimeoutExpired as exc:
-                    partial = (exc.stdout or b"")
-                    if isinstance(partial, bytes):
-                        partial = partial.decode("utf-8", "replace")
-                    return VerifierReport(ReportStatus.TIMEOUT, (), partial,
-                                          time.perf_counter() - started)
+                    timed_out, out, err = True, exc.stdout, exc.stderr
                 finally:
                     if proc.returncode is None:
                         # not reaped yet, so the group id is still ours
                         os.killpg(proc.pid, signal.SIGKILL)
                         proc.wait()
-        result = (stdout + ("\n" + stderr if stderr else ""), woven_spans,
-                  time.perf_counter() - started)
+        wall = time.perf_counter() - started
+        stdout, stderr = ((b or b"").decode("utf-8", "replace") for b in (out, err))
+        if timed_out:
+            return VerifierReport(ReportStatus.TIMEOUT, (), stdout, wall)
+        if proc.returncode:
+            # a crash or a kill after a partial goal list proves nothing
+            ended = subprocess.CalledProcessError(proc.returncode, s.executable)
+            return VerifierReport(ReportStatus.TOOL_ERROR, (),
+                                  f"{ended} stderr: {stderr[:2000]}", wall)
+        result = (stdout + ("\n" + stderr if stderr else ""), woven_spans, wall)
         report = _wp_report(spec, *result)
         if report.status is not ReportStatus.TOOL_ERROR and all(
                 g.status is not GoalStatus.TIMEOUT for g in report.goals):
@@ -541,7 +549,12 @@ def _wp_report(spec: SpecificationSet, output: str,
                woven_spans: SpecificationSet, wall: float) -> VerifierReport:
     """The report of one WP run on `spec` woven: goals parsed from the
     output and linked to `spec`'s own annotations through the woven file's
-    spans."""
+    spans.
+
+    A `Proved goals: p / n` summary also counts the goals no parsed line
+    names: each proved one the parsed goals lack becomes a `goal_<k>`, each
+    unproved one an Unknown `unidentified_goal_<k>`. A summary with p > n
+    is not WP's, and the run is a ToolError."""
     goals, summary = parse_wp_output(output)
     link = _linker(spec, woven_spans)
     linked = []
@@ -551,10 +564,14 @@ def _wp_report(spec: SpecificationSet, output: str,
         ann = link(goal)
         line = goal.source_line if ann is not None else None
         linked.append(GoalResult(goal.goal_name, goal.status, ann, line))
-    if not linked and summary is not None and summary[1] >= summary[0]:
+    if summary is not None:
         proved, total = summary
-        linked = [GoalResult(f"goal_{i+1}", GoalStatus.PROVED)
-                  for i in range(proved)]
-        linked += [GoalResult(f"unidentified_goal_{i+1}", GoalStatus.UNKNOWN)
-                   for i in range(total - proved)]
+        if proved > total:
+            return VerifierReport(ReportStatus.TOOL_ERROR, (), output, wall)
+        parsed_proved = sum(g.status is GoalStatus.PROVED for g in linked)
+        parsed_unproved = len(linked) - parsed_proved
+        linked += [GoalResult(f"goal_{k}", GoalStatus.PROVED)
+                   for k in range(1, proved - parsed_proved + 1)]
+        linked += [GoalResult(f"unidentified_goal_{k}", GoalStatus.UNKNOWN)
+                   for k in range(1, total - proved - parsed_unproved + 1)]
     return report_from_goals(linked, raw_output=output, wall_time=wall)

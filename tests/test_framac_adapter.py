@@ -20,18 +20,27 @@ from specloop import (
     FramaCSettings,
     FramaCVerifier,
     FunctionContract,
+    GoalStatus,
     Loop,
     Paradigm,
+    Program,
     ReportStatus,
+    RunOutcome,
+    ScriptedOracle,
     SpecificationSet,
+    canonical_config,
     extract_spec,
     map_failures_to_annotations,
     refine_delete,
     run_experiment,
+    run_once,
     tie_break_annotation,
     weave,
 )
 from specloop.errors import UnmappableFailure, VerifierNotInstalled
+from specloop.verifier import _wp_report
+
+import strategies
 
 K = ConstructKind
 
@@ -273,6 +282,158 @@ def test_summary_only_success_synthesizes_goals(fake_framac):
     verifier = FramaCVerifier(fake_framac("", exit_code=1))
     report = verifier.verify(FakeProgram(), contract())
     assert report.status is ReportStatus.TOOL_ERROR
+
+
+def test_a_tool_run_killed_after_a_valid_goal_is_not_verified(fake_framac,
+                                                              tmp_path):
+    settings_ = fake_framac("[wp] [Valid] typed_f_ensures (Qed)")
+    script = Path(settings_.executable)
+    script.write_text(script.read_text().replace("exit 0\n", "kill -9 $$\n"))
+    verifier = FramaCVerifier(settings_)
+    completion = ("```c\n/*@ requires x >= 0;\n    ensures \\result == x; */\n"
+                  "int f(int x) { return x; }\n```")
+    program = Program("prog", "int f(int x) { return x; }\n", "f", "toy")
+    record = run_once(program, canonical_config("CB"), Paradigm.DELETION,
+                      ScriptedOracle(lambda request: completion), verifier)
+    assert record.outcome is RunOutcome.ERRORED
+    assert record.error.startswith("ToolError: ")
+    assert "died with <Signals.SIGKILL: 9>" in record.error
+    # never cached: the next call runs the tool again
+    again = verifier.verify(program, contract())
+    assert again.status is ReportStatus.TOOL_ERROR and not again.cache_hit
+    assert tool_runs(tmp_path / "calls.log") == 2
+
+
+def test_a_nonzero_exit_is_a_tool_error_naming_status_and_stderr(tmp_path):
+    script = tmp_path / "frama-c-stub"
+    script.write_text("#!/bin/sh\n"
+                      "echo '[wp] [Valid] typed_f_requires (Qed)'\n"
+                      "echo '[wp] Proved goals:    1 / 1'\n"
+                      "echo 'Fatal error: out of memory' >&2\n"
+                      "exit 125\n")
+    script.chmod(0o755)
+    verifier = FramaCVerifier(FramaCSettings(executable=str(script)))
+    report = verifier.verify(FakeProgram(), contract())
+    assert report.status is ReportStatus.TOOL_ERROR
+    assert "exit status 125" in report.raw_output
+    assert "out of memory" in report.raw_output
+
+
+_ONE_OF_TWO_PROVED = "[wp] [Valid] typed_f_ensures (Qed)\n[wp] Proved goals:    1 / 2\n"
+
+
+def test_a_summary_with_unproved_goals_is_never_ignored(fake_framac):
+    verifier = FramaCVerifier(fake_framac(_ONE_OF_TWO_PROVED))
+    report = verifier.verify(FakeProgram(), contract())
+    assert report.status is ReportStatus.FAILED
+    assert [(g.goal_name, g.status) for g in report.goals] == [
+        ("typed_f_ensures", GoalStatus.PROVED),
+        ("unidentified_goal_1", GoalStatus.UNKNOWN)]
+
+
+@pytest.mark.parametrize("output, goals", [
+    (_ONE_OF_TWO_PROVED, ["typed_f_ensures", "unidentified_goal_1"]),
+    # the summary counts a goal no parsed line names
+    ("[wp] [Valid] typed_f_ensures (Qed)\n[wp] Proved goals: 2 / 3",
+     ["typed_f_ensures", "goal_1", "unidentified_goal_1"]),
+    # an unproved goal the lines name is not counted twice
+    ("[wp] [Unknown] typed_f_ensures\n[wp] Proved goals: 1 / 2",
+     ["typed_f_ensures", "goal_1"]),
+    ("[wp] Proved goals: 0 / 2", ["unidentified_goal_1", "unidentified_goal_2"]),
+])
+def test_a_summary_adds_the_goals_the_lines_leave_out(output, goals):
+    report = _wp_report(contract(), output, SpecificationSet(), 0.0)
+    assert report.status is ReportStatus.FAILED
+    assert [g.goal_name for g in report.goals] == goals
+
+
+def test_a_summary_proving_more_goals_than_it_counts_is_a_tool_error():
+    output = "[wp] [Valid] typed_f_ensures (Qed)\n[wp] Proved goals: 2 / 1"
+    report = _wp_report(contract(), output, SpecificationSet(), 0.0)
+    assert report.status is ReportStatus.TOOL_ERROR
+
+
+@pytest.mark.parametrize("stream", ["", ">&2"])
+def test_output_that_is_not_utf8_cannot_raise(tmp_path, stream):
+    script = tmp_path / "frama-c-stub"
+    script.write_text("#!/bin/sh\n"
+                      f"printf '\\377\\376\\n' {stream}\n"
+                      "echo '[wp] [Valid] typed_f_ensures (Qed)'\n"
+                      "echo '[wp] Proved goals: 1 / 1'\n")
+    script.chmod(0o755)
+    report = FramaCVerifier(FramaCSettings(executable=str(script))).verify(
+        FakeProgram(), contract())
+    assert report.status is ReportStatus.VERIFIED
+    assert "\ufffd\ufffd" in report.raw_output
+
+
+def test_a_timeout_keeps_its_output_that_is_not_utf8(tmp_path):
+    script = tmp_path / "frama-c-stub"
+    script.write_text("#!/bin/sh\nprintf '[wp] \\377\\n'\nsleep 5\n")
+    script.chmod(0o755)
+    verifier = FramaCVerifier(FramaCSettings(executable=str(script),
+                                             wall_budget=0.3))
+    report = verifier.verify(FakeProgram(), contract())
+    assert report.status is ReportStatus.TIMEOUT
+    assert report.raw_output == "[wp] \ufffd\n"
+
+
+# --------------------------------------------------------------------------
+# the subprocess boundary: whatever the tool prints and however it ends
+# --------------------------------------------------------------------------
+
+_WP_SUMMARY_LINE = re.compile(r"Proved goals:\s*(\d+)\s*/\s*(\d+)")
+
+
+@pytest.fixture(scope="module")
+def drawn_tool(tmp_path_factory):
+    """A stub that prints `out` and `err` from its directory, then ends as
+    `end` says: an exit status, `-N` for death by signal N, or `hang`."""
+    root = tmp_path_factory.mktemp("drawn-tool")
+    script = root / "frama-c"
+    script.write_text(
+        "#!/bin/sh\n"
+        f"cat {root / 'out'}\n"
+        f"cat {root / 'err'} >&2\n"
+        f"end=$(cat {root / 'end'})\n"
+        "case $end in\n"
+        "  hang) sleep 5 ;;\n"
+        "  -*) kill -${end#-} $$ ;;\n"
+        "esac\n"
+        "exit $end\n")
+    script.chmod(0o755)
+    return root
+
+
+#: WP output, bytes that are not UTF-8, or both
+_TOOL_BYTES = st.lists(
+    st.one_of(strategies.wp_outputs().map(str.encode), st.binary(max_size=12)),
+    max_size=3).map(b"\n".join)
+#: exit statuses and signals that end a process without a core dump; a
+#: hang, now and then, runs into the wall budget
+_TOOL_ENDS = st.one_of(
+    st.just("0"), st.integers(1, 255).map(str),
+    st.sampled_from(["-1", "-9", "-10", "-15"]),
+    st.integers(0, 15).map(lambda n: "hang" if n == 0 else "0"))
+
+
+@settings(max_examples=100, deadline=None)
+@given(out=_TOOL_BYTES, err=st.binary(max_size=24) | _TOOL_BYTES, end=_TOOL_ENDS)
+def test_verify_survives_any_tool_output_and_end(drawn_tool, out, err, end):
+    (drawn_tool / "out").write_bytes(out)
+    (drawn_tool / "err").write_bytes(err)
+    (drawn_tool / "end").write_text(end)
+    verifier = FramaCVerifier(FramaCSettings(
+        executable=str(drawn_tool / "frama-c"), wall_budget=0.3))
+    for _ in range(2):
+        report = verifier.verify(FakeProgram(), contract())
+        if report.status is ReportStatus.VERIFIED:
+            assert end == "0"
+            assert all(g.status is GoalStatus.PROVED for g in report.goals)
+            summaries = _WP_SUMMARY_LINE.findall(report.raw_output)
+            assert all(int(p) == int(n) for p, n in summaries[-1:])
+        if report.status in (ReportStatus.TOOL_ERROR, ReportStatus.TIMEOUT):
+            assert not report.cache_hit
 
 
 # --------------------------------------------------------------------------

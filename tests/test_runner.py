@@ -11,16 +11,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from specloop import (
+    Annotation,
+    ConstructKind,
     ExperimentPlan,
     FramaCSettings,
     FramaCVerifier,
+    FunctionContract,
     HttpChatOracle,
     HttpOracleSettings,
+    Loop,
     MockVerifier,
     Paradigm,
     Program,
     ReplayOracle,
     RunLimits,
+    RunOutcome,
+    RunRecord,
+    SpecificationSet,
     load_dataset,
     run_experiment,
 )
@@ -310,6 +317,56 @@ def test_records_roundtrip_through_store(toy_corpus, replay_oracle,
         # reports built in the run and from the file must see the same times
         assert twin.elapsed == record.elapsed
         assert twin.final_spec == record.final_spec
+
+
+def test_one_load_builds_each_distinct_stored_annotation_once(
+        toy_corpus, replay_oracle, rule_verifier, tmp_path):
+    out = tmp_path / "out"
+    run_experiment(little_plan(), toy_corpus, replay_oracle, rule_verifier, out)
+    store = RecordStore(out / "records.jsonl")
+    loaded = [a for r in store.load() for a in r.final_spec]
+    distinct = set(loaded)
+    assert len(distinct) < len(loaded)   # the grid repeats annotations
+    assert len({id(a) for a in loaded}) == len(distinct)
+    # the sharing lives only for one load
+    again = {id(a) for r in store.load() for a in r.final_spec}
+    assert again.isdisjoint(id(a) for a in distinct)
+
+
+def _stored(*annotations: Annotation, run_index: int = 1) -> RunRecord:
+    return RunRecord("p", "CB", Paradigm.DELETION, run_index, True,
+                     RunOutcome.VERIFIED, 1, 0.0, 0, SpecificationSet(annotations))
+
+
+def test_a_load_keeps_equal_texts_under_other_anchors_apart(tmp_path):
+    K = ConstructKind
+    requires, invariant = "requires x >= 0;", "loop invariant 0 <= i;"
+    records = [
+        _stored(Annotation(K.REQUIRES, requires, FunctionContract("f")),
+                Annotation(K.LOOP_INVARIANT, invariant, Loop("f", 1))),
+        _stored(Annotation(K.REQUIRES, requires, FunctionContract("g")),
+                Annotation(K.LOOP_INVARIANT, invariant, Loop("f", 2)),
+                Annotation(K.LOOP_INVARIANT, invariant, Loop("g", 1)),
+                run_index=2),
+    ]
+    store = RecordStore(tmp_path / "records.jsonl")
+    for record in records:
+        store.append(record)
+    store.close()
+    loaded = store.load()
+    assert loaded == records
+    annotations = [a for r in loaded for a in r.final_spec]
+    assert len(set(annotations)) == len({id(a) for a in annotations}) == 5
+
+
+def test_an_unknown_stored_construct_raises_at_load(tmp_path):
+    line = _stored(Annotation(ConstructKind.REQUIRES, "requires x >= 0;",
+                              FunctionContract("f"))).to_dict()
+    line["final_spec"][0]["construct"] = "presumes"
+    path = tmp_path / "records.jsonl"
+    path.write_text(JSON_LINE.encode(line) + "\n")
+    with pytest.raises(ValueError, match="presumes"):
+        RecordStore(path).load()
 
 
 _JSON_VALUES = st.recursive(
@@ -708,6 +765,26 @@ def test_cli_rejects_a_bad_grid_before_any_run(persona_dir, mock_rules_file,
         "run", "--dataset", str(corpus), "--runs", "1", option, value,
         "--oracle", str(persona_dir), "--verifier", "mock",
         "--mock-fixtures", str(mock_rules_file), "--out", str(out),
+    ])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and bad in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("fixtures,bad", [
+    ("missing.json", "No such file or directory"),
+    ("not-json.json", "Expecting value"),
+])
+def test_cli_rejects_an_unreadable_mock_fixtures_file_before_any_run(
+        persona_dir, tmp_path, capsys, fixtures, bad):
+    (tmp_path / "not-json.json").write_text("verdicts: none\n")
+    corpus = Path(__file__).parent / "fixtures" / "toy_corpus"
+    out = tmp_path / "out"
+    code = cli_main([
+        "run", "--dataset", str(corpus), "--runs", "1",
+        "--oracle", str(persona_dir), "--verifier", "mock",
+        "--mock-fixtures", str(tmp_path / fixtures), "--out", str(out),
     ])
     assert code == 2
     err = capsys.readouterr().err
