@@ -5,8 +5,6 @@ specification that starts out partially wrong.
 Run from the repository root:  python3 demos/03_refinement_loop.py
 """
 
-import sys
-
 from specloop import (
     Annotation,
     ConstructKind,
@@ -61,9 +59,14 @@ oracle = ScriptedOracle(oracle_script)
 for paradigm in (Paradigm.DELETION, Paradigm.MODIFICATION):
     print(f"=== {paradigm.name.lower()} paradigm ===")
     verifier = MockVerifier(always_failing=[BAD])
+    logger = RunLogger()
     record = run_once(Count(), canonical_config("CB"), paradigm, oracle,
                       verifier, RunLimits(max_repair_iterations=5),
-                      logger=RunLogger(stream=sys.stdout))
+                      logger=logger)
+    for call in logger.close():
+        print(f"call {call['attempt']}: {call['status']} "
+              f"{call['goals_proved']}/{call['goals_total']} goals proved, "
+              f"{call['spec_size']} annotations")
     print(f"outcome={record.outcome.value} tool_calls={record.tool_calls} "
           f"iterations={record.iterations} compliant={record.compliant}")
     print("final specification:")

@@ -119,7 +119,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         verifier = _build_verifier(args)
     except (ValueError, OSError) as exc:
         # an empty list, a count or budget out of range, or a fixtures file
-        # that cannot be read or decoded
+        # that cannot be read, decoded or used
         raise SpecloopError(str(exc)) from None
     corpus = load_dataset(args.dataset)
     oracle = _build_oracle(args.oracle)

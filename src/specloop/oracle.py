@@ -55,7 +55,11 @@ class OracleResponse:
 
 def _extract(raw_completion: str) -> SpecificationSet:
     try:
+        # a lone surrogate (a JSON `\ud800` escape) cannot be written out
+        raw_completion.encode("utf-8")
         return extract_spec(raw_completion)
+    except UnicodeEncodeError as exc:
+        raise UnparseableCompletion(f"not UTF-8: {exc}") from None
     except NoAnnotationsFound as exc:
         raise EmptyCompletion(str(exc)) from exc
     except AcslError as exc:

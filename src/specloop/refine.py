@@ -12,7 +12,6 @@ import re
 import time
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import IO
 
 from .acsl import (
     GLOBAL,
@@ -146,29 +145,23 @@ def _annotation_from_dict(d: dict, built: dict) -> Annotation:
     return annotation
 
 
-#: encodes one line of `events.jsonl` or `records.jsonl`, as
-#: `json.dumps(obj, sort_keys=True)` does without building an encoder per
-#: line; it keeps no state between calls
+#: encodes one line of `records.jsonl`, as `json.dumps(obj, sort_keys=True)`
+#: does without building an encoder per line; it keeps no state between calls
 JSON_LINE = json.JSONEncoder(sort_keys=True)
 
 
 class RunLogger:
-    """Writes one JSON line per verifier call to a stream, for post-hoc
-    audit: the run's key, the attempt, status, goal counts, spec size, wall
-    time and whether the verifier answered from its cache. A hit's wall
-    time is the original call's, so a run's summed `elapsed` is its charged
-    verifier time. Without a stream the lines are dropped."""
+    """Collects one entry per verifier call of a run, for its record line:
+    the attempt, status, goal counts, spec size, wall time and whether the
+    verifier answered from its cache. A hit's wall time is the original
+    call's, so a run's summed `elapsed` is its charged verifier time."""
 
-    def __init__(self, stream: IO[str] | None = None):
-        self._stream = stream
+    def __init__(self) -> None:
+        self._calls: list[dict] = []
 
-    def log(self, run: dict, attempt: int, report: VerifierReport,
-            spec_size: int) -> None:
-        if self._stream is None:
-            return
+    def log(self, attempt: int, report: VerifierReport, spec_size: int) -> None:
         proved = sum(1 for g in report.goals if g.status is GoalStatus.PROVED)
-        self._stream.write(JSON_LINE.encode({
-            **run,
+        self._calls.append({
             "attempt": attempt,
             "cache_hit": report.cache_hit,
             "status": report.status.value,
@@ -176,11 +169,11 @@ class RunLogger:
             "goals_total": len(report.goals),
             "spec_size": spec_size,
             "elapsed": round(report.wall_time, 6),
-        }) + "\n")
+        })
 
-    def close(self) -> None:
-        if self._stream is not None:
-            self._stream.flush()
+    def close(self) -> list[dict]:
+        """The calls logged so far, in call order."""
+        return self._calls
 
 
 # --------------------------------------------------------------------------
@@ -258,8 +251,6 @@ def run_once(program, config: Configuration, paradigm: Paradigm,
     the outcome do not depend on what an earlier run already verified.
     """
     logger = logger or RunLogger()
-    run_key = {"program_id": program.id, "config": config.name,
-               "paradigm": paradigm.value, "run_index": run_index}
     started = time.perf_counter()
     charged = 0.0  # wall time of the verifier calls answered from a cache
     tool_calls = 0
@@ -301,7 +292,7 @@ def run_once(program, config: Configuration, paradigm: Paradigm,
         tool_calls += 1
         if report.cache_hit:
             charged += report.wall_time
-        logger.log(run_key, iterations, report, len(spec))
+        logger.log(iterations, report, len(spec))
 
         if report.status is ReportStatus.VERIFIED:
             return record(RunOutcome.VERIFIED, spec, compliant)

@@ -1,14 +1,13 @@
 """Experiment runner: load a program corpus and execute the full grid of
 configurations x paradigms x N runs, persisting one record per run.
 
-Records and their verifier-call events are appended to line-delimited files
-as runs finish, so an interrupted experiment resumes by skipping
+Each finished run appends one line, its record and its verifier calls, to
+a line-delimited file, so an interrupted experiment resumes by skipping
 already-persisted cells.
 """
 
 from __future__ import annotations
 
-import io
 import json
 import os
 import threading
@@ -91,6 +90,8 @@ class ExperimentPlan:
     def __post_init__(self) -> None:
         if not self.configs or not self.paradigms or self.runs_per_cell < 1:
             raise ValueError("plan needs configs, paradigms and a positive run count")
+        if self.workers < 0:
+            raise ValueError("workers must not be negative (0 sizes the pool)")
         for name in self.configs:
             canonical_config(name)   # an unknown name raises before any cell
 
@@ -111,25 +112,18 @@ class ExperimentPlan:
         ]
 
 
-def _record_key(record: RunRecord) -> tuple[str, str, Paradigm, int]:
-    return (record.program_id, record.config_name,
-            record.paradigm, record.run_index)
-
-
 class RecordStore:
     """Append-only JSONL persistence with a single serialized writer.
 
-    Each append writes a run's verifier-call lines to `events.jsonl` beside
-    the records file, then its record, in one hold of the lock. A crash
-    between the two leaves no record, so the cell re-runs: never a record
-    without its events. The first append opens both files; they stay open
-    until `close`, and each write is flushed, events before the record.
+    Each append writes one line per run: the record's fields and a
+    `verifier_calls` list, one entry per verifier call in attempt order.
+    The first append opens the file; it stays open until `close`, and each
+    line is flushed as it is written.
 
     An undecodable last line without its newline is an interrupted append:
-    `load` skips it and the first `append` cuts it off, in either file. The
-    first `append` also cuts the event lines a crash left without their
-    record, so each run keeps one group of event lines. An undecodable line
-    anywhere else raises.
+    `load` skips it and the first `append` cuts it off, so its cell re-runs.
+    An undecodable line anywhere else raises. `load` does not read
+    `verifier_calls`.
 
     One `load` builds each distinct stored annotation once: records it
     returns share one `Annotation` object per equal stored annotation. An
@@ -137,9 +131,8 @@ class RecordStore:
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
-        self.events_path = self.path.with_name("events.jsonl")
         self._lock = threading.Lock()
-        self._files: tuple[IO[str], IO[str]] | None = None   # events, records
+        self._file: IO[str] | None = None
 
     def load(self) -> list[RunRecord]:
         if not self.path.is_file():
@@ -160,29 +153,23 @@ class RecordStore:
                 records.append(RunRecord.from_dict(data, built))
         return records
 
-    def append(self, record: RunRecord, events: str = "") -> None:
-        """Persist one run: its verifier-call lines (as `RunLogger` wrote
-        them), then its record."""
-        line = JSON_LINE.encode(record.to_dict())
+    def append(self, record: RunRecord, calls: list[dict]) -> None:
+        """Persist one run: its record and its verifier calls (as
+        `RunLogger.close` returns them)."""
+        line = JSON_LINE.encode({**record.to_dict(), "verifier_calls": calls})
         with self._lock:
-            if self._files is None:
+            if self._file is None:
                 self.path.parent.mkdir(parents=True, exist_ok=True)
-                _end_last_line(self.events_path)
                 _end_last_line(self.path)
-                _cut_orphan_events(self.events_path, self.path)
-                self._files = (self.events_path.open("a", encoding="utf-8"),
-                               self.path.open("a", encoding="utf-8"))
-            events_fh, records_fh = self._files
-            events_fh.write(events)
-            events_fh.flush()
-            records_fh.write(line + "\n")
-            records_fh.flush()
+                self._file = self.path.open("a", encoding="utf-8")
+            self._file.write(line + "\n")
+            self._file.flush()
 
     def close(self) -> None:
-        """Close the append handles; a later append opens them again."""
+        """Close the append handle; a later append opens it again."""
         with self._lock:
-            files, self._files = self._files, None
-        for fh in files or ():
+            fh, self._file = self._file, None
+        if fh is not None:
             fh.close()
 
 
@@ -204,48 +191,24 @@ def _end_last_line(path: Path) -> None:
             fh.write(b"\n")
 
 
-def _run_key(line: bytes) -> tuple:
-    data = json.loads(line)
-    return data["program_id"], data["config"], data["paradigm"], data["run_index"]
-
-
-def _cut_orphan_events(events_path: Path, records_path: Path) -> None:
-    """Cut the trailing event lines of runs that have no record: a crash
-    between a run's two writes left them, and the run will write them again.
-    Appends are serialised, so only the tail can hold such lines."""
-    data = events_path.read_bytes()
-    recorded = {_run_key(line) for line in records_path.read_bytes().splitlines()
-                if line.strip()}
-    end = len(data)
-    while end:
-        start = data.rfind(b"\n", 0, end - 1) + 1
-        if _run_key(data[start:end]) in recorded:
-            break
-        end = start
-    if end < len(data):
-        with events_path.open("r+b") as fh:
-            fh.truncate(end)
-
-
 def run_experiment(plan: ExperimentPlan, corpus: Sequence[Program],
                    oracle: Oracle, verifier: Verifier,
                    out_dir: str | Path | None = None,
                    templates: TemplateStore | None = None) -> list[RunRecord]:
     """Execute every (program, config, paradigm, run) cell of the plan.
 
-    With an out_dir, each finished run appends its verifier-call lines to
-    events.jsonl and its record to records.jsonl (see `RecordStore`);
-    cells already in records.jsonl are skipped on restart. Individual run
-    errors become Errored records, never exceptions.
+    With an out_dir, each finished run appends its record and its verifier
+    calls to records.jsonl (see `RecordStore`); cells already there are
+    skipped on restart. Individual run errors become Errored records, never
+    exceptions.
     """
     if not corpus:
         raise EmptyCorpus("experiment needs a non-empty corpus")
 
     store = RecordStore(Path(out_dir) / "records.jsonl") if out_dir else None
-    done: dict[tuple, RunRecord] = {}
-    if store:
-        for record in store.load():
-            done[_record_key(record)] = record
+    done: dict[tuple, RunRecord] = {
+        (r.program_id, r.config_name, r.paradigm, r.run_index): r
+        for r in (store.load() if store else ())}
 
     cells = plan.cells(corpus)
     pending = [cell for cell in cells if (cell[0].id, *cell[1:]) not in done]
@@ -256,16 +219,14 @@ def run_experiment(plan: ExperimentPlan, corpus: Sequence[Program],
 
     def execute(cell) -> RunRecord:
         program, config_name, paradigm, run_index = cell
-        events = io.StringIO() if store else None
-        logger = RunLogger(events)
+        logger = RunLogger()
         record = run_once(
             program, canonical_config(config_name), paradigm,
             oracle, verifier, plan.limits,
             run_index=run_index, templates=templates, logger=logger,
         )
-        logger.close()
         if store:
-            store.append(record, events.getvalue())
+            store.append(record, logger.close())
         return record
 
     workers = plan.worker_count(oracle, verifier)
@@ -279,6 +240,6 @@ def run_experiment(plan: ExperimentPlan, corpus: Sequence[Program],
         if store:
             store.close()
 
-    for record in fresh:
-        done[_record_key(record)] = record
+    for (program, *rest), record in zip(pending, fresh):
+        done[(program.id, *rest)] = record
     return [done[(program.id, *rest)] for program, *rest in cells]

@@ -301,10 +301,27 @@ class MockVerifier(Verifier):
 
     @classmethod
     def from_file(cls, path: str | Path) -> "MockVerifier":
+        """The verifier a JSON fixtures file describes. A misshapen field, or
+        a stored verdict that would not rehydrate, raises `ValueError` naming it."""
         data = json.loads(Path(path).read_text(encoding="utf-8"))
-        return cls(verdicts=data.get("verdicts", {}),
-                   always_failing=data.get("always_failing", ()),
-                   wall_time=data.get("wall_time", 0.0))
+        if not isinstance(data, dict):
+            raise ValueError(f"{path}: mock fixtures must be a JSON object")
+        rules, wall_time = data.get("always_failing", []), data.get("wall_time", 0.0)
+        if not isinstance(rules, list) or not all(isinstance(r, str) for r in rules):
+            raise ValueError(f"{path}: always_failing must be a list of strings")
+        if type(wall_time) not in (int, float):
+            raise ValueError(f"{path}: wall_time must be a number")
+        verdicts, field = data.get("verdicts", {}), "verdicts"
+        try:
+            for program_id, table in verdicts.items():
+                field = f"verdicts[{program_id!r}]"
+                for key, stored in table.items():
+                    field = f"verdicts[{program_id!r}][{key!r}]"
+                    _rehydrate_report(stored, SpecificationSet())
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"{path}: bad stored verdict at {field} "
+                             f"({type(exc).__name__}: {exc})") from None
+        return cls(verdicts, rules, wall_time)
 
     def verify(self, program, spec: SpecificationSet) -> VerifierReport:
         with self._lock:
@@ -348,7 +365,7 @@ def _rehydrate_report(stored: dict, spec: SpecificationSet) -> VerifierReport:
         status=ReportStatus(stored["status"]),
         goals=tuple(goals),
         raw_output=stored.get("raw_output", "stored verdict"),
-        wall_time=stored.get("wall_time", 0.0),
+        wall_time=float(stored.get("wall_time", 0.0)),
     )
 
 

@@ -48,7 +48,11 @@ def completions(draw):
     text = (f"```c\n{comment}\nint f(int x) {{\n"
             f"  while (x > 0) {{ x--; }}\n  return x;\n}}\n```")
     at = draw(st.integers(0, len(text)))
-    return text[:at] + draw(st.text(max_size=1)) + text[at:]
+    # any code point, and often a lone surrogate, which a JSON reply's
+    # `\ud800` escape decodes to
+    spliced = draw(st.text(st.characters(blacklist_categories=())
+                           | st.sampled_from(["\ud800", "\udfff"]), max_size=1))
+    return text[:at] + spliced + text[at:]
 
 
 #: declared names, some of them parts of others, and what may follow one

@@ -5,7 +5,6 @@ budgets are asserted inside the tests themselves.
 
 from __future__ import annotations
 
-import io
 import itertools
 import json
 import random
@@ -206,13 +205,11 @@ def test_c06_deletion_properties_randomized():
         oracle = ScriptedOracle(
             lambda request, s=spec: spec_completion(program, s))
         verifier = MockVerifier(always_failing=["9090"])
-        log = io.StringIO()
+        logger = RunLogger()
         record = run_once(program, canonical_config("CF"), Paradigm.DELETION,
-                          oracle, verifier, RunLimits(),
-                          logger=RunLogger(stream=log))
+                          oracle, verifier, RunLimits(), logger=logger)
         assert record.tool_calls <= len(spec) + 1
-        sizes = [json.loads(line)["spec_size"]
-                 for line in log.getvalue().splitlines()]
+        sizes = [call["spec_size"] for call in logger.close()]
         assert sizes == sorted(sizes, reverse=True)
         assert all(a > b for a, b in zip(sizes, sizes[1:]))
         assert good <= record.final_spec.keys()

@@ -575,18 +575,18 @@ def test_stub_grid_events_mark_cache_hits(toy_corpus, replay_oracle, wp_stub,
         extra_args=("-stub-fail-marker", "424242")))
     records = run_experiment(plan, toy_corpus, replay_oracle, verifier,
                              tmp_path / "out")
-    events = [json.loads(line) for line in
-              (tmp_path / "out" / "events.jsonl").read_text().splitlines()]
-    assert len(events) == sum(r.tool_calls for r in records)
-    assert all(isinstance(e["cache_hit"], bool) for e in events)
+    lines = [json.loads(line) for line in
+             (tmp_path / "out" / "records.jsonl").read_text().splitlines()]
+    assert sum(len(line["verifier_calls"]) for line in lines) == \
+        sum(r.tool_calls for r in records)
     # run 2 repeats run 1's inputs, and is charged run 1's verifier time
     charged = {1: {}, 2: {}}
-    for e in events:
-        assert e["cache_hit"] is (e["run_index"] == 2)
-        charged[e["run_index"]][e["program_id"], e["attempt"]] = e["elapsed"]
+    for line in lines:
+        for call in line["verifier_calls"]:
+            assert call["cache_hit"] is (line["run_index"] == 2)
+            charged[line["run_index"]][line["program_id"], call["attempt"]] = \
+                call["elapsed"]
+        # and the record's RT holds that charged time
+        assert line["elapsed"] >= sum(
+            call["elapsed"] for call in line["verifier_calls"]) - 1e-5
     assert charged[1] == charged[2]
-    # and the record's RT holds that charged time
-    for r in records:
-        assert r.elapsed >= sum(e["elapsed"] for e in events
-                                if (e["program_id"], e["run_index"])
-                                == (r.program_id, r.run_index)) - 1e-5

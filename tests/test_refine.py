@@ -3,7 +3,7 @@ from __future__ import annotations
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from specloop import (
@@ -303,6 +303,9 @@ def test_grid_with_an_unparseable_completion_finishes(name, toy_corpus,
 
 @settings(max_examples=300, deadline=None)
 @given(text=strategies.completions(), paradigm=st.sampled_from(Paradigm))
+# a lone surrogate parses, but cannot be written out for Frama-C
+@example(text="```c\n/*@ requires x >= \ud800; */\nint f(int x) { return x; }\n```",
+         paradigm=Paradigm.DELETION)
 def test_run_once_returns_a_record_for_any_completion(text, paradigm, wp_stub):
     oracle = ScriptedOracle(lambda request: text)
     # the mock never weaves; the Frama-C adapter weaves and re-parses
@@ -313,6 +316,17 @@ def test_run_once_returns_a_record_for_any_completion(text, paradigm, wp_stub):
         record = run_once(FakeProgram(), canonical_config("CV"), paradigm,
                           oracle, verifier, RunLimits(max_repair_iterations=2))
         assert isinstance(record, RunRecord)
+
+
+def test_a_completion_with_a_lone_surrogate_is_errored_under_both_verifiers(wp_stub):
+    oracle = ScriptedOracle(lambda request: (
+        "```c\n/*@ requires x >= \ud800; */\nint f(int x) { return x; }\n```"))
+    for verifier in (MockVerifier(), FramaCVerifier(FramaCSettings(
+            executable=str(wp_stub), wall_budget=30.0))):
+        record = run_once(FakeProgram(), canonical_config("CB"),
+                          Paradigm.DELETION, oracle, verifier)
+        assert record.outcome is RunOutcome.ERRORED and record.tool_calls == 0
+        assert record.error.startswith("UnparseableCompletion: not UTF-8")
 
 
 class StubVerifier:

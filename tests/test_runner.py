@@ -247,13 +247,13 @@ def test_load_keeps_a_complete_last_line_without_newline(tmp_path, toy_corpus,
     plan = little_plan(configs=("CB",), runs_per_cell=1)
     records = run_experiment(plan, toy_corpus[:2], replay_oracle, rule_verifier)
     store = RecordStore(tmp_path / "records.jsonl")
-    store.append(records[0])
+    store.append(records[0], [])
     store.close()
     store.path.write_text(store.path.read_text().rstrip("\n"))
     want = [r.to_dict() for r in records]
     assert [r.to_dict() for r in store.load()] == want[:1]
     again = RecordStore(store.path)
-    again.append(records[1])
+    again.append(records[1], [])
     again.close()
     assert [r.to_dict() for r in RecordStore(store.path).load()] == want
 
@@ -262,18 +262,17 @@ def test_store_holds_its_files_open_and_flushes_each_append(
         tmp_path, toy_corpus, replay_oracle, rule_verifier):
     plan = little_plan(configs=("CB",), runs_per_cell=1)
     records = run_experiment(plan, toy_corpus[:2], replay_oracle, rule_verifier)
-    lines = [json.dumps(r.to_dict(), sort_keys=True) + "\n" for r in records]
-    event = json.dumps({key: records[0].to_dict()[key] for key in
-                        ("program_id", "config", "paradigm", "run_index")}) + "\n"
+    calls = [[{"attempt": 0, "status": "Verified"}], []]
+    lines = [json.dumps({**r.to_dict(), "verifier_calls": c}, sort_keys=True) + "\n"
+             for r, c in zip(records, calls)]
     store = RecordStore(tmp_path / "records.jsonl")
-    store.append(records[0], event)
+    store.append(records[0], calls[0])
     assert store.path.read_text() == lines[0]
-    assert store.events_path.read_text() == event
-    store.append(records[1])
+    store.append(records[1], calls[1])
     assert store.path.read_text() == lines[0] + lines[1]
     store.close()
-    # closed: the next append opens the files again
-    store.append(records[0])
+    # closed: the next append opens the file again
+    store.append(records[0], calls[0])
     store.close()
     assert store.path.read_text() == lines[0] + lines[1] + lines[0]
 
@@ -351,7 +350,7 @@ def test_a_load_keeps_equal_texts_under_other_anchors_apart(tmp_path):
     ]
     store = RecordStore(tmp_path / "records.jsonl")
     for record in records:
-        store.append(record)
+        store.append(record, [])
     store.close()
     loaded = store.load()
     assert loaded == records
@@ -385,16 +384,15 @@ def test_store_lines_are_sorted_key_json_dumps(value):
 _RUN_KEY = ("program_id", "config", "paradigm", "run_index")
 
 
-def _events_by_run(path: Path) -> dict[tuple, list[dict]]:
-    """Each run's event lines, after checking that they are contiguous."""
+def _calls_by_run(path: Path) -> dict[tuple, list[dict]]:
+    """Each stored run's verifier calls, after checking that no run is
+    stored twice."""
     runs: dict[tuple, list[dict]] = {}
-    previous = None
     for line in path.read_text().splitlines():
-        event = json.loads(line)
-        key = tuple(event[k] for k in _RUN_KEY)
-        assert key == previous or key not in runs, f"run {key} is split"
-        runs.setdefault(key, []).append(event)
-        previous = key
+        stored = json.loads(line)
+        key = tuple(stored[k] for k in _RUN_KEY)
+        assert key not in runs, f"run {key} is stored twice"
+        runs[key] = stored["verifier_calls"]
     return runs
 
 
@@ -403,13 +401,13 @@ def test_events_written_per_run(toy_corpus, replay_oracle, rule_verifier,
     plan = little_plan(configs=("CB",), runs_per_cell=1)
     out = tmp_path / "out"
     records = run_experiment(plan, toy_corpus, replay_oracle, rule_verifier, out)
-    assert sorted(p.name for p in out.iterdir()) == ["events.jsonl", "records.jsonl"]
-    entry = json.loads((out / "events.jsonl").read_text().splitlines()[0])
-    assert {*_RUN_KEY, "attempt", "status", "goals_proved", "goals_total",
-            "spec_size", "elapsed"} <= set(entry)
-    runs = _events_by_run(out / "events.jsonl")
+    assert [p.name for p in out.iterdir()] == ["records.jsonl"]
+    runs = _calls_by_run(out / "records.jsonl")
     assert set(runs) == {(r.program_id, r.config_name, r.paradigm.value,
-                          r.run_index) for r in records if r.tool_calls}
+                          r.run_index) for r in records}
+    for call in (call for calls in runs.values() for call in calls):
+        assert set(call) == {"attempt", "cache_hit", "status", "goals_proved",
+                             "goals_total", "spec_size", "elapsed"}
 
 
 def test_events_hold_every_verifier_call_in_attempt_order(toy_corpus,
@@ -419,50 +417,43 @@ def test_events_hold_every_verifier_call_in_attempt_order(toy_corpus,
     records = run_experiment(little_plan(workers=4), toy_corpus, replay_oracle,
                              MockVerifier(always_failing=toyworld.ALWAYS_FAILING),
                              out)
-    runs = _events_by_run(out / "events.jsonl")
-    assert sum(len(events) for events in runs.values()) == \
-        sum(r.tool_calls for r in records)
+    runs = _calls_by_run(out / "records.jsonl")
+    assert len(runs) == len(records)
     for record in records:
         key = (record.program_id, record.config_name, record.paradigm.value,
                record.run_index)
-        attempts = [e["attempt"] for e in runs.get(key, [])]
-        assert len(attempts) == record.tool_calls
-        assert attempts == list(range(len(attempts)))
+        assert [c["attempt"] for c in runs[key]] == list(range(record.tool_calls))
 
 
-def test_resume_with_nothing_pending_leaves_both_files_unchanged(
+def test_resume_with_nothing_pending_leaves_the_records_file_unchanged(
         toy_corpus, replay_oracle, rule_verifier, tmp_path):
     plan = little_plan(runs_per_cell=1)
     out = tmp_path / "out"
     run_experiment(plan, toy_corpus, replay_oracle, rule_verifier, out)
-    before = {name: (out / name).read_bytes()
-              for name in ("records.jsonl", "events.jsonl")}
+    before = (out / "records.jsonl").read_bytes()
     run_experiment(plan, toy_corpus, replay_oracle, rule_verifier, out)
-    assert {name: (out / name).read_bytes() for name in before} == before
+    assert [p.name for p in out.iterdir()] == ["records.jsonl"]
+    assert (out / "records.jsonl").read_bytes() == before
 
 
-def test_torn_last_event_line_is_cut_before_the_next_append(
-        toy_corpus, replay_oracle, tmp_path):
+def test_an_older_output_directory_resumes_and_keeps_its_events_file(
+        toy_corpus, replay_oracle, rule_verifier, tmp_path):
     plan = little_plan(runs_per_cell=1)
     out = tmp_path / "out"
-    verifier = MockVerifier(always_failing=toyworld.ALWAYS_FAILING)
-    first = run_experiment(plan, toy_corpus, replay_oracle, verifier, out)
-    # a crash while the last run's events were written: its record never was
-    records = (out / "records.jsonl").read_text().splitlines(keepends=True)
-    last = json.loads(records[-1])
-    assert last["tool_calls"] > 0
-    (out / "records.jsonl").write_text("".join(records[:-1]))
-    events = (out / "events.jsonl").read_text().splitlines()
-    kept = events[:len(events) - last["tool_calls"]]
-    (out / "events.jsonl").write_text(
-        "".join(line + "\n" for line in kept)
-        + torn(events[len(kept)]))
-
-    again = run_experiment(plan, toy_corpus, replay_oracle, verifier, out)
-    assert len(again) == len(first)
-    runs = _events_by_run(out / "events.jsonl")
-    assert sum(len(e) for e in runs.values()) == sum(r.tool_calls for r in again)
-    assert (out / "events.jsonl").read_text().endswith("\n")
+    first = run_experiment(plan, toy_corpus, replay_oracle, rule_verifier, out)
+    # the layout written before the calls moved into the record line, with
+    # the last run not yet stored
+    lines = [json.loads(line) for line in (out / "records.jsonl").read_text().splitlines()]
+    (out / "records.jsonl").write_text("".join(
+        JSON_LINE.encode({k: v for k, v in line.items() if k != "verifier_calls"}) + "\n"
+        for line in lines[:-1]))
+    (out / "events.jsonl").write_text('{"attempt": 0}\n')
+    again = run_experiment(plan, toy_corpus, replay_oracle, rule_verifier, out)
+    assert [r.final_spec for r in again] == [r.final_spec for r in first]
+    stored = [json.loads(line) for line in (out / "records.jsonl").read_text().splitlines()]
+    assert ["verifier_calls" in line for line in stored] == \
+        [False] * (len(lines) - 1) + [True]
+    assert (out / "events.jsonl").read_text() == '{"attempt": 0}\n'
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -477,65 +468,45 @@ def test_cells_run_in_run_major_order(toy_corpus, replay_oracle, tmp_path,
     assert [(r.program_id, r.config_name, r.paradigm, r.run_index)
             for r in records] == [(p.id, *rest) for p, *rest in plan.cells(toy_corpus)]
     if workers == 1:
-        events = map(json.loads, (out / "events.jsonl").read_text().splitlines())
-        started = [(e["run_index"], plan.paradigms.index(Paradigm(e["paradigm"])))
-                   for e in events]
-        assert started == sorted(started)
+        lines = map(json.loads, (out / "records.jsonl").read_text().splitlines())
+        finished = [(line["run_index"], plan.paradigms.index(Paradigm(line["paradigm"])))
+                    for line in lines]
+        assert finished == sorted(finished)
 
 
 @pytest.fixture(scope="module")
 def finished_grid(toy_corpus, replay_oracle, tmp_path_factory):
-    """A finished one-run-per-cell grid: its plan, and the store's writes in
-    order (each run's event lines, then its record line)."""
+    """A finished one-run-per-cell grid: its plan, and the bytes of its
+    records file, one line per run in the order they were written."""
     plan = little_plan(runs_per_cell=1)
     out = tmp_path_factory.mktemp("finished")
     run_experiment(plan, toy_corpus, replay_oracle,
                    MockVerifier(always_failing=toyworld.ALWAYS_FAILING), out)
-    groups: dict[tuple, list[str]] = {}
-    for line in (out / "events.jsonl").read_text().splitlines(keepends=True):
-        event = json.loads(line)
-        groups.setdefault(tuple(event[k] for k in _RUN_KEY), []).append(line)
-    writes = []
-    for line in (out / "records.jsonl").read_text().splitlines(keepends=True):
-        record = json.loads(line)
-        writes.append(("events.jsonl",
-                       "".join(groups.get(tuple(record[k] for k in _RUN_KEY), []))))
-        writes.append(("records.jsonl", line))
-    return plan, writes
+    return plan, (out / "records.jsonl").read_bytes()
 
 
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_resume_after_a_crash_at_any_byte(data, finished_grid, toy_corpus,
                                           replay_oracle):
-    plan, writes = finished_grid
-    # a crash leaves a prefix of the write sequence, cut at any byte
-    left = data.draw(st.integers(0, sum(len(w.encode()) for _, w in writes)))
+    plan, written = finished_grid
+    # a crash leaves a prefix of the file, cut at any byte
+    left = data.draw(st.integers(0, len(written)))
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp)
-        for name in ("events.jsonl", "records.jsonl"):
-            (out / name).write_bytes(b"")
-        for name, written in writes:
-            chunk = written.encode()[:left]
-            left -= len(chunk)
-            with (out / name).open("ab") as fh:
-                fh.write(chunk)
+        (out / "records.jsonl").write_bytes(written[:left])
         records = run_experiment(plan, toy_corpus, replay_oracle,
                                  MockVerifier(always_failing=toyworld.ALWAYS_FAILING),
                                  out)
         stored = RecordStore(out / "records.jsonl").load()
-        runs = _events_by_run(out / "events.jsonl")
+        runs = _calls_by_run(out / "records.jsonl")
     keys = [(r.program_id, r.config_name, r.paradigm.value, r.run_index)
             for r in stored]
     assert sorted(keys) == sorted((r.program_id, r.config_name, r.paradigm.value,
                                    r.run_index) for r in records)
-    assert len(set(keys)) == len(keys)
-    for record in stored:
-        key = (record.program_id, record.config_name, record.paradigm.value,
-               record.run_index)
-        assert len(runs.get(key, [])) == record.tool_calls
-    assert sum(len(group) for group in runs.values()) == \
-        sum(r.tool_calls for r in stored)
+    assert len(runs) == len(keys)
+    for key, record in zip(keys, stored):
+        assert [c["attempt"] for c in runs[key]] == list(range(record.tool_calls))
 
 
 def test_parallel_execution_matches_serial(toy_corpus, replay_oracle):
@@ -756,6 +727,7 @@ def test_cli_bad_oracle_persona(tmp_path):
     ("--max-iters", "0", "run limits must be positive"),
     ("--run-wall-budget", "0", "run limits must be positive"),
     ("--run-wall-budget", "nan", "run limits must be positive"),
+    ("--workers", "-3", "workers must not be negative"),
 ])
 def test_cli_rejects_a_bad_grid_before_any_run(persona_dir, mock_rules_file,
                                                tmp_path, capsys, option, value, bad):
@@ -772,13 +744,35 @@ def test_cli_rejects_a_bad_grid_before_any_run(persona_dir, mock_rules_file,
     assert not out.exists()
 
 
+_FIXTURES_FILES = {
+    "not-json.json": "verdicts: none\n",
+    "list.json": "[]\n",
+    "rules-not-strings.json": '{"always_failing": ["x", 1]}\n',
+    "rules-a-string.json": '{"always_failing": "x"}\n',
+    "wall-time-text.json": '{"wall_time": "fast"}\n',
+    "verdicts-a-list.json": '{"verdicts": []}\n',
+    "verdict-no-status.json": '{"verdicts": {"abs_value": {"k": {"goals": []}}}}\n',
+    "verdict-slow.json":
+        '{"verdicts": {"abs_value": {"k": {"status": "ToolError", "wall_time": "slow"}}}}\n',
+}
+
+
 @pytest.mark.parametrize("fixtures,bad", [
     ("missing.json", "No such file or directory"),
     ("not-json.json", "Expecting value"),
+    ("list.json", "mock fixtures must be a JSON object"),
+    ("rules-not-strings.json", "always_failing must be a list of strings"),
+    ("rules-a-string.json", "always_failing must be a list of strings"),
+    ("wall-time-text.json", "wall_time must be a number"),
+    ("verdicts-a-list.json", "bad stored verdict at verdicts ("),
+    ("verdict-no-status.json",
+     "bad stored verdict at verdicts['abs_value']['k'] (KeyError: 'status')"),
+    ("verdict-slow.json", "bad stored verdict at verdicts['abs_value']['k'] (ValueError"),
 ])
 def test_cli_rejects_an_unreadable_mock_fixtures_file_before_any_run(
         persona_dir, tmp_path, capsys, fixtures, bad):
-    (tmp_path / "not-json.json").write_text("verdicts: none\n")
+    for name, text in _FIXTURES_FILES.items():
+        (tmp_path / name).write_text(text)
     corpus = Path(__file__).parent / "fixtures" / "toy_corpus"
     out = tmp_path / "out"
     code = cli_main([

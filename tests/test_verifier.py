@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import io
 import json
 import re
 from dataclasses import replace
@@ -690,13 +689,13 @@ _LOOP_PROGRAM = FakeProgram(
 def test_deletion_run_is_bounded_over_adversarial_reports(pool, data):
     completion = f"```c\n{weave(_LOOP_PROGRAM.source, SpecificationSet(pool))}\n```"
     spec = extract_spec(completion)  # S, the set the run starts from
-    log = io.StringIO()
+    logger = RunLogger()
     record = run_once(_LOOP_PROGRAM, canonical_config("CF"), Paradigm.DELETION,
                       ScriptedOracle(lambda request: completion),
-                      _DrawingVerifier(data), logger=RunLogger(log))
+                      _DrawingVerifier(data), logger=logger)
     assert isinstance(record, RunRecord)
     assert 1 <= record.tool_calls <= len(spec) + 1
-    sizes = [json.loads(line)["spec_size"] for line in log.getvalue().splitlines()]
+    sizes = [call["spec_size"] for call in logger.close()]
     assert len(sizes) == record.tool_calls and sizes[0] == len(spec)
     assert all(a > b for a, b in zip(sizes, sizes[1:]))
 
