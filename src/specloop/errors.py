@@ -52,11 +52,6 @@ class EmptyCompletion(OracleError):
     """The oracle returned a completion with no usable annotations."""
 
 
-class NoAnnotationsFound(OracleError):
-    """No annotation regions were found in a completion (mapped to
-    EmptyCompletion by the propose/repair entry points)."""
-
-
 class UnparseableCompletion(OracleError):
     """A completion's annotations are malformed or use an unsupported construct."""
 

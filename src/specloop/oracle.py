@@ -22,7 +22,6 @@ from .errors import (
     AcslError,
     EmptyCompletion,
     FixtureMissing,
-    NoAnnotationsFound,
     OracleUnavailable,
     UnparseableCompletion,
 )
@@ -53,28 +52,10 @@ class OracleResponse:
             raise ValueError("latency must be non-negative")
 
 
-def _extract(raw_completion: str) -> SpecificationSet:
-    try:
-        # a lone surrogate (a JSON `\ud800` escape) cannot be written out
-        raw_completion.encode("utf-8")
-        return extract_spec(raw_completion)
-    except UnicodeEncodeError as exc:
-        raise UnparseableCompletion(f"not UTF-8: {exc}") from None
-    except NoAnnotationsFound as exc:
-        raise EmptyCompletion(str(exc)) from exc
-    except AcslError as exc:
-        raise UnparseableCompletion(f"{type(exc).__name__}: {exc}") from exc
-
-
 class Oracle(ABC):
     """Completion source for both phases. Implementations must be safe for
     concurrent in-flight requests; per-run sequencing (propose before
-    repair, attempt ordering) is the caller's job.
-
-    Each instance parses a distinct completion text once (two concurrent
-    calls on a new text may both parse it): the spec is kept, keyed by the
-    text, for the life of the instance. A completion that does not parse is
-    not kept, so it raises again on every call."""
+    repair, attempt ordering) is the caller's job."""
 
     #: calls worth running at once; in-process work holds the GIL
     concurrency = 1
@@ -100,12 +81,11 @@ class Oracle(ABC):
         started = time.perf_counter()
         raw = self.complete(request)
         latency = time.perf_counter() - started
-        # made here, not in __init__, which a subclass may not chain to
-        parsed = self.__dict__.setdefault("_parsed", {})
-        extracted = parsed.get(raw)
-        if extracted is None:
-            extracted = parsed[raw] = _extract(raw)
-        return OracleResponse(raw, extracted, latency)
+        return OracleResponse(raw, self._parse(raw), latency)
+
+    def _parse(self, raw: str) -> SpecificationSet:
+        """The spec a completion holds: a fresh `extract_spec`."""
+        return extract_spec(raw)
 
 
 # --------------------------------------------------------------------------
@@ -121,18 +101,27 @@ def extract_spec(raw_completion: str) -> SpecificationSet:
     Fenced code blocks are concatenated and parsed; absent any fence, the
     whole completion is parsed if it contains annotation comments.
     Annotations outside recognized regions are ignored. Raises
-    NoAnnotationsFound for prose-only completions.
+    EmptyCompletion if there are none, and UnparseableCompletion for text
+    that is not UTF-8 or annotations that do not parse.
     """
+    try:
+        # a lone surrogate (a JSON `\ud800` escape) cannot be written out
+        raw_completion.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise UnparseableCompletion(f"not UTF-8: {exc}") from None
     blocks = [m.group(1) for m in _FENCE.finditer(raw_completion)]
     if blocks:
         text = "\n".join(blocks)
     elif "/*@" in raw_completion or "//@" in raw_completion:
         text = raw_completion
     else:
-        raise NoAnnotationsFound("completion contains no annotation region")
-    spec = parse_annotations(text, file="<completion>")
+        raise EmptyCompletion("completion contains no annotation region")
+    try:
+        spec = parse_annotations(text, file="<completion>")
+    except AcslError as exc:
+        raise UnparseableCompletion(f"{type(exc).__name__}: {exc}") from exc
     if not spec:
-        raise NoAnnotationsFound("no annotations found in completion")
+        raise EmptyCompletion("no annotations found in completion")
     return spec
 
 
@@ -150,8 +139,9 @@ class ReplayOracle(Oracle):
     e.g. ``prog1/CB/generate-0.txt``, ``prog1/CB/repair-1.txt``. Other
     names, and files outside a program and config directory, are ignored.
     Files are read eagerly, so the fixtures are read-only afterwards and
-    safe to share across threads; the parsed specs the oracle adds to as it
-    answers (see `Oracle`) belong to the instance.
+    safe to share across threads. Each fixture text is parsed on first use
+    and its spec kept, at most one per file; a text that does not parse is
+    not kept, so it raises on every call.
     """
 
     def __init__(self, root: str | Path):
@@ -166,6 +156,7 @@ class ReplayOracle(Oracle):
                     with open(entry.path, encoding="utf-8") as fh:
                         self._fixtures[(program.name, config.name, fixture[1],
                                         int(fixture[2]))] = fh.read()
+        self._specs: dict[str, SpecificationSet] = {}
 
     def complete(self, request: OracleRequest) -> str:
         key = (request.program_id, request.config_name,
@@ -175,6 +166,12 @@ class ReplayOracle(Oracle):
         except KeyError:
             raise FixtureMissing(
                 f"no replay fixture for {key} under {self.root}") from None
+
+    def _parse(self, raw: str) -> SpecificationSet:
+        spec = self._specs.get(raw)
+        if spec is None:
+            spec = self._specs[raw] = extract_spec(raw)
+        return spec
 
 
 _FIXTURE_NAME = re.compile(r"(generate|repair)-(\d+)\.txt")

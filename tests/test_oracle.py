@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import re
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 
@@ -17,9 +20,9 @@ from specloop import (
     weave,
 )
 from specloop.errors import (
+    AcslError,
     EmptyCompletion,
     FixtureMissing,
-    NoAnnotationsFound,
     OracleUnavailable,
     UnparseableCompletion,
 )
@@ -54,7 +57,7 @@ def test_extract_from_single_fenced_block():
 
 
 def test_extract_prose_only_raises():
-    with pytest.raises(NoAnnotationsFound):
+    with pytest.raises(EmptyCompletion):
         extract_spec("I could not produce a specification, sorry.")
 
 
@@ -147,7 +150,57 @@ def test_replay_repair_chain(toy_corpus, persona_dir, replay_oracle):
 
 
 # --------------------------------------------------------------------------
-# one parse per distinct completion
+# extract_spec against the parser it replaced
+# --------------------------------------------------------------------------
+
+class _NoRegion(Exception):
+    pass
+
+
+def _ref_spec(raw_completion):
+    blocks = [m.group(1) for m in re.finditer(r"```[^\n`]*\n(.*?)```",
+                                              raw_completion, re.DOTALL)]
+    if blocks:
+        text = "\n".join(blocks)
+    elif "/*@" in raw_completion or "//@" in raw_completion:
+        text = raw_completion
+    else:
+        raise _NoRegion("completion contains no annotation region")
+    spec = parse_annotations(text, file="<completion>")
+    if not spec:
+        raise _NoRegion("no annotations found in completion")
+    return spec
+
+
+def _ref_extract(raw_completion):
+    """The completion parser as it was when the oracle mapped the parser's
+    errors to its own: a reference for `extract_spec`."""
+    try:
+        raw_completion.encode("utf-8")
+        return _ref_spec(raw_completion)
+    except UnicodeEncodeError as exc:
+        raise UnparseableCompletion(f"not UTF-8: {exc}") from None
+    except _NoRegion as exc:
+        raise EmptyCompletion(str(exc)) from exc
+    except AcslError as exc:
+        raise UnparseableCompletion(f"{type(exc).__name__}: {exc}") from exc
+
+
+def _result(parse, text):
+    try:
+        return parse(text).annotations
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=strategies.completions())
+def test_extract_spec_gives_what_the_reference_parser_gives(text):
+    assert _result(extract_spec, text) == _result(_ref_extract, text)
+
+
+# --------------------------------------------------------------------------
+# which oracles keep parsed specs
 # --------------------------------------------------------------------------
 
 _SPEC_A = "```c\n/*@ requires x > 0; */\nint f(int x) { return x; }\n```"
@@ -171,24 +224,53 @@ def _scripted(*completions):
     return ScriptedOracle(lambda request: next(answers))
 
 
-def test_each_distinct_completion_is_parsed_once_per_instance(parses):
-    # copies, so a hit cannot rest on the identity of the string
+def _persona(root, **fixtures):
+    """A replay persona for `FakeProgram` under CB: file name stem -> text."""
+    cell = root / "prog1" / "CB"
+    cell.mkdir(parents=True)
+    for stem, text in fixtures.items():
+        (cell / f"{stem}.txt").write_text(text, encoding="utf-8")
+    return root
+
+
+def _repair(oracle, attempt):
+    return oracle.repair(FakeProgram(), None, None, "p", config_name="CB",
+                         attempt_index=attempt)
+
+
+def test_each_distinct_completion_is_parsed_once_per_instance(parses,
+                                                              tmp_path):
+    root = _persona(tmp_path, **{"generate-0": _SPEC_A, "repair-1": _SPEC_A,
+                                 "repair-2": _SPEC_B})
+    oracle = ReplayOracle(root)
+    assert parses == []     # parsed on first use, not when the files are read
+    responses = [oracle.propose(FakeProgram(), "p", config_name="CB"),
+                 _repair(oracle, 1), _repair(oracle, 2), _repair(oracle, 1)]
+    assert parses == [_SPEC_A, _SPEC_B]
+    for text, response in zip([_SPEC_A, _SPEC_A, _SPEC_B, _SPEC_A], responses):
+        assert response.raw_completion == text
+        assert response.extracted == extract_spec(text)
+    # two files with equal text share one spec, each in a response of its own
+    assert responses[1].extracted is responses[0].extracted
+    assert responses[3] is not responses[1]
+    # another instance keeps its own specs
+    again = ReplayOracle(root).propose(FakeProgram(), "p", config_name="CB")
+    assert parses == [_SPEC_A, _SPEC_B, _SPEC_A]
+    assert again.extracted is not responses[0].extracted
+
+
+def test_a_scripted_oracle_parses_every_completion(parses):
+    # copies, so a test of identity cannot rest on the string
     texts = [_SPEC_A, _SPEC_B, "".join(_SPEC_A), "".join(_SPEC_A),
              "".join(_SPEC_B)]
     oracle = _scripted(*texts)
     responses = [oracle.propose(FakeProgram(), "p", config_name="CB")
                  for _ in texts]
-    assert parses == [_SPEC_A, _SPEC_B]
+    assert parses == texts
     for text, response in zip(texts, responses):
         assert response.raw_completion is text
         assert response.extracted == extract_spec(text)
-    # a hit reuses the spec in a response of its own
-    assert responses[2].extracted is responses[0].extracted
-    assert responses[3] is not responses[2]
-    # another instance keeps its own specs
-    again = _scripted(_SPEC_A).propose(FakeProgram(), "p", config_name="CB")
-    assert parses == [_SPEC_A, _SPEC_B, _SPEC_A]
-    assert again.extracted is not responses[0].extracted
+    assert responses[2].extracted is not responses[0].extracted
 
 
 @pytest.mark.parametrize("completion, error", [
@@ -197,20 +279,19 @@ def test_each_distinct_completion_is_parsed_once_per_instance(parses):
     ("```c\n/*@ requires x >= 0 */\nint f(int x) { return x; }\n```",
      UnparseableCompletion),
 ])
-def test_a_completion_that_fails_to_parse_fails_every_time(parses, completion,
-                                                           error):
-    oracle = _scripted(*[completion] * 3)
+def test_a_completion_that_fails_to_parse_fails_every_time(parses, tmp_path,
+                                                           completion, error):
+    oracle = ReplayOracle(_persona(tmp_path, **{"repair-1": completion}))
     raised = []
     for _ in range(3):
         with pytest.raises(error) as info:
-            oracle.repair(FakeProgram(), None, None, "p", config_name="CB",
-                          attempt_index=1)
+            _repair(oracle, 1)
         raised.append((type(info.value), str(info.value)))
     assert len(set(raised)) == 1
     assert parses == [completion] * 3
 
 
-def test_an_oracle_that_skips_the_base_init_parses_once(parses):
+def test_an_oracle_that_skips_the_base_init_parses_every_call(parses):
     class Bare(specloop.oracle.Oracle):
         def __init__(self):
             self.calls = 0
@@ -222,8 +303,9 @@ def test_an_oracle_that_skips_the_base_init_parses_once(parses):
     oracle = Bare()
     first = oracle.propose(FakeProgram(), "p", config_name="CB")
     second = oracle.propose(FakeProgram(), "p", config_name="CB")
-    assert oracle.calls == 2 and parses == [_SPEC_A]
-    assert second.extracted is first.extracted
+    assert oracle.calls == 2 and parses == [_SPEC_A, _SPEC_A]
+    assert second.extracted == first.extracted
+    assert second.extracted is not first.extracted
 
 
 def _outcome(oracle):
@@ -233,10 +315,16 @@ def _outcome(oracle):
         return type(exc), str(exc)
 
 
+#: no persona is read from here; a test sets the fixtures in memory, since a
+#: lone surrogate cannot be written to a file
+_NO_PERSONA = Path(__file__).parent / "fixtures" / "no-such-persona"
+
+
 @settings(max_examples=300, deadline=None)
 @given(text=strategies.completions())
 def test_a_repeated_completion_gives_what_a_fresh_parse_gives(text):
-    oracle = ScriptedOracle(lambda request: text)
+    oracle = ReplayOracle(_NO_PERSONA)
+    oracle._fixtures[("prog1", "CB", "generate", 0)] = text
     _outcome(oracle)
     second = _outcome(oracle)
     fresh = _outcome(ScriptedOracle(lambda request: text))

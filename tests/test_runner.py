@@ -197,8 +197,7 @@ def test_resumability(toy_corpus, replay_oracle, tmp_path):
 
     class CountingOracle(ReplayOracle):
         def __init__(self, inner):
-            self._fixtures = inner._fixtures
-            self.root = inner.root
+            super().__init__(inner.root)
             self.calls = 0
 
         def complete(self, request):
