@@ -92,6 +92,11 @@ class MissingTargetFunction(CorpusError):
     """A manifest names a target function absent from the program."""
 
 
+class CorruptRecords(SpecloopError, ValueError):
+    """A records file holds a line, other than a torn last one, that is not
+    a run record."""
+
+
 # --- metrics ---
 
 class MetricsError(SpecloopError):

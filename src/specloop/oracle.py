@@ -207,6 +207,12 @@ class HttpOracleSettings:
     retries: int = 3          # attempts on transient failures before OracleUnavailable
     backoff: float = 1.0      # initial backoff, doubled per retry
 
+    def __post_init__(self) -> None:
+        if not (self.retries >= 1 and self.backoff >= 0
+                and self.max_tokens >= 1 and self.timeout > 0):
+            raise ValueError("oracle settings need retries >= 1, backoff >= 0, "
+                             "max_tokens >= 1 and timeout > 0")
+
     @classmethod
     def from_env(cls) -> "HttpOracleSettings":
         base_url = os.environ.get("ORACLE_BASE_URL", "")
@@ -290,6 +296,9 @@ def _chat_content(resp, request: OracleRequest) -> str:
     except (ValueError, LookupError, TypeError) as exc:
         raise OracleUnavailable(
             f"malformed oracle response: {type(exc).__name__}: {exc}") from None
-    if not (content or "").strip():
+    if not isinstance(content, str):
+        raise OracleUnavailable("malformed oracle response: content is "
+                                f"{type(content).__name__}, not text")
+    if not content.strip():
         raise EmptyCompletion(f"empty completion for {request.program_id}")
     return content

@@ -18,7 +18,8 @@ from typing import IO, Sequence
 
 from .acsl import declared_functions
 from .config import TemplateStore, canonical_config
-from .errors import CorpusError, DuplicateId, EmptyCorpus, MissingTargetFunction
+from .errors import (CorpusError, CorruptRecords, DuplicateId, EmptyCorpus,
+                     MissingTargetFunction)
 from .oracle import Oracle
 from .refine import JSON_LINE, Paradigm, RunLimits, RunLogger, RunRecord, run_once
 from .verifier import Verifier
@@ -122,8 +123,8 @@ class RecordStore:
 
     An undecodable last line without its newline is an interrupted append:
     `load` skips it and the first `append` cuts it off, so its cell re-runs.
-    An undecodable line anywhere else raises. `load` does not read
-    `verifier_calls`.
+    Any other line that does not decode, or is not a run record, raises
+    CorruptRecords naming its number. `load` does not read `verifier_calls`.
 
     One `load` builds each distinct stored annotation once: records it
     returns share one `Annotation` object per equal stored annotation. An
@@ -140,17 +141,21 @@ class RecordStore:
         records = []
         built: dict = {}   # stored fields -> annotation, for this load only
         with self.path.open(encoding="utf-8") as fh:
-            for line in fh:
+            for number, line in enumerate(fh, start=1):
                 if not line.strip():
                     continue
                 try:
-                    data = json.loads(line)
-                except ValueError:
+                    records.append(RunRecord.from_dict(json.loads(line), built))
+                except json.JSONDecodeError as exc:
                     # only the last line can lack its newline
                     if not line.endswith("\n"):
                         break
-                    raise
-                records.append(RunRecord.from_dict(data, built))
+                    raise CorruptRecords(
+                        f"{self.path}, line {number}: not JSON ({exc})") from None
+                except (AttributeError, KeyError, TypeError, ValueError) as exc:
+                    raise CorruptRecords(
+                        f"{self.path}, line {number}: not a run record "
+                        f"({type(exc).__name__}: {exc})") from None
         return records
 
     def append(self, record: RunRecord, calls: list[dict]) -> None:

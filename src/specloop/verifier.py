@@ -355,16 +355,21 @@ def _rehydrate_report(stored: dict, spec: SpecificationSet) -> VerifierReport:
     by_text = {a.text: a for a in spec.annotations}
     goals = []
     for g in stored.get("goals", ()):
-        goals.append(GoalResult(
-            goal_name=g["goal_name"],
-            status=GoalStatus(g["status"]),
-            source_annotation=by_text.get(g.get("annotation_text", "")),
-            source_line=g.get("source_line"),
-        ))
+        name, text = g["goal_name"], g.get("annotation_text", "")
+        line = g.get("source_line")
+        if not (isinstance(name, str) and isinstance(text, str)):
+            raise TypeError("goal_name and annotation_text must be strings")
+        if line is not None and type(line) is not int:
+            raise TypeError("source_line must be an integer")
+        goals.append(GoalResult(name, GoalStatus(g["status"]),
+                                by_text.get(text), line))
+    raw_output = stored.get("raw_output", "stored verdict")
+    if not isinstance(raw_output, str):
+        raise TypeError("raw_output must be a string")
     return VerifierReport(
         status=ReportStatus(stored["status"]),
         goals=tuple(goals),
-        raw_output=stored.get("raw_output", "stored verdict"),
+        raw_output=raw_output,
         wall_time=float(stored.get("wall_time", 0.0)),
     )
 

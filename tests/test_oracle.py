@@ -224,7 +224,7 @@ def _scripted(*completions):
     return ScriptedOracle(lambda request: next(answers))
 
 
-def _persona(root, **fixtures):
+def _persona(root, fixtures):
     """A replay persona for `FakeProgram` under CB: file name stem -> text."""
     cell = root / "prog1" / "CB"
     cell.mkdir(parents=True)
@@ -240,8 +240,8 @@ def _repair(oracle, attempt):
 
 def test_each_distinct_completion_is_parsed_once_per_instance(parses,
                                                               tmp_path):
-    root = _persona(tmp_path, **{"generate-0": _SPEC_A, "repair-1": _SPEC_A,
-                                 "repair-2": _SPEC_B})
+    root = _persona(tmp_path, {"generate-0": _SPEC_A, "repair-1": _SPEC_A,
+                               "repair-2": _SPEC_B})
     oracle = ReplayOracle(root)
     assert parses == []     # parsed on first use, not when the files are read
     responses = [oracle.propose(FakeProgram(), "p", config_name="CB"),
@@ -281,7 +281,7 @@ def test_a_scripted_oracle_parses_every_completion(parses):
 ])
 def test_a_completion_that_fails_to_parse_fails_every_time(parses, tmp_path,
                                                            completion, error):
-    oracle = ReplayOracle(_persona(tmp_path, **{"repair-1": completion}))
+    oracle = ReplayOracle(_persona(tmp_path, {"repair-1": completion}))
     raised = []
     for _ in range(3):
         with pytest.raises(error) as info:
@@ -457,6 +457,26 @@ def test_http_malformed_body_is_not_retried(sleeps):
     with pytest.raises(OracleUnavailable, match="malformed"):
         _http_oracle(session).propose(FakeProgram(), "prompt", config_name="CB")
     assert session.posts == 1 and sleeps == []
+
+
+@pytest.mark.parametrize("content", [
+    5, None, [{"type": "text", "text": _CHAT_OK["choices"][0]["message"]["content"]}],
+])
+def test_http_content_that_is_not_text_is_malformed(sleeps, content):
+    session = _ScriptedSession(
+        (200, {"choices": [{"message": {"content": content}}]}), (200, _CHAT_OK))
+    with pytest.raises(OracleUnavailable, match="malformed oracle response"):
+        _http_oracle(session).propose(FakeProgram(), "prompt", config_name="CB")
+    assert session.posts == 1 and sleeps == []
+
+
+@pytest.mark.parametrize("setting", [
+    {"retries": 0}, {"backoff": -1.0}, {"backoff": float("nan")},
+    {"max_tokens": 0}, {"timeout": 0.0}, {"timeout": -5.0},
+])
+def test_http_settings_out_of_range_are_refused(setting):
+    with pytest.raises(ValueError, match="oracle settings need"):
+        HttpOracleSettings(base_url="http://api.invalid/v1", model="m", **setting)
 
 
 def test_http_server_errors_are_retried(sleeps):

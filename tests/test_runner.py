@@ -38,6 +38,7 @@ from specloop.runner import RecordStore
 import toyworld
 from specloop.errors import (
     CorpusError,
+    CorruptRecords,
     DuplicateId,
     EmptyCorpus,
     MissingTargetFunction,
@@ -700,6 +701,67 @@ def test_cli_report_on_an_empty_records_file_writes_nothing(tmp_path, capsys):
     assert not out.exists()
 
 
+def _record_lines(rule_verifier, toy_corpus, replay_oracle):
+    plan = little_plan(configs=("CB",), runs_per_cell=1)
+    records = run_experiment(plan, toy_corpus[:2], replay_oracle, rule_verifier)
+    return [JSON_LINE.encode(r.to_dict()) for r in records]
+
+
+@pytest.mark.parametrize("bad, last, error", [
+    ("garbage", False, "line 2: not JSON (Expecting value"),
+    ("{}", False, "line 2: not a run record (KeyError: 'program_id')"),
+    ("[1, 2]", False, "line 2: not a run record (TypeError"),
+    # a last line that decodes is not a torn append, even without a newline
+    ("5", True, "line 3: not a run record (TypeError"),
+])
+def test_a_line_that_is_not_a_record_raises_naming_it(
+        tmp_path, rule_verifier, toy_corpus, replay_oracle, bad, last, error):
+    first, second = _record_lines(rule_verifier, toy_corpus, replay_oracle)
+    path = tmp_path / "records.jsonl"
+    if last:
+        path.write_text(f"{first}\n{second}\n{bad}")
+    else:
+        path.write_text(f"{first}\n{bad}\n{second}\n")
+    with pytest.raises(CorruptRecords) as info:
+        RecordStore(path).load()
+    assert str(info.value).startswith(f"{path}, {error}")
+
+
+def test_a_record_of_the_wrong_shape_raises_naming_its_line(
+        tmp_path, rule_verifier, toy_corpus, replay_oracle):
+    first, second = _record_lines(rule_verifier, toy_corpus, replay_oracle)
+    path = tmp_path / "records.jsonl"
+    for field, value, error in (("paradigm", "sideways", "ValueError"),
+                                ("final_spec", 5, "TypeError"),
+                                ("final_spec", [{"construct": "requires",
+                                                 "text": "t", "anchor": 1}],
+                                 "TypeError")):
+        line = json.loads(second) | {field: value}
+        path.write_text(first + "\n" + json.dumps(line) + "\n")
+        with pytest.raises(CorruptRecords,
+                           match=f"line 2: not a run record \\({error}"):
+            RecordStore(path).load()
+
+
+@pytest.mark.parametrize("text", ["{}\n", "garbage\n{}\n"])
+def test_cli_report_and_resume_refuse_a_corrupt_records_file(
+        persona_dir, mock_rules_file, tmp_path, capsys, text):
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "records.jsonl").write_text(text)
+    corpus = Path(__file__).parent / "fixtures" / "toy_corpus"
+    for argv in (["report", "--records", str(out / "records.jsonl"),
+                  "--out", str(tmp_path / "redo")],
+                 ["run", "--dataset", str(corpus), "--runs", "1",
+                  "--oracle", str(persona_dir), "--verifier", "mock",
+                  "--mock-fixtures", str(mock_rules_file), "--out", str(out)]):
+        assert cli_main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {out / 'records.jsonl'}, line 1: ")
+    assert (out / "records.jsonl").read_text() == text
+    assert not (tmp_path / "redo").exists()
+
+
 def _strip_volatile(node):
     if isinstance(node, dict):
         return {k: _strip_volatile(v) for k, v in node.items() if k != "rt"}
@@ -753,6 +815,14 @@ _FIXTURES_FILES = {
     "verdict-no-status.json": '{"verdicts": {"abs_value": {"k": {"goals": []}}}}\n',
     "verdict-slow.json":
         '{"verdicts": {"abs_value": {"k": {"status": "ToolError", "wall_time": "slow"}}}}\n',
+    "raw-output-a-number.json":
+        '{"verdicts": {"abs_value": {"k": {"status": "ToolError", "raw_output": 5}}}}\n',
+    "goal-name-a-number.json":
+        '{"verdicts": {"abs_value": {"k": {"status": "Failed", '
+        '"goals": [{"goal_name": 7, "status": "Unknown"}]}}}}\n',
+    "source-line-text.json":
+        '{"verdicts": {"abs_value": {"k": {"status": "Failed", "goals": '
+        '[{"goal_name": "g", "status": "Unknown", "source_line": "3"}]}}}}\n',
 }
 
 
@@ -767,6 +837,10 @@ _FIXTURES_FILES = {
     ("verdict-no-status.json",
      "bad stored verdict at verdicts['abs_value']['k'] (KeyError: 'status')"),
     ("verdict-slow.json", "bad stored verdict at verdicts['abs_value']['k'] (ValueError"),
+    ("raw-output-a-number.json", "['k'] (TypeError: raw_output must be a string)"),
+    ("goal-name-a-number.json",
+     "['k'] (TypeError: goal_name and annotation_text must be strings)"),
+    ("source-line-text.json", "['k'] (TypeError: source_line must be an integer)"),
 ])
 def test_cli_rejects_an_unreadable_mock_fixtures_file_before_any_run(
         persona_dir, tmp_path, capsys, fixtures, bad):
