@@ -67,7 +67,7 @@ def _add_run_parser(subparsers) -> None:
     p.add_argument("--templates", default=None,
                    help="directory overriding the bundled prompt templates")
     p.add_argument("--mock-fixtures", default=None,
-                   help="JSON verdict/rule file for the mock verifier")
+                   help="JSON rule file for the mock verifier")
     p.add_argument("--framac-path", default="frama-c")
     p.add_argument("--prover", default="alt-ergo")
     p.add_argument("--prover-timeout", type=int, default=10)

@@ -1,7 +1,7 @@
 """Verifier gateway: run a deductive verifier on a woven program and map
 its per-goal results back to annotations.
 
-Two adapters ship: a Frama-C/WP subprocess adapter and a fixture-backed mock
+Two adapters ship: a Frama-C/WP subprocess adapter and a rule-based mock
 for tests. Both produce the same VerifierReport shape.
 """
 
@@ -110,7 +110,9 @@ class Verifier(ABC):
 
 
 # --------------------------------------------------------------------------
-# Canonical specification key (mock verdict-table lookup)
+# Canonical specification key: nothing in the package calls it; the
+# benchmark patches it by name for `verifier.spec_key.s`, so it goes with
+# that metric in a benchmark change
 # --------------------------------------------------------------------------
 
 def _anchor_sort_key(annotation: Annotation) -> tuple:
@@ -277,60 +279,36 @@ def _mock_scope(anchor) -> str:
 
 
 class MockVerifier(Verifier):
-    """Deterministic stand-in for the external verifier.
-
-    Two layers, checked in order:
-
-    * a verdict table mapping (program id, canonical spec key) to a stored
-      report, returned verbatim;
-    * a rule form: one goal per non-axiom annotation, failing iff an
-      always-failing rule is a substring of the annotation text (the whole
-      text included). Axioms are admitted and generate no goal. A goal is
-      named `typed_<kind>_<declared name>`, or else
-      `typed_<scope>_<kind>_<ordinal in the spec>`.
+    """Deterministic stand-in for the external verifier, one rule: one goal
+    per non-axiom annotation, failing iff an always-failing rule is a
+    substring of the annotation text (the whole text included). Axioms are
+    admitted and generate no goal. A goal is named
+    `typed_<kind>_<declared name>`, or else
+    `typed_<scope>_<kind>_<ordinal in the spec>`. It holds no mutable state.
     """
 
-    def __init__(self, verdicts: dict | None = None,
-                 always_failing: Iterable[str] = (),
+    def __init__(self, always_failing: Iterable[str] = (),
                  wall_time: float = 0.0):
-        self._verdicts = verdicts or {}
         self._rules = tuple(always_failing)
         self._wall_time = wall_time
-        self.calls = 0
-        self._lock = threading.Lock()
 
     @classmethod
     def from_file(cls, path: str | Path) -> "MockVerifier":
-        """The verifier a JSON fixtures file describes. A misshapen field, or
-        a stored verdict that would not rehydrate, raises `ValueError` naming it."""
+        """The verifier a JSON rule file describes. An unknown or misshapen
+        field raises `ValueError` naming it."""
         data = json.loads(Path(path).read_text(encoding="utf-8"))
         if not isinstance(data, dict):
             raise ValueError(f"{path}: mock fixtures must be a JSON object")
+        if unknown := sorted(data.keys() - {"always_failing", "wall_time"}):
+            raise ValueError(f"{path}: unknown mock fixtures field {unknown[0]!r}")
         rules, wall_time = data.get("always_failing", []), data.get("wall_time", 0.0)
         if not isinstance(rules, list) or not all(isinstance(r, str) for r in rules):
             raise ValueError(f"{path}: always_failing must be a list of strings")
         if type(wall_time) not in (int, float):
             raise ValueError(f"{path}: wall_time must be a number")
-        verdicts, field = data.get("verdicts", {}), "verdicts"
-        try:
-            for program_id, table in verdicts.items():
-                field = f"verdicts[{program_id!r}]"
-                for key, stored in table.items():
-                    field = f"verdicts[{program_id!r}][{key!r}]"
-                    _rehydrate_report(stored, SpecificationSet())
-        except (AttributeError, KeyError, TypeError, ValueError) as exc:
-            raise ValueError(f"{path}: bad stored verdict at {field} "
-                             f"({type(exc).__name__}: {exc})") from None
-        return cls(verdicts, rules, wall_time)
+        return cls(rules, wall_time)
 
     def verify(self, program, spec: SpecificationSet) -> VerifierReport:
-        with self._lock:
-            self.calls += 1
-        table = self._verdicts.get(program.id)
-        # the key costs a JSON dump and a hash: only a table can use it
-        stored = table.get(spec_key(spec)) if table else None
-        if stored is not None:
-            return _rehydrate_report(stored, spec)
         rules = self._rules
         goals = []
         for ordinal, ann in enumerate(spec.annotations, start=1):
@@ -349,29 +327,6 @@ class MockVerifier(Verifier):
                 status, ann, ann.span.start_line))
         return report_from_goals(goals, raw_output="mock verifier (rule mode)",
                                  wall_time=self._wall_time)
-
-
-def _rehydrate_report(stored: dict, spec: SpecificationSet) -> VerifierReport:
-    by_text = {a.text: a for a in spec.annotations}
-    goals = []
-    for g in stored.get("goals", ()):
-        name, text = g["goal_name"], g.get("annotation_text", "")
-        line = g.get("source_line")
-        if not (isinstance(name, str) and isinstance(text, str)):
-            raise TypeError("goal_name and annotation_text must be strings")
-        if line is not None and type(line) is not int:
-            raise TypeError("source_line must be an integer")
-        goals.append(GoalResult(name, GoalStatus(g["status"]),
-                                by_text.get(text), line))
-    raw_output = stored.get("raw_output", "stored verdict")
-    if not isinstance(raw_output, str):
-        raise TypeError("raw_output must be a string")
-    return VerifierReport(
-        status=ReportStatus(stored["status"]),
-        goals=tuple(goals),
-        raw_output=raw_output,
-        wall_time=float(stored.get("wall_time", 0.0)),
-    )
 
 
 # --------------------------------------------------------------------------

@@ -811,18 +811,8 @@ _FIXTURES_FILES = {
     "rules-not-strings.json": '{"always_failing": ["x", 1]}\n',
     "rules-a-string.json": '{"always_failing": "x"}\n',
     "wall-time-text.json": '{"wall_time": "fast"}\n',
-    "verdicts-a-list.json": '{"verdicts": []}\n',
-    "verdict-no-status.json": '{"verdicts": {"abs_value": {"k": {"goals": []}}}}\n',
-    "verdict-slow.json":
-        '{"verdicts": {"abs_value": {"k": {"status": "ToolError", "wall_time": "slow"}}}}\n',
-    "raw-output-a-number.json":
-        '{"verdicts": {"abs_value": {"k": {"status": "ToolError", "raw_output": 5}}}}\n',
-    "goal-name-a-number.json":
-        '{"verdicts": {"abs_value": {"k": {"status": "Failed", '
-        '"goals": [{"goal_name": 7, "status": "Unknown"}]}}}}\n',
-    "source-line-text.json":
-        '{"verdicts": {"abs_value": {"k": {"status": "Failed", "goals": '
-        '[{"goal_name": "g", "status": "Unknown", "source_line": "3"}]}}}}\n',
+    "verdicts.json": '{"verdicts": {}}\n',
+    "misspelt-rules.json": '{"always_fail": ["x"]}\n',
 }
 
 
@@ -833,14 +823,8 @@ _FIXTURES_FILES = {
     ("rules-not-strings.json", "always_failing must be a list of strings"),
     ("rules-a-string.json", "always_failing must be a list of strings"),
     ("wall-time-text.json", "wall_time must be a number"),
-    ("verdicts-a-list.json", "bad stored verdict at verdicts ("),
-    ("verdict-no-status.json",
-     "bad stored verdict at verdicts['abs_value']['k'] (KeyError: 'status')"),
-    ("verdict-slow.json", "bad stored verdict at verdicts['abs_value']['k'] (ValueError"),
-    ("raw-output-a-number.json", "['k'] (TypeError: raw_output must be a string)"),
-    ("goal-name-a-number.json",
-     "['k'] (TypeError: goal_name and annotation_text must be strings)"),
-    ("source-line-text.json", "['k'] (TypeError: source_line must be an integer)"),
+    ("verdicts.json", "unknown mock fixtures field 'verdicts'"),
+    ("misspelt-rules.json", "unknown mock fixtures field 'always_fail'"),
 ])
 def test_cli_rejects_an_unreadable_mock_fixtures_file_before_any_run(
         persona_dir, tmp_path, capsys, fixtures, bad):

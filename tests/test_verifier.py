@@ -107,44 +107,6 @@ def test_spec_key_ignores_order_and_spans():
 # mock verifier
 # --------------------------------------------------------------------------
 
-def test_verdict_table_returns_stored_report_verbatim():
-    spec = contract_spec()
-    stored = {
-        "status": "Failed",
-        "goals": [
-            {"goal_name": "typed_f_ensures", "status": "Unknown",
-             "annotation_text": "ensures \\result == x;"},
-            {"goal_name": "typed_f_requires", "status": "Proved"},
-        ],
-        "raw_output": "stored!",
-        "wall_time": 1.5,
-    }
-    mock = MockVerifier(verdicts={"prog1": {spec_key(spec): stored}})
-    report = mock.verify(FakeProgram(), spec)
-    assert report.status is ReportStatus.FAILED
-    assert report.raw_output == "stored!"
-    assert report.wall_time == 1.5
-    failing = report.failing_goals()
-    assert len(failing) == 1
-    assert failing[0].source_annotation.kind is K.ENSURES
-
-
-def test_spec_key_is_computed_only_for_a_program_with_a_verdict_table(monkeypatch):
-    import specloop.verifier
-
-    keyed = []
-    monkeypatch.setattr(specloop.verifier, "spec_key",
-                        lambda spec: keyed.append(spec) or spec_key(spec))
-    spec = contract_spec()
-    stored = {"status": "Verified", "goals": [
-        {"goal_name": "typed_f_requires", "status": "Proved"}]}
-    mock = MockVerifier(verdicts={"prog1": {spec_key(spec): stored}})
-    assert mock.verify(FakeProgram("other"), spec).status is ReportStatus.VERIFIED
-    assert keyed == []
-    assert mock.verify(FakeProgram(), spec).raw_output == "stored verdict"
-    assert keyed == [spec]
-
-
 class _UnformattableProgram(FakeProgram):
     def __repr__(self):
         raise AssertionError("the program was formatted")
@@ -184,14 +146,6 @@ def test_axioms_generate_no_goals():
     r2 = mock.verify(FakeProgram(), with_axiom)
     assert len(r1.goals) == len(r2.goals)
     assert r2.status is ReportStatus.VERIFIED
-
-
-def test_mock_counts_calls():
-    mock = MockVerifier()
-    spec = contract_spec()
-    for _ in range(4):
-        mock.verify(FakeProgram(), spec)
-    assert mock.calls == 4
 
 
 def test_mock_from_file(tmp_path):
