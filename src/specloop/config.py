@@ -11,6 +11,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from importlib import resources
 from pathlib import Path
+from string import Formatter
 
 from .acsl import (
     ALL_CONSTRUCTS,
@@ -19,7 +20,7 @@ from .acsl import (
     ConstructKind,
     SpecificationSet,
 )
-from .errors import MissingTemplate, UnknownConfiguration
+from .errors import ConfigError, MissingTemplate, UnknownConfiguration
 
 _VERIFIABLE_LOGIC = frozenset({
     ConstructKind.PREDICATE,
@@ -116,12 +117,20 @@ def mandatory_instruction(config: Configuration) -> str:
     return f"Your specification MUST use at least one of: {keywords}."
 
 
+#: the placeholders each phase's prompt fills
+_FIELDS = {"generate": frozenset({"program", "permitted_keywords",
+                                  "mandatory_instruction"})}
+_FIELDS["repair"] = _FIELDS["generate"] | {"current_spec", "verifier_feedback"}
+
+
 class TemplateStore:
     """Prompt templates, one file per configuration per phase.
 
     Files are named `<phase>-<config>.txt` (phase is `generate` or
     `repair`). The root is the given directory, or the templates bundled
     with the package; every `*.txt` under it is read once, at construction.
+    A template with a lone brace, or a placeholder other than a plain
+    `{<field>}` its phase fills, raises ConfigError naming the file.
     """
 
     def __init__(self, directory: str | Path | None = None):
@@ -134,6 +143,10 @@ class TemplateStore:
             for entry in self._root.iterdir()
             if entry.name.endswith(".txt") and entry.is_file()
         }
+        for name, text in self._templates.items():
+            fields = _FIELDS.get(name.split("-", 1)[0])
+            if fields is not None:
+                _check_placeholders(self._root / name, text, fields)
 
     def load(self, phase: str, config_name: str) -> str:
         filename = f"{phase}-{config_name}.txt"
@@ -142,6 +155,20 @@ class TemplateStore:
         except KeyError:
             raise MissingTemplate(
                 f"no template file {filename} under {self._root}") from None
+
+
+def _check_placeholders(path, text: str, fields: frozenset[str]) -> None:
+    try:
+        parsed = list(Formatter().parse(text))
+    except ValueError as exc:   # a lone brace
+        raise ConfigError(f"template {path}: {exc}") from None
+    for _, field, spec, conversion in parsed:
+        if field is not None and field not in fields:
+            raise ConfigError(f"template {path}: unknown field {field!r}; it "
+                              f"may use {', '.join(sorted(fields))}")
+        if spec or conversion:
+            raise ConfigError(f"template {path}: field {field!r} takes no "
+                              f"conversion or format spec")
 
 
 _DEFAULT_STORE = TemplateStore()

@@ -54,7 +54,10 @@ def load_dataset(directory: str | Path) -> list[Program]:
             raise DuplicateId(
                 f"program id {program_id!r} appears in category "
                 f"{programs[program_id].category!r} and {path.parent.name!r}")
-        source = path.read_text(encoding="utf-8")
+        try:
+            source = path.read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise CorpusError(f"program {path}: {exc}") from None
         manifest = path.with_suffix(".json")
         if manifest.is_file():
             try:
@@ -140,15 +143,16 @@ class RecordStore:
             return []
         records = []
         built: dict = {}   # stored fields -> annotation, for this load only
-        with self.path.open(encoding="utf-8") as fh:
+        with self.path.open("rb") as fh:
             for number, line in enumerate(fh, start=1):
                 if not line.strip():
                     continue
                 try:
-                    records.append(RunRecord.from_dict(json.loads(line), built))
-                except json.JSONDecodeError as exc:
+                    records.append(RunRecord.from_dict(
+                        json.loads(line.decode("utf-8")), built))
+                except (json.JSONDecodeError, UnicodeDecodeError) as exc:
                     # only the last line can lack its newline
-                    if not line.endswith("\n"):
+                    if not line.endswith(b"\n"):
                         break
                     raise CorruptRecords(
                         f"{self.path}, line {number}: not JSON ({exc})") from None
@@ -209,6 +213,14 @@ def run_experiment(plan: ExperimentPlan, corpus: Sequence[Program],
     """
     if not corpus:
         raise EmptyCorpus("experiment needs a non-empty corpus")
+    if templates is not None:
+        # a missing file fails the grid here, not at its first use; the
+        # bundled templates cover every canonical configuration
+        phases = (("generate", "repair") if Paradigm.MODIFICATION in plan.paradigms
+                  else ("generate",))
+        for phase in phases:
+            for config_name in plan.configs:
+                templates.load(phase, config_name)
 
     store = RecordStore(Path(out_dir) / "records.jsonl") if out_dir else None
     done: dict[tuple, RunRecord] = {

@@ -3,6 +3,7 @@ from __future__ import annotations
 import itertools
 import re
 from pathlib import Path
+from string import Formatter
 
 import pytest
 from hypothesis import given, settings
@@ -21,7 +22,7 @@ from specloop import (
     canonical_config,
     check_compliance,
 )
-from specloop.errors import MissingTemplate, UnknownConfiguration
+from specloop.errors import ConfigError, MissingTemplate, UnknownConfiguration
 from specloop.verifier import GoalResult, GoalStatus, ReportStatus, VerifierReport
 
 K = ConstructKind
@@ -251,20 +252,46 @@ def test_templates_are_read_once_at_construction(tmp_path):
 def test_bundled_templates_match_the_package_files():
     root = Path(specloop.__file__).parent / "templates"
     store = TemplateStore()
+    generate = {"program", "permitted_keywords", "mandatory_instruction"}
     for path in sorted(root.glob("*.txt")):
         phase, _, config = path.stem.partition("-")
         assert store.load(phase, config) == path.read_text(encoding="utf-8")
+        # each uses every field its phase fills
+        fields = {f for _, f, _, _ in Formatter().parse(store.load(phase, config))
+                  if f is not None}
+        assert fields == (generate if phase == "generate" else
+                          generate | {"current_spec", "verifier_feedback"}), path
     assert TemplateStore(root).load("repair", "CA") == store.load("repair", "CA")
+
+
+@pytest.mark.parametrize("name,text,bad", [
+    ("repair-CB.txt", "{program} {oops}", "unknown field 'oops'"),
+    ("generate-CB.txt", "{program} {current_spec}", "unknown field 'current_spec'"),
+    ("generate-CB.txt", "{}", "unknown field ''"),
+    ("generate-CB.txt", "{program.upper}", "unknown field 'program.upper'"),
+    ("repair-CV.txt", "{program} }", "Single '}' encountered"),
+    ("repair-CV.txt", "{program", "expected '}' before end of string"),
+    ("generate-CA.txt", "{program:d}", "field 'program' takes no conversion"),
+    ("generate-CA.txt", "{program!x}", "field 'program' takes no conversion"),
+])
+def test_a_template_with_a_bad_placeholder_fails_at_construction(tmp_path, name,
+                                                                 text, bad):
+    (tmp_path / name).write_text(text, encoding="utf-8")
+    with pytest.raises(ConfigError, match=re.escape(bad)) as caught:
+        TemplateStore(tmp_path)
+    assert str(caught.value).startswith(f"template {tmp_path / name}: ")
 
 
 def test_template_override_directory(tmp_path):
     (tmp_path / "generate-CB.txt").write_text(
-        "P={program} K={permitted_keywords} M={mandatory_instruction}",
+        "{{P}}={program} K={permitted_keywords} M={mandatory_instruction}",
         encoding="utf-8")
+    # a file that is no phase's template is read, never filled
+    (tmp_path / "notes.txt").write_text("{anything} }", encoding="utf-8")
     prompt = build_generation_prompt(FakeProgram(source="XYZ"),
                                      canonical_config("CB"),
                                      TemplateStore(tmp_path))
-    assert prompt.startswith("P=XYZ K=requires")
+    assert prompt.startswith("{P}=XYZ K=requires")
     assert prompt.endswith("M=")
 
 

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import specloop
 from specloop import (
     Annotation,
     ConstructKind,
@@ -28,6 +29,7 @@ from specloop import (
     RunOutcome,
     RunRecord,
     SpecificationSet,
+    TemplateStore,
     load_dataset,
     run_experiment,
 )
@@ -42,6 +44,7 @@ from specloop.errors import (
     DuplicateId,
     EmptyCorpus,
     MissingTargetFunction,
+    MissingTemplate,
     UnknownConfiguration,
 )
 
@@ -116,6 +119,22 @@ def test_a_bad_manifest_is_a_corpus_error_naming_it(tmp_path, capsys, manifest,
     assert not out.exists()
 
 
+def test_a_program_that_is_not_utf8_is_a_corpus_error_naming_it(tmp_path, capsys):
+    d = tmp_path / "corpus" / "cat"
+    d.mkdir(parents=True)
+    (d / "prog.c").write_bytes("int f(int x) { return x; } /* café */\n"
+                               .encode("latin-1"))
+    with pytest.raises(CorpusError, match="can't decode byte 0xe9") as caught:
+        load_dataset(tmp_path / "corpus")
+    assert str(d / "prog.c") in str(caught.value)
+    out = tmp_path / "out"
+    assert cli_main(["run", "--dataset", str(tmp_path / "corpus"),
+                     "--oracle", str(tmp_path), "--verifier", "mock",
+                     "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: program {d / 'prog.c'}: ")
+    assert not out.exists()
+
+
 def test_default_target_is_last_function(tmp_path):
     d = tmp_path / "cat"
     d.mkdir()
@@ -179,6 +198,32 @@ def test_full_plan_sample_counts(toy_corpus, replay_oracle, rule_verifier):
     one_cell = [r for r in records
                 if r.config_name == "CB" and r.paradigm is Paradigm.DELETION]
     assert len(one_cell) == 50
+
+
+def _templates_without(tmp_path, missing: str) -> Path:
+    root = tmp_path / "templates"
+    root.mkdir()
+    for path in (Path(specloop.__file__).parent / "templates").glob("*.txt"):
+        if path.name != missing:
+            (root / path.name).write_text(path.read_text(encoding="utf-8"),
+                                          encoding="utf-8")
+    return root
+
+
+def test_a_missing_planned_template_fails_before_any_cell(
+        toy_corpus, replay_oracle, rule_verifier, tmp_path):
+    templates = TemplateStore(_templates_without(tmp_path, "repair-CB.txt"))
+    out = tmp_path / "out"
+    plan = little_plan(configs=("CB",),
+                       paradigms=(Paradigm.DELETION, Paradigm.MODIFICATION))
+    with pytest.raises(MissingTemplate, match="repair-CB.txt"):
+        run_experiment(plan, toy_corpus, replay_oracle, rule_verifier,
+                       out_dir=out, templates=templates)
+    assert not (out / "records.jsonl").exists()
+    # deletion never repairs, so it needs no repair template
+    records = run_experiment(little_plan(configs=("CB",)), toy_corpus,
+                             replay_oracle, rule_verifier, templates=templates)
+    assert len(records) == 20
 
 
 def test_resumability(toy_corpus, replay_oracle, tmp_path):
@@ -762,6 +807,21 @@ def test_cli_report_and_resume_refuse_a_corrupt_records_file(
     assert not (tmp_path / "redo").exists()
 
 
+def test_a_line_that_is_not_utf8_is_corrupt_records_naming_it(
+        tmp_path, capsys, rule_verifier, toy_corpus, replay_oracle):
+    first, _ = _record_lines(rule_verifier, toy_corpus, replay_oracle)
+    path = tmp_path / "records.jsonl"
+    path.write_bytes(first.encode() + b'\n{"a": "\xff"}\n')
+    with pytest.raises(CorruptRecords, match="line 2: not JSON .*0xff"):
+        RecordStore(path).load()
+    assert cli_main(["report", "--records", str(path),
+                     "--out", str(tmp_path / "redo")]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {path}, line 2: not JSON (")
+    # without its newline it is a torn last line, skipped like any other
+    path.write_bytes(first.encode() + b'\n{"a": "\xff')
+    assert len(RecordStore(path).load()) == 1
+
+
 def _strip_volatile(node):
     if isinstance(node, dict):
         return {k: _strip_volatile(v) for k, v in node.items() if k != "rt"}
@@ -802,6 +862,24 @@ def test_cli_rejects_a_bad_grid_before_any_run(persona_dir, mock_rules_file,
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and bad in err
+    assert not out.exists()
+
+
+def test_cli_refuses_a_template_with_an_unknown_field_before_any_run(
+        persona_dir, mock_rules_file, tmp_path, capsys):
+    templates = _templates_without(tmp_path, "")
+    (templates / "repair-CB.txt").write_text("{program} {oops}\n", encoding="utf-8")
+    corpus = Path(__file__).parent / "fixtures" / "toy_corpus"
+    out = tmp_path / "out"
+    code = cli_main([
+        "run", "--dataset", str(corpus), "--runs", "1", "--configs", "CB",
+        "--oracle", str(persona_dir), "--verifier", "mock",
+        "--mock-fixtures", str(mock_rules_file), "--templates", str(templates),
+        "--out", str(out),
+    ])
+    assert code == 2
+    assert capsys.readouterr().err.startswith(
+        f"error: template {templates / 'repair-CB.txt'}: unknown field 'oops'")
     assert not out.exists()
 
 
