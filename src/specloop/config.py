@@ -117,10 +117,10 @@ def mandatory_instruction(config: Configuration) -> str:
     return f"Your specification MUST use at least one of: {keywords}."
 
 
+_GENERATE_FIELDS = frozenset({"program", "permitted_keywords", "mandatory_instruction"})
 #: the placeholders each phase's prompt fills
-_FIELDS = {"generate": frozenset({"program", "permitted_keywords",
-                                  "mandatory_instruction"})}
-_FIELDS["repair"] = _FIELDS["generate"] | {"current_spec", "verifier_feedback"}
+_FIELDS = {"generate": _GENERATE_FIELDS,
+           "repair": _GENERATE_FIELDS | {"current_spec", "verifier_feedback"}}
 
 
 class TemplateStore:
