@@ -324,7 +324,8 @@ def _lex(source: str) -> tuple[str, list[_AcslComment]]:
         elif m.group(4):
             comments.append(_AcslComment(m.group(5), start + 3, start, end))
         pieces.append(source[done:start])
-        pieces.append(_blank(m.group()))
+        token = m.group()
+        pieces.append(_blank(token) if "\n" in token else " " * (end - start))
         done = end
     pieces.append(source[done:])
     return "".join(pieces), comments
@@ -353,9 +354,13 @@ _LONE_NAME = re.compile(r"\s*(\w+)\s*")
 #: perhaps with `*`s after it; a cast, as in `v = (T)(struct s){1}` or
 #: `v = 2 * (T)(struct s){1}`, follows something else
 _TYPE_END = re.compile(r"[\s*]*(\w+)")
-#: what the layout scan reads: ';', a brace, a parenthesis, or a loop
-#: keyword ending a word (`_starts_word` tells whether it starts one)
-_LAYOUT_TOKEN = re.compile(r"[;{}()]|for(?!\w)|do(?!\w)|while(?!\w)")
+#: what the layout scan reads: a brace, a parenthesis, or a loop keyword
+#: ending a word (`_starts_word` tells whether it starts one); every branch
+#: opens with a literal, so the search skips to their first characters,
+#: which a leading class such as `[{}()]` would turn off
+_LAYOUT_TOKEN = re.compile(r"\{|\}|\(|\)|for(?!\w)|do(?!\w)|while(?!\w)")
+#: on reversed text, the nearest ';' or brace before an offset
+_BOUND = re.compile(r"[;{}]")
 #: a preprocessor line at the start of the text, and one after a newline
 _FIRST_DIRECTIVE = re.compile(r"[ \t]*#[^\n]*")
 _DIRECTIVE = re.compile(r"\n[ \t]*#[^\n]*")
@@ -383,17 +388,16 @@ class _DeclarationMarks:
         first = _FIRST_DIRECTIVE.match(masked)
         self.directives = [first.span()] if first else []
         self.directives += [m.span() for m in _DIRECTIVE.finditer(masked)]
-        #: offsets of ';', '{' and '}'
-        self.bounds: list[int] = []
         #: ')' offset -> offset of the '(' it closes
         self.opener: dict[int, int] = {}
 
     def decl_start(self, name_start: int) -> int:
         """Offset just after the last ';', '}', '{' or preprocessor line
         before name_start; a preprocessor line running on past name_start
-        counts as ending there."""
-        k = bisect.bisect_left(self.bounds, name_start)
-        anchor = self.bounds[k - 1] if k else -1
+        counts as ending there. The search reads back to the nearest bound
+        only."""
+        bound = _BOUND.search(self.reverse, len(self.reverse) - name_start)
+        anchor = len(self.reverse) - 1 - bound.start() if bound else -1
         k = bisect.bisect_left(self.directives, (name_start,))
         if k:
             anchor = max(anchor, min(self.directives[k - 1][1], name_start) - 1)
@@ -466,17 +470,13 @@ def _scan_layout(masked: str) -> list[_FunctionInfo]:
         elif token == ")":
             if open_parens:
                 marks.opener[i] = open_parens.pop()
-        elif token == ";":
-            marks.bounds.append(i)
         elif token == "{":
-            marks.bounds.append(i)
             if body is None and depth == 0 and (
                     hit := _function_at_brace(masked, i, marks)):
                 body = _FunctionInfo(*hit, i, -1)
             else:
                 depth += 1
         elif token == "}":
-            marks.bounds.append(i)
             if body is not None and depth == 0:
                 body.body_end = i
                 functions.append(body)

@@ -92,7 +92,21 @@ class Oracle(ABC):
 # Completion -> SpecificationSet
 # --------------------------------------------------------------------------
 
-_FENCE = re.compile(r"```[^\n`]*\n(.*?)```", re.DOTALL)
+#: the line opening a fenced code block; its block runs to the next "```"
+_FENCE_OPEN = re.compile(r"```[^\n`]*\n")
+
+
+def _fenced_blocks(raw: str) -> list[str]:
+    """The texts of the fenced code blocks of raw, in order."""
+    blocks = []
+    pos = 0
+    while opener := _FENCE_OPEN.search(raw, pos):
+        close = raw.find("```", opener.end())
+        if close < 0:
+            break   # a later opener ends later still: nothing can close it
+        blocks.append(raw[opener.end():close])
+        pos = close + 3
+    return blocks
 
 
 def extract_spec(raw_completion: str) -> SpecificationSet:
@@ -109,7 +123,7 @@ def extract_spec(raw_completion: str) -> SpecificationSet:
         raw_completion.encode("utf-8")
     except UnicodeEncodeError as exc:
         raise UnparseableCompletion(f"not UTF-8: {exc}") from None
-    blocks = [m.group(1) for m in _FENCE.finditer(raw_completion)]
+    blocks = _fenced_blocks(raw_completion)
     if blocks:
         text = "\n".join(blocks)
     elif "/*@" in raw_completion or "//@" in raw_completion:

@@ -941,6 +941,9 @@ _HEADS = [
     "T v = (T)(struct s){1};\nint h(void) {", "x = a, (T)(U){",
     "return (T)(U){", "int v = 2 * (T)(T){1};\nint g(void) {", "x = (a) * (T)(U){",
     "T **(f)(int x) {", "T * * (f)(int x) {",
+    # no ';' before the name: the declaration starts after a brace or a
+    # preprocessor line, or at the start of the text
+    "int f(void){", "}int g(void){", "\n#define N 1\nint n(void){",
 ]
 
 _STATEMENTS = [
@@ -961,6 +964,9 @@ _C_FRAGMENTS = [
     "}", "{", "};", ";", "(", ")", "struct S { int a; };", "enum E { A, B };",
     "int (*fp)(int) = 0;", "do {", "} while (y);", "for (;;) {",
     "= (struct s){1};", "(T)(struct s){1};",
+    # functions with no ';' anywhere, back to back or after a directive
+    "int f(void){}", "int g(void){}int h(void){}", "\n#define M 1\nint d(void){}",
+    "#define E\nvoid e(){}", "{}int k(){}",
     # comments holding braces, quotes and annotations
     "/* { ; } */", "/* \" ' */", "/*@ requires x > 0; */",
     "/*@ loop invariant i >= 0; */", "//@ ensures \\result >= 0;\n",
@@ -1385,16 +1391,36 @@ def _large_annotated_program(size: int) -> str:
     return "".join(parts)
 
 
+def _best_cost(scan, text):
+    """(least process time of 5 scan(text) calls, what the scan returned)"""
+    best = float("inf")
+    for _ in range(5):
+        started = time.process_time()
+        result = scan(text)
+        best = min(best, time.process_time() - started)
+    return best, result
+
+
 def test_parse_cost_grows_linearly():
     def cost(text):
-        best = float("inf")
-        for _ in range(5):
-            started = time.process_time()
-            spec = parse_annotations(text)
-            best = min(best, time.process_time() - started)
+        best, spec = _best_cost(parse_annotations, text)
         assert len(spec) == 4
         return best
 
     small = cost(_large_annotated_program(16 * 1024))
     large = cost(_large_annotated_program(128 * 1024))
+    assert large <= 12 * small, f"8x the input took {large / small:.1f}x the time"
+
+
+def test_layout_cost_grows_linearly_without_semicolons():
+    # each declaration start is found by reading back to the '}' before it
+    def cost(size):
+        functions = "".join(f"int h{i}(void){{}}\n" for i in range(size // 16))
+        text = functions[:size].rpartition("\n")[0]
+        best, names = _best_cost(declared_functions, text)
+        assert names[0] == "h0" and len(names) == text.count("}")
+        return best
+
+    small = cost(16 * 1024)
+    large = cost(128 * 1024)
     assert large <= 12 * small, f"8x the input took {large / small:.1f}x the time"

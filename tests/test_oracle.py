@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import specloop.oracle
 from specloop import (
@@ -157,9 +158,21 @@ class _NoRegion(Exception):
     pass
 
 
+def _ref_fenced_blocks(raw_completion):
+    return [m.group(1) for m in re.finditer(r"```[^\n`]*\n(.*?)```",
+                                            raw_completion, re.DOTALL)]
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.text(alphabet="`\nac", max_size=40)
+       | st.lists(st.sampled_from(["```", "```c\n", "\n", "`", "``", "a", "c ", "\n```\n"]),
+                  max_size=16).map("".join))
+def test_fenced_blocks_are_those_of_the_lazy_fence_regex(text):
+    assert specloop.oracle._fenced_blocks(text) == _ref_fenced_blocks(text)
+
+
 def _ref_spec(raw_completion):
-    blocks = [m.group(1) for m in re.finditer(r"```[^\n`]*\n(.*?)```",
-                                              raw_completion, re.DOTALL)]
+    blocks = _ref_fenced_blocks(raw_completion)
     if blocks:
         text = "\n".join(blocks)
     elif "/*@" in raw_completion or "//@" in raw_completion:
