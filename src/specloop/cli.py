@@ -124,6 +124,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     corpus = load_dataset(args.dataset)
     oracle = _build_oracle(args.oracle)
     templates = TemplateStore(args.templates) if args.templates else None
+    plan.check_templates(templates)   # before anything is written
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -27,13 +27,21 @@ from .verifier import Verifier
 
 @dataclass(frozen=True)
 class Program:
+    """A C program and the function its specification is for; an empty
+    target_function names the last function the source defines."""
     id: str
     source: str
     target_function: str
     category: str
 
     def __post_init__(self) -> None:
-        if self.target_function not in declared_functions(self.source):
+        functions = declared_functions(self.source)
+        if not self.target_function:
+            if not functions:
+                raise MissingTargetFunction(
+                    f"program {self.id!r}: no function definition found")
+            object.__setattr__(self, "target_function", functions[-1])
+        elif self.target_function not in functions:
             raise MissingTargetFunction(
                 f"program {self.id!r}: function {self.target_function!r} "
                 f"is not defined in the source")
@@ -65,15 +73,11 @@ def load_dataset(directory: str | Path) -> list[Program]:
             except ValueError as exc:   # not JSON, or not UTF-8
                 raise CorpusError(f"manifest {manifest}: {exc}") from None
             target = data.get("target_function") if isinstance(data, dict) else None
-            if not isinstance(target, str):
+            if not isinstance(target, str) or not target:
                 raise MissingTargetFunction(
                     f"manifest {manifest} has no \"target_function\" string")
         else:
-            functions = declared_functions(source)
-            if not functions:
-                raise MissingTargetFunction(
-                    f"program {program_id!r}: no function definition found")
-            target = functions[-1]
+            target = ""   # the last function defined
         programs[program_id] = Program(
             id=program_id, source=source,
             target_function=target, category=path.parent.name,
@@ -105,6 +109,18 @@ class ExperimentPlan:
         processors = os.cpu_count() or 1
         return self.workers if self.workers > 0 else min(
             processors, max((c.concurrency for c in components), default=processors))
+
+    def check_templates(self, templates: TemplateStore | None) -> None:
+        """Load each template file the plan's runs will fill, so a missing
+        one fails before the first run; the bundled templates cover every
+        canonical configuration."""
+        if templates is None:
+            return
+        phases = (("generate", "repair") if Paradigm.MODIFICATION in self.paradigms
+                  else ("generate",))
+        for phase in phases:
+            for config_name in self.configs:
+                templates.load(phase, config_name)
 
     def cells(self, corpus: Sequence[Program]) -> list[tuple[Program, str, Paradigm, int]]:
         return [
@@ -213,14 +229,7 @@ def run_experiment(plan: ExperimentPlan, corpus: Sequence[Program],
     """
     if not corpus:
         raise EmptyCorpus("experiment needs a non-empty corpus")
-    if templates is not None:
-        # a missing file fails the grid here, not at its first use; the
-        # bundled templates cover every canonical configuration
-        phases = (("generate", "repair") if Paradigm.MODIFICATION in plan.paradigms
-                  else ("generate",))
-        for phase in phases:
-            for config_name in plan.configs:
-                templates.load(phase, config_name)
+    plan.check_templates(templates)
 
     store = RecordStore(Path(out_dir) / "records.jsonl") if out_dir else None
     done: dict[tuple, RunRecord] = {

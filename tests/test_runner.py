@@ -100,6 +100,7 @@ def test_manifest_naming_missing_function(tmp_path):
     ("{}", MissingTargetFunction, 'has no "target_function" string'),
     ('{"target_function": 3}', MissingTargetFunction, 'has no "target_function" string'),
     ('["target_function"]', MissingTargetFunction, 'has no "target_function" string'),
+    ('{"target_function": ""}', MissingTargetFunction, 'has no "target_function" string'),
     ("not json", CorpusError, "Expecting value"),
 ])
 def test_a_bad_manifest_is_a_corpus_error_naming_it(tmp_path, capsys, manifest,
@@ -149,6 +150,36 @@ def test_program_validates_target():
     with pytest.raises(MissingTargetFunction):
         Program(id="x", source="int f(void) { return 0; }",
                 target_function="g", category="c")
+
+
+def test_program_without_a_target_takes_the_last_function():
+    program = Program(id="x", source="int f(void) { return 0; }\nint g(void) { return 1; }",
+                      target_function="", category="c")
+    assert program.target_function == "g"
+    with pytest.raises(MissingTargetFunction, match="no function definition found"):
+        Program(id="x", source="int v = 0;", target_function="", category="c")
+
+
+@pytest.mark.parametrize("manifest", [False, True])
+def test_load_dataset_scans_each_program_once(tmp_path, monkeypatch, manifest):
+    d = tmp_path / "cat"
+    d.mkdir()
+    for name in ("one", "two"):
+        (d / f"{name}.c").write_text(
+            "int helper(void) { return 1; }\nint last(void) { return helper(); }\n")
+        if manifest:
+            (d / f"{name}.json").write_text(json.dumps({"target_function": "helper"}))
+    scans = []
+    scan = specloop.acsl._scan_layout
+    monkeypatch.setattr(specloop.acsl, "_scan_layout",
+                        lambda masked: scans.append(masked) or scan(masked))
+    calls = []
+    declared = specloop.runner.declared_functions
+    monkeypatch.setattr(specloop.runner, "declared_functions",
+                        lambda source: calls.append(source) or declared(source))
+    corpus = load_dataset(tmp_path)
+    assert [p.target_function for p in corpus] == ["helper" if manifest else "last"] * 2
+    assert len(scans) == len(calls) == 2
 
 
 def test_load_full_scale_corpus_shape(tmp_path):
@@ -222,6 +253,24 @@ def test_a_missing_planned_template_fails_before_any_cell(
     records = run_experiment(little_plan(configs=("CB",)), toy_corpus,
                              replay_oracle, rule_verifier, templates=templates)
     assert len(records) == 20
+
+
+def test_cli_refuses_a_missing_planned_template_before_writing_anything(
+        tmp_path, capsys):
+    templates = _bundled_templates_copy(tmp_path)
+    (templates / "repair-CB.txt").unlink()
+    persona = tmp_path / "persona"
+    persona.mkdir()
+    out = tmp_path / "out"
+    code = cli_main([
+        "run", "--dataset", str(Path(__file__).parent / "fixtures" / "toy_corpus"),
+        "--runs", "1", "--configs", "CB", "--oracle", str(persona),
+        "--verifier", "mock", "--templates", str(templates), "--out", str(out),
+    ])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "repair-CB.txt" in err
+    assert not out.exists()
 
 
 def test_resumability(toy_corpus, replay_oracle, tmp_path):
