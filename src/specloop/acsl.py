@@ -288,11 +288,13 @@ def _blank_decorations(content: str) -> str:
     return content[:k].replace("@", " ") + "".join(parts)
 
 
-#: a block comment (group 1: the '@' of an ACSL one, 2: its content), an
-#: unterminated one (3), a line comment (4, 5), or a string or char literal
-#: (to the end if unclosed); branches open with literals, which scan fast
+#: a block comment (group 1: the '@' of an ACSL one, 2: its content and the
+#: '*' of its closer), an unterminated one (3), a line comment (4, 5), or a
+#: string or char literal (to the end if unclosed); branches open with
+#: literals, which scan fast, and a block comment is read a run of non-'*'
+#: characters at a time rather than tested for its closer at each one
 _LEX_TOKEN = re.compile(r"""
-    /\*(@?)(.*?)\*/ | /(\*)
+    /\*(@?)([^*]*\*+(?:[^/*][^*]*\*+)*)/ | /(\*)
   | //(@?)([^\n]*)
   | "[^"\\]*(?:\\.[^"\\]*)*(?:"|\\?\Z)
   | '[^'\\]*(?:\\.[^'\\]*)*(?:'|\\?\Z)
@@ -320,7 +322,7 @@ def _lex(source: str) -> tuple[str, list[_AcslComment]]:
             raise MalformedAnnotation(f"unterminated comment at offset {start}")
         if m.group(1):
             comments.append(_AcslComment(
-                _blank_decorations(m.group(2)), start + 3, start, end))
+                _blank_decorations(m.group(2)[:-1]), start + 3, start, end))
         elif m.group(4):
             comments.append(_AcslComment(m.group(5), start + 3, start, end))
         pieces.append(source[done:start])
@@ -354,11 +356,11 @@ _LONE_NAME = re.compile(r"\s*(\w+)\s*")
 #: perhaps with `*`s after it; a cast, as in `v = (T)(struct s){1}` or
 #: `v = 2 * (T)(struct s){1}`, follows something else
 _TYPE_END = re.compile(r"[\s*]*(\w+)")
-#: what the layout scan reads: a brace, a parenthesis, or a loop keyword
-#: ending a word (`_starts_word` tells whether it starts one); every branch
-#: opens with a literal, so the search skips to their first characters,
-#: which a leading class such as `[{}()]` would turn off
-_LAYOUT_TOKEN = re.compile(r"\{|\}|\(|\)|for(?!\w)|do(?!\w)|while(?!\w)")
+#: what a body's loop scan reads: a brace, or a loop keyword ending a word
+#: (`_starts_word` tells whether it starts one); every branch opens with a
+#: literal, so the search skips to their first characters, which a leading
+#: class such as `[{}]` would turn off
+_LOOP_TOKEN = re.compile(r"\{|\}|for(?!\w)|do(?!\w)|while(?!\w)")
 #: on reversed text, the nearest ';' or brace before an offset
 _BOUND = re.compile(r"[;{}]")
 #: a preprocessor line at the start of the text, and one after a newline
@@ -376,9 +378,8 @@ class _FunctionInfo:
 
 
 class _DeclarationMarks:
-    """Where a declaration can start and which '(' each ')' closes, in the
-    masked text before the '{' being read; `_scan_layout` appends the marks
-    as its pass goes."""
+    """Where a declaration can start and which '(' each ')' closes, in
+    masked text."""
 
     def __init__(self, masked: str):
         #: the masked text reversed, for regex steps backwards
@@ -388,8 +389,21 @@ class _DeclarationMarks:
         first = _FIRST_DIRECTIVE.match(masked)
         self.directives = [first.span()] if first else []
         self.directives += [m.span() for m in _DIRECTIVE.finditer(masked)]
-        #: ')' offset -> offset of the '(' it closes
+        #: ')' offset -> offset of the '(' it closes; a ')' that closes
+        #: nothing has no entry. A forward stack, so an entry depends on the
+        #: text before its ')' only.
         self.opener: dict[int, int] = {}
+        find = masked.find
+        open_parens: list[int] = []
+        o, c = find("("), find(")")
+        while c >= 0:
+            if 0 <= o < c:
+                open_parens.append(o)
+                o = find("(", o + 1)
+            else:
+                if open_parens:
+                    self.opener[c] = open_parens.pop()
+                c = find(")", c + 1)
 
     def decl_start(self, name_start: int) -> int:
         """Offset just after the last ';', '}', '{' or preprocessor line
@@ -452,51 +466,115 @@ def _starts_word(text: str, i: int) -> bool:
     return i < 0 or not (text[i] == "_" or text[i].isalnum())
 
 
-def _scan_layout(masked: str) -> list[_FunctionInfo]:
-    """The function definitions of masked C text, with the loops of each,
-    in one forward pass. A file-scope '{' opens a body when
-    `_function_at_brace` names a function there; the body closes at its
-    matching '}'. The 'while' of a do-while is not counted as a loop."""
-    marks = _DeclarationMarks(masked)
-    open_parens: list[int] = []
-    functions: list[_FunctionInfo] = []
-    body = None   # the function whose body is open
-    depth = 0     # brace depth at file scope, or within the open body
-    pending_do: list[int] = []   # body depth of each 'do' awaiting its 'while'
-    for m in _LAYOUT_TOKEN.finditer(masked):
+def _loop_offsets(masked: str, body_start: int, body_end: int) -> list[int]:
+    """Offsets of the loops between the braces at body_start and body_end,
+    in textual order. The 'while' of a do-while is not counted as a loop."""
+    loops: list[int] = []
+    depth = 0   # brace depth within the body
+    pending_do: list[int] = []   # depth of each 'do' awaiting its 'while'
+    for m in _LOOP_TOKEN.finditer(masked, body_start + 1, body_end):
         token, i = m.group(), m.start()
-        if token == "(":
-            open_parens.append(i)
-        elif token == ")":
-            if open_parens:
-                marks.opener[i] = open_parens.pop()
-        elif token == "{":
-            if body is None and depth == 0 and (
-                    hit := _function_at_brace(masked, i, marks)):
-                body = _FunctionInfo(*hit, i, -1)
-            else:
-                depth += 1
+        if token == "{":
+            depth += 1
         elif token == "}":
-            if body is not None and depth == 0:
-                body.body_end = i
-                functions.append(body)
-                body = None
-                pending_do.clear()
-            else:
-                depth -= 1
-                while pending_do and pending_do[-1] > depth:
-                    pending_do.pop()
-        elif body is None or not _starts_word(masked, i):
+            depth -= 1
+            while pending_do and pending_do[-1] > depth:
+                pending_do.pop()
+        elif not _starts_word(masked, i):
             continue
         elif token == "while" and pending_do and pending_do[-1] == depth:
             pending_do.pop()   # the while of a do-while
         else:
-            body.loop_offsets.append(i)
+            loops.append(i)
             if token == "do":
                 pending_do.append(depth)
-    if body is not None:
-        raise MalformedAnnotation(f"unbalanced '{{' at offset {body.body_start}")
-    return functions
+    return loops
+
+
+class _Layout:
+    """The file-scope brace pairs of masked C text, and the function each
+    opens. Listing the pairs is one cheap pass; whether a pair opens a
+    function, and the function's loops, are read when first asked for and
+    kept, so a caller pays only for the pairs it asks about.
+
+    A file-scope '{' opens a body when `_function_at_brace` names a function
+    there. An unclosed last pair that opens a function raises at
+    construction."""
+
+    def __init__(self, masked: str):
+        self.masked = masked
+        #: offset of each file-scope '{', and of the '}' closing it (for an
+        #: unclosed last '{', len(masked))
+        self.starts: list[int] = []
+        self.ends: list[int] = []
+        find = masked.find
+        depth = 0
+        o, c = find("{"), find("}")
+        while o >= 0 or c >= 0:
+            if c < 0 or 0 <= o < c:
+                if depth == 0:
+                    self.starts.append(o)
+                depth += 1
+                o = find("{", o + 1)
+            else:
+                depth -= 1
+                if depth == 0:
+                    self.ends.append(c)
+                c = find("}", c + 1)
+        self._marks: _DeclarationMarks | None = None
+        #: pair index -> the function it opens, or None
+        self._functions: dict[int, _FunctionInfo | None] = {}
+        #: pair index -> index of the first function pair at or after it
+        #: (len(starts) for none), for the pairs walked to find one
+        self._next_function: dict[int, int] = {}
+        if len(self.ends) < len(self.starts):
+            self.ends.append(len(masked))
+            self.function(len(self.starts) - 1)
+
+    def function(self, k: int) -> _FunctionInfo | None:
+        """The function whose body is the k-th pair, None if it opens none."""
+        if k in self._functions:
+            return self._functions[k]
+        if self._marks is None:
+            self._marks = _DeclarationMarks(self.masked)
+        start, end = self.starts[k], self.ends[k]
+        info = None
+        if hit := _function_at_brace(self.masked, start, self._marks):
+            if end == len(self.masked):
+                raise MalformedAnnotation(f"unbalanced '{{' at offset {start}")
+            info = _FunctionInfo(*hit, start, end, _loop_offsets(self.masked, start, end))
+        self._functions[k] = info
+        return info
+
+    def functions(self) -> list[_FunctionInfo]:
+        """Every function, in textual order."""
+        return [f for k in range(len(self.starts)) if (f := self.function(k))]
+
+    def function_holding(self, offset: int) -> _FunctionInfo | None:
+        """The function whose body holds offset (not a brace), if any: only
+        the pair opening last before offset can."""
+        k = bisect.bisect_right(self.starts, offset) - 1
+        return self.function(k) if k >= 0 and offset < self.ends[k] else None
+
+    def function_after(self, offset: int) -> _FunctionInfo | None:
+        """The first function whose body opens after offset, if any. Each
+        pair is walked once per layout, however many offsets precede it."""
+        n = len(self.starts)
+        k = bisect.bisect_right(self.starts, offset)
+        nxt = self._next_function
+        walked = []
+        while k < n and k not in nxt and self.function(k) is None:
+            walked.append(k)
+            k += 1
+        k = nxt.get(k, k)
+        for j in walked:
+            nxt[j] = k
+        return self.function(k) if k < n else None
+
+
+def _scan_layout(masked: str) -> list[_FunctionInfo]:
+    """The function definitions of masked C text, with the loops of each."""
+    return _Layout(masked).functions()
 
 
 def declared_functions(source: str) -> list[str]:
@@ -650,8 +728,7 @@ def parse_annotations(annotated_source: str, file: str = "<source>") -> Specific
     scope. Non-annotation comments are ignored.
     """
     masked, comments = _lex(annotated_source)
-    functions = _scan_layout(masked)
-    body_starts = [f.body_start for f in functions]
+    layout = _Layout(masked)
     # where each line starts (and one past the end): the line of an offset
     # is the count of starts at or before it
     line_starts = list(accumulate(
@@ -668,8 +745,7 @@ def parse_annotations(annotated_source: str, file: str = "<source>") -> Specific
             anchor_type = _ANCHOR_RULES[kind][0]
             anchor = anchors.get(anchor_type)
             if anchor is None:
-                anchor = anchors[anchor_type] = _resolve_anchor(
-                    kind, comment, functions, body_starts)
+                anchor = anchors[anchor_type] = _resolve_anchor(kind, comment, layout)
             span = _shared_span(file, bisect.bisect_right(line_starts, base + clause.start),
                                 bisect.bisect_right(line_starts, base + end - 1))
             annotations.append(Annotation(kind, clause.text(content), anchor, span))
@@ -677,16 +753,12 @@ def parse_annotations(annotated_source: str, file: str = "<source>") -> Specific
 
 
 def _resolve_anchor(kind: ConstructKind, comment: _AcslComment,
-                    functions: list[_FunctionInfo], body_starts: list[int]) -> Anchor:
-    """functions are disjoint and in textual order; body_starts lists their
-    body_start offsets."""
+                    layout: _Layout) -> Anchor:
     if kind in LOGICAL_CONSTRUCTS:
         return GLOBAL
     if kind in _LOOP_KINDS:
-        # the only function that can hold the comment opens last before it
-        k = bisect.bisect_left(body_starts, comment.start_offset) - 1
-        if k >= 0 and comment.start_offset < functions[k].body_end:
-            f = functions[k]
+        f = layout.function_holding(comment.start_offset)
+        if f is not None:
             ordinal = bisect.bisect_left(f.loop_offsets, comment.end_offset) + 1
             if ordinal <= len(f.loop_offsets):
                 return Loop(f.name, ordinal)
@@ -696,9 +768,9 @@ def _resolve_anchor(kind: ConstructKind, comment: _AcslComment,
         raise MalformedAnnotation(
             f"loop annotation at offset {comment.start_offset} is outside any function body")
     # contract clause: next function whose body opens after the comment
-    k = bisect.bisect_right(body_starts, comment.start_offset)
-    if k < len(functions):
-        return FunctionContract(functions[k].name)
+    f = layout.function_after(comment.start_offset)
+    if f is not None:
+        return FunctionContract(f.name)
     raise MalformedAnnotation(
         f"contract annotation at offset {comment.start_offset} precedes no function")
 

@@ -663,7 +663,7 @@ def test_roundtrip_property(annotations, form, closer_in):
 # --------------------------------------------------------------------------
 # layout scan: differential check against the character-stepping scanner
 # --------------------------------------------------------------------------
-# The reference below is the scanner the forward-pass one replaced: it steps
+# The reference below is the scanner the brace-pair one replaced: it steps
 # one character at a time and finds each declaration start by searching the
 # whole prefix. Both must give the same masked text, comments, functions and
 # anchors, or raise the same error with the same message. Both sides were
@@ -673,9 +673,10 @@ def test_roundtrip_property(annotations, form, closer_in):
 #
 # The layout scan is compared on masked text only, which is all its callers
 # pass. On raw text the reference skips literals when it looks for a body's
-# end but not when it collects loops or declaration marks, so no single pass
-# can agree with it there (`int f(int n) {'}`). The brace matcher, which
-# closes axiomatic blocks in clause content, is still compared on raw text.
+# end but not when it collects loops or declaration marks, so no scan that
+# treats them alike can agree with it there (`int f(int n) {'}`). The brace
+# matcher, which closes axiomatic blocks in clause content, is still
+# compared on raw text.
 
 def _ref_lex(source):
     n = len(source)
@@ -919,10 +920,12 @@ def _assert_same_layout(text):
         functions = _outcome(acsl._scan_layout, masked)
         assert functions == _outcome(_ref_scan_layout, masked)
         if isinstance(functions, list):
-            starts = [f.body_start for f in functions]
+            # one layout for every comment, as in a parse, so the pairs one
+            # comment read are reused by the next
+            layout = acsl._Layout(masked)
             for comment in comments:
                 for kind in (ConstructKind.LOOP_INVARIANT, ConstructKind.REQUIRES):
-                    assert (_outcome(acsl._resolve_anchor, kind, comment, functions, starts)
+                    assert (_outcome(acsl._resolve_anchor, kind, comment, layout)
                             == _outcome(_ref_resolve_anchor, kind, comment, functions))
     # on raw text quotes reach the brace matcher, which must skip literals
     for m in re.finditer(r"\{", text):
@@ -971,6 +974,8 @@ _C_FRAGMENTS = [
     "/* { ; } */", "/* \" ' */", "/*@ requires x > 0; */",
     "/*@ loop invariant i >= 0; */", "//@ ensures \\result >= 0;\n",
     "// } { \" \n", "/*@ @ assigns \\nothing; @*/", "/*", "*/", "//",
+    # comments closed by a run of '*', or holding '*' and '/' apart
+    "/***/", "/*@*/", "/*@ a **/", "/* * / */", "/*@ x */ */",
     # string and char literals, escaped quotes, unterminated ones
     '"{ ; }"', '"a\\"b{"', "'{'", "'\\''", '"\\\\"', '"}\\\n{"', '"', "'", "\\",
     # preprocessor lines
@@ -1000,6 +1005,64 @@ def test_layout_scan_matches_the_reference(text):
     ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_layout_scan_matches_the_reference_on_fixtures(path):
     _assert_same_layout(path.read_text())
+
+
+def _ref_parse(source, file):
+    """parse_annotations built from the reference lexer, layout scan, anchor
+    resolution and clause splitter: (kind, text, anchor, span) of each
+    annotation, the first of equal ones kept."""
+    masked, comments = _ref_lex(source)
+    functions = _ref_scan_layout(masked)
+    annotations = {}
+    for comment in comments:
+        content, base = comment.content, comment.content_offset
+        for clause in _ref_split_clauses(content):
+            anchor = (GLOBAL if clause.kind in LOGICAL_CONSTRUCTS
+                      else _ref_resolve_anchor(clause.kind, comment, functions))
+            text = _ref_clause_text(clause, content)
+            end = max([clause.end] + [b for _, b in clause.extra_spans])
+            span = SourceSpan(file, source.count("\n", 0, base + clause.start) + 1,
+                              source.count("\n", 0, base + end - 1) + 1)
+            annotations.setdefault((clause.kind, text, anchor), span)
+    return [(*key, span) for key, span in annotations.items()]
+
+
+def _assert_same_parse(text):
+    parsed = _outcome(parse_annotations, text, "t.c")
+    if isinstance(parsed, SpecificationSet):
+        parsed = [(a.kind, a.text, a.anchor, a.span) for a in parsed]
+    assert parsed == _outcome(_ref_parse, text, "t.c")
+
+
+@settings(max_examples=400, deadline=None)
+@given(_c_like_text)
+def test_parse_matches_the_reference_parse(text):
+    _assert_same_parse(text)
+
+
+@pytest.mark.parametrize("path", sorted(
+    (Path(__file__).parent / "fixtures").rglob("*.c")),
+    ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_parse_matches_the_reference_parse_on_fixtures(path):
+    _assert_same_parse(path.read_text())
+
+
+def test_a_parse_reads_only_the_functions_its_annotations_anchor_to(monkeypatch):
+    helpers = "".join(f"static int h{i}(int n) {{ for (;;) {{ }} return n; }}\n"
+                      for i in range(100))
+    text = helpers + ("/*@ requires n >= 0; */\nint target(int n) {\n"
+                      "    //@ loop invariant n >= 0;\n    while (n) n--;\n"
+                      "    return n;\n}\n")
+    braces = []
+    at_brace = acsl._function_at_brace
+    monkeypatch.setattr(acsl, "_function_at_brace",
+                        lambda masked, i, marks: braces.append(i) or at_brace(masked, i, marks))
+    spec = parse_annotations(text)
+    assert [a.anchor for a in spec] == [FunctionContract("target"), Loop("target", 1)]
+    assert len(braces) <= 2
+    # a caller asking for every function still reads every brace pair
+    braces.clear()
+    assert len(declared_functions(text)) == 101 and len(braces) == 101
 
 
 # --------------------------------------------------------------------------
@@ -1409,6 +1472,22 @@ def test_parse_cost_grows_linearly():
 
     small = cost(_large_annotated_program(16 * 1024))
     large = cost(_large_annotated_program(128 * 1024))
+    assert large <= 12 * small, f"8x the input took {large / small:.1f}x the time"
+
+
+def test_contract_lookup_cost_grows_linearly_past_pairs_that_open_no_function():
+    # every contract comment comes before every struct: the search for the
+    # next function reads each struct's braces once per parse, not once per
+    # comment
+    def cost(n):
+        text = ("/*@ requires x > 0; */\n" * n + "struct S { int a; };\n" * n
+                + "int f(int x) { return x; }\n")
+        best, spec = _best_cost(parse_annotations, text)
+        assert [a.anchor for a in spec] == [FunctionContract("f")]
+        return best
+
+    small = cost(500)
+    large = cost(4000)
     assert large <= 12 * small, f"8x the input took {large / small:.1f}x the time"
 
 
