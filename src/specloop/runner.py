@@ -18,8 +18,8 @@ from typing import IO, Sequence
 
 from .acsl import declared_functions
 from .config import TemplateStore, canonical_config
-from .errors import (CorpusError, CorruptRecords, DuplicateId, EmptyCorpus,
-                     MissingTargetFunction)
+from .errors import (AcslError, CorpusError, CorruptRecords, DuplicateId,
+                     EmptyCorpus, MissingTargetFunction)
 from .oracle import Oracle
 from .refine import JSON_LINE, Paradigm, RunLimits, RunLogger, RunRecord, run_once
 from .verifier import Verifier
@@ -78,10 +78,13 @@ def load_dataset(directory: str | Path) -> list[Program]:
                     f"manifest {manifest} has no \"target_function\" string")
         else:
             target = ""   # the last function defined
-        programs[program_id] = Program(
-            id=program_id, source=source,
-            target_function=target, category=path.parent.name,
-        )
+        try:
+            programs[program_id] = Program(
+                id=program_id, source=source,
+                target_function=target, category=path.parent.name,
+            )
+        except AcslError as exc:   # the layout scan rejects the text
+            raise CorpusError(f"program {path}: {exc}") from None
     if not programs:
         raise EmptyCorpus(f"no .c files under {root}")
     return [programs[k] for k in sorted(programs)]

@@ -32,7 +32,7 @@ from .acsl import (
     parse_annotations,
     weave,
 )
-from .errors import AnchorNotFound, UnmappableFailure, VerifierNotInstalled
+from .errors import AcslError, UnmappableFailure, VerifierNotInstalled
 
 
 class GoalStatus(Enum):
@@ -461,7 +461,7 @@ class FramaCVerifier(Verifier):
         started = time.perf_counter()
         try:
             woven = weave(program.source, spec)
-        except AnchorNotFound as exc:
+        except AcslError as exc:
             return VerifierReport(ReportStatus.TOOL_ERROR, (),
                                   f"weave failed: {exc}",
                                   time.perf_counter() - started)
@@ -476,7 +476,13 @@ class FramaCVerifier(Verifier):
             started = time.perf_counter()  # the tool's time, not the wait for a slot
             path = Path(tmp) / "woven.c"
             path.write_text(woven, encoding="utf-8")
-            woven_spans = parse_annotations(woven, file=str(path))
+            try:
+                # a program comment or a spec text the parser rejects
+                woven_spans = parse_annotations(woven, file=str(path))
+            except AcslError as exc:
+                return VerifierReport(ReportStatus.TOOL_ERROR, (),
+                                      f"woven program does not parse: {exc}",
+                                      time.perf_counter() - started)
             cmd = [
                 self.settings.executable, "-wp",
                 "-wp-prover", self.settings.prover,

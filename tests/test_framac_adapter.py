@@ -267,6 +267,35 @@ def test_unanchorable_spec_reported_as_tool_error(fake_framac):
     assert "weave failed" in report.raw_output
 
 
+def test_a_program_comment_the_parser_rejects_ends_the_run_errored(wp_stub):
+    """verify re-parses the woven program for its spans; a program comment
+    that does not parse is the run's ToolError, not an exception."""
+    program = Program("prog", "/*@ frobnicate x; */\nint f(int n) { return n; }\n",
+                      "f", "toy")
+    completion = ("```c\n/*@ requires n >= 0; */\n"
+                  "int f(int n) { return n; }\n```")
+    verifier = FramaCVerifier(FramaCSettings(executable=str(wp_stub),
+                                             wall_budget=30.0))
+    record = run_once(program, canonical_config("CB"), Paradigm.DELETION,
+                      ScriptedOracle(lambda request: completion), verifier)
+    assert record.outcome is RunOutcome.ERRORED
+    assert record.error.startswith("ToolError: woven program does not parse: ")
+    assert "'frobnicate'" in record.error
+
+
+def test_a_spec_text_the_parser_rejects_is_an_uncached_tool_error(fake_framac,
+                                                                   tmp_path):
+    spec = SpecificationSet([
+        Annotation(K.REQUIRES, "requires x >= 0", FunctionContract("f")),
+    ])
+    verifier = FramaCVerifier(fake_framac(ALL_VALID))
+    for _ in range(2):
+        report = verifier.verify(FakeProgram(), spec)
+        assert report.status is ReportStatus.TOOL_ERROR and not report.cache_hit
+        assert "requires clause has no terminating ';'" in report.raw_output
+    assert tool_runs(tmp_path / "calls.log") == 0
+
+
 def test_summary_only_success_synthesizes_goals(fake_framac):
     verifier = FramaCVerifier(fake_framac("[wp] Proved goals:    2 / 2"))
     report = verifier.verify(FakeProgram(), contract())

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import gc
 import json
+import re
 import shutil
 import tempfile
 import warnings
@@ -44,6 +45,7 @@ from specloop.errors import (
     CorruptRecords,
     DuplicateId,
     EmptyCorpus,
+    MalformedAnnotation,
     MissingTargetFunction,
     MissingTemplate,
     UnknownConfiguration,
@@ -135,6 +137,29 @@ def test_a_program_that_is_not_utf8_is_a_corpus_error_naming_it(tmp_path, capsys
                      "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith(f"error: program {d / 'prog.c'}: ")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("source,message", [
+    ("int f(int n) { if (n) { return n; }\n", "unbalanced '{' at offset 13"),
+    ("int f(int n) { return n; }\n/* open\n", "unterminated comment at offset 27"),
+])
+def test_a_program_the_layout_scan_rejects_is_a_corpus_error_naming_it(
+        tmp_path, capsys, source, message):
+    d = tmp_path / "corpus" / "cat"
+    d.mkdir(parents=True)
+    (d / "prog.c").write_text(source)
+    with pytest.raises(CorpusError, match=re.escape(message)) as caught:
+        load_dataset(tmp_path / "corpus")
+    assert str(d / "prog.c") in str(caught.value)
+    out = tmp_path / "out"
+    assert cli_main(["run", "--dataset", str(tmp_path / "corpus"),
+                     "--oracle", str(tmp_path), "--verifier", "mock",
+                     "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: program {d / 'prog.c'}: {message}\n"
+    assert not out.exists()
+    # a Program built in code raises the scan's own error, as before
+    with pytest.raises(MalformedAnnotation, match=re.escape(message)):
+        Program("prog", source, "", "cat")
 
 
 def test_default_target_is_last_function(tmp_path):
