@@ -778,9 +778,8 @@ def _resolve_anchor(kind: ConstructKind, comment: _AcslComment,
 def strip_annotations(annotated_source: str) -> str:
     """Remove every ACSL comment; lines left fully blank are dropped."""
     _, comments = _lex(annotated_source)
-    out = annotated_source
-    for c in sorted(comments, key=lambda c: c.start_offset, reverse=True):
-        out = out[:c.start_offset] + out[c.end_offset:]
+    out = _splice(annotated_source,
+                  ((c.start_offset, c.end_offset, "") for c in comments))
     lines = out.split("\n")
     kept = [ln for ln in lines if ln.strip() or not ln]
     # collapse runs of blank lines introduced by removal
@@ -825,16 +824,25 @@ def weave(bare_source: str, spec: SpecificationSet) -> str:
                 f"no ordinal {anchor.ordinal}")
         blocks.setdefault(offset, []).append(ann.text)
 
-    out = bare_source
-    for offset in sorted(blocks, reverse=True):
-        block = _render_block(blocks[offset], _line_indent(bare_source, offset))
-        out = out[:offset] + block + out[offset:]
+    edits = [(offset, offset, _render_block(texts, _line_indent(bare_source, offset)))
+             for offset, texts in sorted(blocks.items())]
     if globals_:
-        # last, so that it lands before a contract at the same offset
+        # first, so that it lands before a contract at the same offset
         offset = min((f.decl_start for f in functions.values()), default=0)
-        block = _render_globals(globals_, _line_indent(bare_source, offset))
-        out = out[:offset] + block + out[offset:]
-    return out
+        edits.insert(0, (offset, offset,
+                         _render_globals(globals_, _line_indent(bare_source, offset))))
+    return _splice(bare_source, edits)
+
+
+def _splice(text: str, edits) -> str:
+    """text with each (start, end, insert) edit's text[start:end] replaced
+    by insert; edits come in offset order and do not overlap."""
+    parts, pos = [], 0
+    for start, end, insert in edits:
+        parts += text[pos:start], insert
+        pos = end
+    parts.append(text[pos:])
+    return "".join(parts)
 
 
 def _line_indent(source: str, offset: int) -> str:

@@ -23,7 +23,7 @@ from .verifier import FramaCSettings, FramaCVerifier, MockVerifier, Verifier
 def _build_oracle(persona: str) -> Oracle:
     if persona == "http":
         return HttpChatOracle(HttpOracleSettings.from_env())
-    path = Path(persona.removeprefix("replay:"))
+    path = Path(persona)
     if path.is_dir():
         return ReplayOracle(path)
     raise SpecloopError(

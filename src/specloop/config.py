@@ -129,8 +129,9 @@ class TemplateStore:
     Files are named `<phase>-<config>.txt` (phase is `generate` or
     `repair`). The root is the given directory, or the templates bundled
     with the package; every `*.txt` under it is read once, at construction.
-    A template with a lone brace, or a placeholder other than a plain
-    `{<field>}` its phase fills, raises ConfigError naming the file.
+    A template that is not UTF-8, has a lone brace, or a placeholder other
+    than a plain `{<field>}` its phase fills, raises ConfigError naming the
+    file.
     """
 
     def __init__(self, directory: str | Path | None = None):
@@ -138,15 +139,17 @@ class TemplateStore:
                       else resources.files("specloop") / "templates")
         if not self._root.is_dir():
             raise MissingTemplate(f"no template directory {self._root}")
-        self._templates = {
-            entry.name: entry.read_text(encoding="utf-8")
-            for entry in self._root.iterdir()
-            if entry.name.endswith(".txt") and entry.is_file()
-        }
-        for name, text in self._templates.items():
-            fields = _FIELDS.get(name.split("-", 1)[0])
+        self._templates: dict[str, str] = {}
+        for entry in self._root.iterdir():
+            if not (entry.name.endswith(".txt") and entry.is_file()):
+                continue
+            try:
+                text = self._templates[entry.name] = entry.read_text(encoding="utf-8")
+            except UnicodeDecodeError as exc:
+                raise ConfigError(f"template {entry}: {exc}") from None
+            fields = _FIELDS.get(entry.name.split("-", 1)[0])
             if fields is not None:
-                _check_placeholders(self._root / name, text, fields)
+                _check_placeholders(entry, text, fields)
 
     def load(self, phase: str, config_name: str) -> str:
         filename = f"{phase}-{config_name}.txt"

@@ -1,4 +1,4 @@
-"""Oracle gateway: propose and repair specifications through a pluggable
+"""Oracle gateway: generate and repair specifications through a pluggable
 interface.
 
 Three implementations: a live HTTP chat-completion client, a deterministic
@@ -22,6 +22,7 @@ from .errors import (
     AcslError,
     EmptyCompletion,
     FixtureMissing,
+    OracleError,
     OracleUnavailable,
     UnparseableCompletion,
 )
@@ -54,8 +55,8 @@ class OracleResponse:
 
 class Oracle(ABC):
     """Completion source for both phases. Implementations must be safe for
-    concurrent in-flight requests; per-run sequencing (propose before
-    repair, attempt ordering) is the caller's job."""
+    concurrent in-flight requests; per-run sequencing (attempt ordering) is
+    the caller's job."""
 
     #: calls worth running at once; in-process work holds the GIL
     concurrency = 1
@@ -64,20 +65,8 @@ class Oracle(ABC):
     def complete(self, request: OracleRequest) -> str:
         """Return the raw completion for a request."""
 
-    def propose(self, program, prompt: str, *, config_name: str,
-                attempt_index: int = 0) -> OracleResponse:
-        return self._ask(OraclePhase.GENERATE, program, prompt,
-                         config_name, attempt_index)
-
-    def repair(self, program, spec: SpecificationSet, report, prompt: str, *,
-               config_name: str, attempt_index: int) -> OracleResponse:
-        return self._ask(OraclePhase.REPAIR, program, prompt,
-                         config_name, attempt_index)
-
-    def _ask(self, phase: OraclePhase, program, prompt: str,
-             config_name: str, attempt_index: int) -> OracleResponse:
-        request = OracleRequest(phase, program.id,
-                                config_name, attempt_index, prompt)
+    def ask(self, request: OracleRequest) -> OracleResponse:
+        """Complete a request, timing the call, and parse the completion."""
         started = time.perf_counter()
         raw = self.complete(request)
         latency = time.perf_counter() - started
@@ -167,9 +156,14 @@ class ReplayOracle(Oracle):
                     fixture = _FIXTURE_NAME.fullmatch(entry.name)
                     if fixture is None:
                         continue
-                    with open(entry.path, encoding="utf-8") as fh:
-                        self._fixtures[(program.name, config.name, fixture[1],
-                                        int(fixture[2]))] = fh.read()
+                    try:
+                        with open(entry.path, encoding="utf-8") as fh:
+                            text = fh.read()
+                    except UnicodeDecodeError as exc:
+                        raise OracleError(
+                            f"replay fixture {entry.path}: {exc}") from None
+                    self._fixtures[(program.name, config.name, fixture[1],
+                                    int(fixture[2]))] = text
         self._specs: dict[str, SpecificationSet] = {}
 
     def complete(self, request: OracleRequest) -> str:

@@ -30,7 +30,7 @@ from .config import (
     check_compliance,
 )
 from .errors import OracleError, UnmappableFailure
-from .oracle import Oracle
+from .oracle import Oracle, OraclePhase, OracleRequest
 from .verifier import (
     GoalResult,
     GoalStatus,
@@ -226,9 +226,8 @@ def refine_modify(program, spec: SpecificationSet, report: VerifierReport,
     """Modification step: ask the oracle for a full replacement set given
     the verifier feedback. Oracle errors propagate to the run outcome."""
     prompt = build_repair_prompt(program, spec, report, config, templates)
-    response = oracle.repair(program, spec, report, prompt,
-                             config_name=config.name, attempt_index=attempt_index)
-    return response.extracted
+    return oracle.ask(OracleRequest(OraclePhase.REPAIR, program.id, config.name,
+                                    attempt_index, prompt)).extracted
 
 
 # --------------------------------------------------------------------------
@@ -279,7 +278,8 @@ def run_once(program, config: Configuration, paradigm: Paradigm,
     empty = SpecificationSet()
     try:
         prompt = build_generation_prompt(program, config, templates)
-        response = oracle.propose(program, prompt, config_name=config.name)
+        response = oracle.ask(OracleRequest(OraclePhase.GENERATE, program.id,
+                                            config.name, 0, prompt))
     except OracleError as exc:
         return record(RunOutcome.ERRORED, empty,
                       error=f"{type(exc).__name__}: {exc}")

@@ -376,9 +376,9 @@ def parse_wp_output(output: str) -> tuple[list[GoalResult], tuple[int, int] | No
 
     def record(name: str, status: GoalStatus, line: int | None = None) -> None:
         prev = best.get(name)
-        if prev is None or _better(status, prev):
+        if prev is None or _RANK[status] > _RANK[prev]:
             best[name] = status
-        if name not in lines_by_goal or lines_by_goal[name] is None:
+        if lines_by_goal.get(name) is None:
             lines_by_goal[name] = line
 
     for m in _WP_BRACKET.finditer(output):
@@ -386,45 +386,36 @@ def parse_wp_output(output: str) -> tuple[list[GoalResult], tuple[int, int] | No
     for m in _WP_PROVER.finditer(output):
         record(m.group(1), _STATUS_WORDS[m.group(2)])
 
-    lines = output.splitlines()
-    i = 0
-    while i < len(lines):
-        header = _WP_GOAL_HEADER.match(lines[i])
-        if header:
-            desc = header.group(1).strip()
-            line_m = _WP_GOAL_LINE.search(desc)
-            goal_line = int(line_m.group(1)) if line_m else None
+    # a goal block runs from its header to the next one; `Prove: true.` or a
+    # prover returning Valid proves it and ends its reading, else the last
+    # prover word wins
+    name = status = line = None   # the block being read
+    for text in output.splitlines():
+        if header := _WP_GOAL_HEADER.match(text):
+            if name is not None:
+                record(name, status, line)
+            name = header.group(1).strip()
+            line_m = _WP_GOAL_LINE.search(name)
+            line = int(line_m.group(1)) if line_m else None
             status = GoalStatus.UNKNOWN
-            j = i + 1
-            while j < len(lines) and not _WP_GOAL_HEADER.match(lines[j]):
-                if _WP_PROVE_TRUE.search(lines[j]):
-                    status = GoalStatus.PROVED
-                    break
-                pm = _WP_PROVER_RETURNS.search(lines[j])
-                if pm:
-                    word = pm.group(1)
-                    status = _STATUS_WORDS.get(word, GoalStatus.UNKNOWN)
-                    if status is GoalStatus.PROVED:
-                        break
-                j += 1
-            record(desc, status, goal_line)
-            i = j if j > i + 1 else i + 1
-        else:
-            i += 1
+        elif name is not None and status is not GoalStatus.PROVED:
+            if _WP_PROVE_TRUE.search(text):
+                status = GoalStatus.PROVED
+            elif pm := _WP_PROVER_RETURNS.search(text):
+                status = _STATUS_WORDS.get(pm.group(1), GoalStatus.UNKNOWN)
+    if name is not None:
+        record(name, status, line)
 
-    summary_m = None
-    for summary_m in _WP_SUMMARY.finditer(output):
-        pass
-    summary = (int(summary_m.group(1)), int(summary_m.group(2))) if summary_m else None
+    summaries = _WP_SUMMARY.findall(output)
+    summary = (int(summaries[-1][0]), int(summaries[-1][1])) if summaries else None
 
     goals = [GoalResult(name, status, source_line=lines_by_goal.get(name))
              for name, status in best.items()]
     return goals, summary
 
 
-def _better(a: GoalStatus, b: GoalStatus) -> bool:
-    order = {GoalStatus.UNKNOWN: 0, GoalStatus.TIMEOUT: 1, GoalStatus.PROVED: 2}
-    return order[a] > order[b]
+#: a goal reported several times keeps its best status
+_RANK = {GoalStatus.UNKNOWN: 0, GoalStatus.TIMEOUT: 1, GoalStatus.PROVED: 2}
 
 
 class FramaCVerifier(Verifier):

@@ -1454,10 +1454,10 @@ def _large_annotated_program(size: int) -> str:
     return "".join(parts)
 
 
-def _best_cost(scan, text):
-    """(least process time of 5 scan(text) calls, what the scan returned)"""
+def _best_cost(scan, text, times=5):
+    """(least process time of `times` scan(text) calls, what the scan returned)"""
     best = float("inf")
-    for _ in range(5):
+    for _ in range(times):
         started = time.process_time()
         result = scan(text)
         best = min(best, time.process_time() - started)
@@ -1488,6 +1488,41 @@ def test_contract_lookup_cost_grows_linearly_past_pairs_that_open_no_function():
 
     small = cost(500)
     large = cost(4000)
+    assert large <= 12 * small, f"8x the input took {large / small:.1f}x the time"
+
+
+def _contracted_program(n: int) -> str:
+    """n functions, each with a two-clause contract and an annotated loop."""
+    return "".join(
+        f"/*@ requires n >= 0;\n    ensures \\result >= 0; */\n"
+        f"int f{i}(int n) {{\n    int s = 0;\n"
+        f"    /*@ loop invariant 0 <= k <= n; */\n"
+        f"    for (int k = 0; k < n; k++) {{ s += k; }}\n    return s;\n}}\n\n"
+        for i in range(n))
+
+
+def test_strip_cost_grows_linearly():
+    def cost(n):
+        best, bare = _best_cost(strip_annotations, _contracted_program(n), 15)
+        assert "/*@" not in bare and bare.count("for (") == n
+        return best
+
+    small = cost(125)
+    large = cost(1000)
+    assert large <= 12 * small, f"8x the input took {large / small:.1f}x the time"
+
+
+def test_weave_cost_grows_linearly():
+    def cost(n):
+        text = _contracted_program(n)
+        spec = parse_annotations(text)
+        best, woven = _best_cost(functools.partial(weave, spec=spec),
+                                 strip_annotations(text), 15)
+        assert len(spec) == 3 * n and woven.count("/*@") == 2 * n
+        return best
+
+    small = cost(125)
+    large = cost(1000)
     assert large <= 12 * small, f"8x the input took {large / small:.1f}x the time"
 
 

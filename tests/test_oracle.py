@@ -32,10 +32,9 @@ import strategies
 import toyworld
 
 
-class FakeProgram:
-    def __init__(self, id="prog1", source="int f(int x) { return x; }"):
-        self.id = id
-        self.source = source
+def _generate(program_id="prog1", prompt="p", config_name="CB"):
+    """The request that opens a run."""
+    return OracleRequest(OraclePhase.GENERATE, program_id, config_name, 0, prompt)
 
 
 # --------------------------------------------------------------------------
@@ -105,8 +104,8 @@ def test_extraction_idempotent_on_woven_source():
 
 def test_replay_lookup_is_byte_stable(toy_corpus, replay_oracle):
     program = toy_corpus[0]
-    first = replay_oracle.propose(program, "ignored prompt", config_name="CB")
-    second = replay_oracle.propose(program, "ignored prompt", config_name="CB")
+    first = replay_oracle.ask(_generate(program.id, "ignored prompt"))
+    second = replay_oracle.ask(_generate(program.id, "ignored prompt"))
     assert first.raw_completion == second.raw_completion
     assert first.extracted == second.extracted
     assert len(first.extracted) >= 3
@@ -115,7 +114,7 @@ def test_replay_lookup_is_byte_stable(toy_corpus, replay_oracle):
 def test_replay_fixture_missing(tmp_path):
     oracle = ReplayOracle(tmp_path)
     with pytest.raises(FixtureMissing):
-        oracle.propose(FakeProgram(), "p", config_name="CB")
+        oracle.ask(_generate())
 
 
 def test_replay_reads_only_fixture_names_in_config_directories(tmp_path):
@@ -143,10 +142,10 @@ def test_replay_repair_chain(toy_corpus, persona_dir, replay_oracle):
     flagged = [p for p in toy_corpus if toyworld.roles(toy_corpus)[p.id]["bad"]
                and not toyworld.roles(toy_corpus)[p.id]["never_fixed"]]
     program = flagged[0]
-    initial = replay_oracle.propose(program, "p", config_name="CB")
+    initial = replay_oracle.ask(_generate(program.id, "p"))
     assert any(a.text == toyworld.BAD_ENSURES for a in initial.extracted)
-    repaired = replay_oracle.repair(program, initial.extracted, None, "p",
-                                    config_name="CB", attempt_index=1)
+    repaired = replay_oracle.ask(
+        OracleRequest(OraclePhase.REPAIR, program.id, "CB", 1, "p"))
     assert all(a.text != toyworld.BAD_ENSURES for a in repaired.extracted)
 
 
@@ -238,7 +237,7 @@ def _scripted(*completions):
 
 
 def _persona(root, fixtures):
-    """A replay persona for `FakeProgram` under CB: file name stem -> text."""
+    """A replay persona for program prog1 under CB: file name stem -> text."""
     cell = root / "prog1" / "CB"
     cell.mkdir(parents=True)
     for stem, text in fixtures.items():
@@ -247,8 +246,7 @@ def _persona(root, fixtures):
 
 
 def _repair(oracle, attempt):
-    return oracle.repair(FakeProgram(), None, None, "p", config_name="CB",
-                         attempt_index=attempt)
+    return oracle.ask(OracleRequest(OraclePhase.REPAIR, "prog1", "CB", attempt, "p"))
 
 
 def test_each_distinct_completion_is_parsed_once_per_instance(parses,
@@ -257,7 +255,7 @@ def test_each_distinct_completion_is_parsed_once_per_instance(parses,
                                "repair-2": _SPEC_B})
     oracle = ReplayOracle(root)
     assert parses == []     # parsed on first use, not when the files are read
-    responses = [oracle.propose(FakeProgram(), "p", config_name="CB"),
+    responses = [oracle.ask(_generate()),
                  _repair(oracle, 1), _repair(oracle, 2), _repair(oracle, 1)]
     assert parses == [_SPEC_A, _SPEC_B]
     for text, response in zip([_SPEC_A, _SPEC_A, _SPEC_B, _SPEC_A], responses):
@@ -267,7 +265,7 @@ def test_each_distinct_completion_is_parsed_once_per_instance(parses,
     assert responses[1].extracted is responses[0].extracted
     assert responses[3] is not responses[1]
     # another instance keeps its own specs
-    again = ReplayOracle(root).propose(FakeProgram(), "p", config_name="CB")
+    again = ReplayOracle(root).ask(_generate())
     assert parses == [_SPEC_A, _SPEC_B, _SPEC_A]
     assert again.extracted is not responses[0].extracted
 
@@ -277,7 +275,7 @@ def test_a_scripted_oracle_parses_every_completion(parses):
     texts = [_SPEC_A, _SPEC_B, "".join(_SPEC_A), "".join(_SPEC_A),
              "".join(_SPEC_B)]
     oracle = _scripted(*texts)
-    responses = [oracle.propose(FakeProgram(), "p", config_name="CB")
+    responses = [oracle.ask(_generate())
                  for _ in texts]
     assert parses == texts
     for text, response in zip(texts, responses):
@@ -314,8 +312,8 @@ def test_an_oracle_that_skips_the_base_init_parses_every_call(parses):
             return _SPEC_A
 
     oracle = Bare()
-    first = oracle.propose(FakeProgram(), "p", config_name="CB")
-    second = oracle.propose(FakeProgram(), "p", config_name="CB")
+    first = oracle.ask(_generate())
+    second = oracle.ask(_generate())
     assert oracle.calls == 2 and parses == [_SPEC_A, _SPEC_A]
     assert second.extracted == first.extracted
     assert second.extracted is not first.extracted
@@ -323,7 +321,7 @@ def test_an_oracle_that_skips_the_base_init_parses_every_call(parses):
 
 def _outcome(oracle):
     try:
-        return oracle.propose(FakeProgram(), "p", config_name="CB").extracted
+        return oracle.ask(_generate()).extracted
     except Exception as exc:
         return type(exc), str(exc)
 
@@ -355,8 +353,7 @@ def test_a_repeated_completion_gives_what_a_fresh_parse_gives(text):
 def test_scripted_oracle_digit_sum_figure(annotated_dir):
     figure_source = (annotated_dir / "digit_sum_verifiable.c").read_text()
     oracle = ScriptedOracle(lambda request: f"```c\n{figure_source}\n```")
-    response = oracle.propose(FakeProgram("digit_sum"), "prompt",
-                              config_name="CV")
+    response = oracle.ask(_generate("digit_sum", config_name="CV"))
     kinds = response.extracted.constr()
     assert ConstructKind.LOGIC in kinds and ConstructKind.LEMMA in kinds
 
@@ -364,7 +361,7 @@ def test_scripted_oracle_digit_sum_figure(annotated_dir):
 def test_scripted_empty_completion_maps_to_error():
     oracle = ScriptedOracle(lambda request: "no annotations here")
     with pytest.raises(EmptyCompletion):
-        oracle.propose(FakeProgram(), "prompt", config_name="CB")
+        oracle.ask(_generate())
 
 
 def test_request_carries_phase_and_attempt():
@@ -375,9 +372,8 @@ def test_request_carries_phase_and_attempt():
         return "```c\n/*@ requires x >= 0; */\nint f(int x) { return x; }\n```"
 
     oracle = ScriptedOracle(script)
-    oracle.propose(FakeProgram(), "p1", config_name="CB")
-    oracle.repair(FakeProgram(), None, None, "p2", config_name="CB",
-                  attempt_index=2)
+    oracle.ask(_generate(prompt="p1"))
+    oracle.ask(OracleRequest(OraclePhase.REPAIR, "prog1", "CB", 2, "p2"))
     assert seen[0].phase is OraclePhase.GENERATE and seen[0].attempt_index == 0
     assert seen[1].phase is OraclePhase.REPAIR and seen[1].attempt_index == 2
     assert seen[1].prompt == "p2"
@@ -452,8 +448,7 @@ def _http_oracle(session, retries=3):
 def test_transport_down_gives_oracle_unavailable_after_retries(sleeps):
     session = _DownSession()
     with pytest.raises(OracleUnavailable):
-        _http_oracle(session, retries=4).propose(FakeProgram(), "prompt",
-                                                 config_name="CB")
+        _http_oracle(session, retries=4).ask(_generate())
     assert session.posts == 4
     assert sleeps == [0.5, 1.0, 2.0]
 
@@ -461,14 +456,14 @@ def test_transport_down_gives_oracle_unavailable_after_retries(sleeps):
 def test_http_client_error_is_not_retried(sleeps):
     session = _ScriptedSession((401, {"error": "bad key"}))
     with pytest.raises(OracleUnavailable, match="401"):
-        _http_oracle(session).propose(FakeProgram(), "prompt", config_name="CB")
+        _http_oracle(session).ask(_generate())
     assert session.posts == 1 and sleeps == []
 
 
 def test_http_malformed_body_is_not_retried(sleeps):
     session = _ScriptedSession((200, {"choices": []}), (200, _CHAT_OK))
     with pytest.raises(OracleUnavailable, match="malformed"):
-        _http_oracle(session).propose(FakeProgram(), "prompt", config_name="CB")
+        _http_oracle(session).ask(_generate())
     assert session.posts == 1 and sleeps == []
 
 
@@ -479,7 +474,7 @@ def test_http_content_that_is_not_text_is_malformed(sleeps, content):
     session = _ScriptedSession(
         (200, {"choices": [{"message": {"content": content}}]}), (200, _CHAT_OK))
     with pytest.raises(OracleUnavailable, match="malformed oracle response"):
-        _http_oracle(session).propose(FakeProgram(), "prompt", config_name="CB")
+        _http_oracle(session).ask(_generate())
     assert session.posts == 1 and sleeps == []
 
 
@@ -494,15 +489,14 @@ def test_http_settings_out_of_range_are_refused(setting):
 
 def test_http_server_errors_are_retried(sleeps):
     session = _ScriptedSession((503, {}), (503, {}), (200, _CHAT_OK))
-    response = _http_oracle(session).propose(FakeProgram(), "prompt",
-                                             config_name="CB")
+    response = _http_oracle(session).ask(_generate())
     assert len(response.extracted) == 1
     assert session.posts == 3 and sleeps == [0.5, 1.0]
 
 
 def test_http_rate_limit_is_retried(sleeps):
     session = _ScriptedSession((429, {}), (200, _CHAT_OK))
-    _http_oracle(session).propose(FakeProgram(), "prompt", config_name="CB")
+    _http_oracle(session).ask(_generate())
     assert session.posts == 2 and sleeps == [0.5]
 
 
@@ -511,7 +505,7 @@ def test_http_oracle_happy_path():
     oracle = HttpChatOracle(
         HttpOracleSettings(base_url="http://api.invalid/v1", model="m"),
         session=_GoodSession(completion))
-    response = oracle.propose(FakeProgram(), "prompt", config_name="CB")
+    response = oracle.ask(_generate())
     assert len(response.extracted) == 1
     assert response.latency >= 0
 
@@ -521,4 +515,4 @@ def test_http_oracle_empty_completion():
         HttpOracleSettings(base_url="http://api.invalid/v1", model="m"),
         session=_GoodSession("   "))
     with pytest.raises(EmptyCompletion):
-        oracle.propose(FakeProgram(), "prompt", config_name="CB")
+        oracle.ask(_generate())

@@ -895,6 +895,23 @@ def test_cli_bad_oracle_persona(tmp_path):
     assert code == 2
 
 
+def test_cli_refuses_a_replay_fixture_that_is_not_utf8_before_any_run(
+        persona_dir, mock_rules_file, tmp_path, capsys):
+    persona = Path(shutil.copytree(persona_dir, tmp_path / "persona"))
+    fixture = sorted(persona.glob("*/CB/generate-0.txt"))[0]
+    fixture.write_bytes(b"\xff\xfe")
+    corpus = Path(__file__).parent / "fixtures" / "toy_corpus"
+    out = tmp_path / "out"
+    code = cli_main([
+        "run", "--dataset", str(corpus), "--runs", "1",
+        "--oracle", str(persona), "--verifier", "mock",
+        "--mock-fixtures", str(mock_rules_file), "--out", str(out),
+    ])
+    assert code == 2
+    assert capsys.readouterr().err.startswith(f"error: replay fixture {fixture}: ")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("option,value,bad", [
     ("--configs", "CB,CX", "'CX'"),
     ("--paradigms", "delete,modfy", "'modfy'"),
@@ -936,6 +953,24 @@ def test_cli_refuses_a_template_with_an_unknown_field_before_any_run(
     assert code == 2
     assert capsys.readouterr().err.startswith(
         f"error: template {templates / 'repair-CB.txt'}: unknown field 'oops'")
+    assert not out.exists()
+
+
+def test_cli_refuses_a_template_that_is_not_utf8_before_any_run(
+        persona_dir, mock_rules_file, tmp_path, capsys):
+    templates = _bundled_templates_copy(tmp_path)
+    (templates / "generate-CB.txt").write_bytes(b"\xff")
+    corpus = Path(__file__).parent / "fixtures" / "toy_corpus"
+    out = tmp_path / "out"
+    code = cli_main([
+        "run", "--dataset", str(corpus), "--runs", "1", "--configs", "CB",
+        "--oracle", str(persona_dir), "--verifier", "mock",
+        "--mock-fixtures", str(mock_rules_file), "--templates", str(templates),
+        "--out", str(out),
+    ])
+    assert code == 2
+    assert capsys.readouterr().err.startswith(
+        f"error: template {templates / 'generate-CB.txt'}: 'utf-8' codec can't decode")
     assert not out.exists()
 
 

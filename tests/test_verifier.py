@@ -35,11 +35,12 @@ from specloop import (
     weave,
 )
 from specloop.errors import UnmappableFailure
-from specloop.refine import RunLogger
+from specloop.refine import RunLogger, RunOutcome
 from specloop.acsl import _declared_name
 from specloop.verifier import (
-    _GOAL_PLACE, _goal_kind_hint, _linker, _wp_report, parse_wp_output,
-    report_from_goals)
+    _GOAL_PLACE, _STATUS_WORDS, _WP_BRACKET, _WP_GOAL_HEADER, _WP_GOAL_LINE,
+    _WP_PROVE_TRUE, _WP_PROVER, _WP_PROVER_RETURNS, _WP_SUMMARY,
+    _goal_kind_hint, _linker, _wp_report, parse_wp_output, report_from_goals)
 
 import strategies
 from test_acsl import _key, _ref_without, _same_objects
@@ -115,11 +116,18 @@ class _UnformattableProgram(FakeProgram):
 def test_program_with_an_id_is_never_formatted():
     program = _UnformattableProgram()
     assert MockVerifier().verify(program, contract_spec()).status is ReportStatus.VERIFIED
-    seen = []
-    oracle = ScriptedOracle(lambda request: seen.append(request.program_id) or
-                            "```c\n/*@ requires x >= 0; */\nint f(int x) { return x; }\n```")
-    oracle.propose(program, "p", config_name="CB")
-    assert seen == ["prog1"]
+    bad, good = ("```c\n/*@ requires x >= 0;\n    ensures \\result == x + 1; */\n"
+                 "int f(int x) { return x; }\n```",
+                 "```c\n/*@ requires x >= 0; */\nint f(int x) { return x; }\n```")
+    mock = MockVerifier(always_failing=["ensures \\result == x + 1;"])
+    for paradigm, calls in ((Paradigm.DELETION, 1), (Paradigm.MODIFICATION, 2)):
+        seen = []
+        completions = iter([bad, good])
+        oracle = ScriptedOracle(lambda request: seen.append(request.program_id)
+                                or next(completions))
+        record = run_once(program, canonical_config("CB"), paradigm, oracle, mock)
+        assert record.outcome is RunOutcome.VERIFIED and record.tool_calls == 2
+        assert seen == ["prog1"] * calls
 
 
 def test_rule_mode_fails_matching_texts():
@@ -748,6 +756,79 @@ def test_parse_summary_only_and_garbage():
     assert goals == [] and summary == (3, 3)
     goals, summary = parse_wp_output("segmentation fault")
     assert goals == [] and summary is None
+
+
+def _ref_parse_wp_output(output):
+    """Reference for parse_wp_output: each goal block read by an inner loop
+    from its header to the next header, the outer loop resuming there."""
+    best = {}
+    lines_by_goal = {}
+    order = {GoalStatus.UNKNOWN: 0, GoalStatus.TIMEOUT: 1, GoalStatus.PROVED: 2}
+
+    def record(name, status, line=None):
+        prev = best.get(name)
+        if prev is None or order[status] > order[prev]:
+            best[name] = status
+        if name not in lines_by_goal or lines_by_goal[name] is None:
+            lines_by_goal[name] = line
+
+    for m in _WP_BRACKET.finditer(output):
+        record(m.group(2), _STATUS_WORDS[m.group(1)])
+    for m in _WP_PROVER.finditer(output):
+        record(m.group(1), _STATUS_WORDS[m.group(2)])
+
+    lines = output.splitlines()
+    i = 0
+    while i < len(lines):
+        header = _WP_GOAL_HEADER.match(lines[i])
+        if header:
+            desc = header.group(1).strip()
+            line_m = _WP_GOAL_LINE.search(desc)
+            goal_line = int(line_m.group(1)) if line_m else None
+            status = GoalStatus.UNKNOWN
+            j = i + 1
+            while j < len(lines) and not _WP_GOAL_HEADER.match(lines[j]):
+                if _WP_PROVE_TRUE.search(lines[j]):
+                    status = GoalStatus.PROVED
+                    break
+                pm = _WP_PROVER_RETURNS.search(lines[j])
+                if pm:
+                    status = _STATUS_WORDS.get(pm.group(1), GoalStatus.UNKNOWN)
+                    if status is GoalStatus.PROVED:
+                        break
+                j += 1
+            record(desc, status, goal_line)
+            i = j if j > i + 1 else i + 1
+        else:
+            i += 1
+
+    summary_m = None
+    for summary_m in _WP_SUMMARY.finditer(output):
+        pass
+    summary = (int(summary_m.group(1)), int(summary_m.group(2))) if summary_m else None
+    return ([GoalResult(name, status, source_line=lines_by_goal.get(name))
+             for name, status in best.items()], summary)
+
+
+@settings(max_examples=500, deadline=None)
+@given(chunks=st.lists(st.tuples(strategies.wp_outputs(),
+                                 st.sampled_from(["\n", "\r\n", "\n\n", "\r\n\r\n"])),
+                       max_size=4))
+def test_wp_output_parses_as_the_reference_parser_parses_it(chunks):
+    # bracket, prover and summary lines, goal headers with and without a
+    # location, `Prove: true.`, prover words in and out of _STATUS_WORDS,
+    # junk, blank lines, and \n and \r\n line ends
+    output = "".join(text + end for text, end in chunks)
+    assert parse_wp_output(output) == _ref_parse_wp_output(output)
+
+
+@pytest.mark.parametrize("output", [
+    BRACKET_OUTPUT, PROVER_LINE_OUTPUT, GOAL_BLOCK_OUTPUT, ALL_VALID_OUTPUT,
+    SUMMARY_ONLY_OUTPUT, "segmentation fault",
+    GOAL_BLOCK_OUTPUT.replace("\n", "\r\n"), BRACKET_OUTPUT + GOAL_BLOCK_OUTPUT,
+])
+def test_wp_examples_parse_as_the_reference_parser_parses_them(output):
+    assert parse_wp_output(output) == _ref_parse_wp_output(output)
 
 
 @settings(max_examples=300, deadline=None)
