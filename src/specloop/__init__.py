@@ -17,7 +17,6 @@ from .acsl import (
     Loop,
     SourceSpan,
     SpecificationSet,
-    classify_construct,
     parse_annotations,
     strip_annotations,
     weave,

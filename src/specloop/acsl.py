@@ -13,8 +13,7 @@ import functools
 import re
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import accumulate
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Iterable, Iterator, Union
 
 from .errors import AnchorNotFound, ClassificationError, MalformedAnnotation
 
@@ -83,21 +82,6 @@ _CONTRACT_KINDS = frozenset({
 
 #: the construct kind each clause keyword heads, "loop invariant" as one key
 KIND_OF_KEYWORD = {kind.keyword: kind for kind in ConstructKind}
-
-
-def classify_construct(clause_keyword: Union[str, Sequence[str]]) -> ConstructKind:
-    """Map the keyword tokens heading a clause to its construct kind.
-
-    Accepts a string ("loop invariant") or a token sequence
-    (("loop", "invariant")). Raises ClassificationError for any keyword
-    outside the eleven supported kinds (ghost, assert, terminates, ...).
-    """
-    if not isinstance(clause_keyword, str):
-        clause_keyword = " ".join(clause_keyword)
-    kind = KIND_OF_KEYWORD.get(" ".join(clause_keyword.split()))
-    if kind is None:
-        raise ClassificationError(f"not a supported construct keyword: {clause_keyword!r}")
-    return kind
 
 
 # --------------------------------------------------------------------------
@@ -363,9 +347,8 @@ _TYPE_END = re.compile(r"[\s*]*(\w+)")
 _LOOP_TOKEN = re.compile(r"\{|\}|for(?!\w)|do(?!\w)|while(?!\w)")
 #: on reversed text, the nearest ';' or brace before an offset
 _BOUND = re.compile(r"[;{}]")
-#: a preprocessor line at the start of the text, and one after a newline
-_FIRST_DIRECTIVE = re.compile(r"[ \t]*#[^\n]*")
-_DIRECTIVE = re.compile(r"\n[ \t]*#[^\n]*")
+#: from a line's start, the head of a preprocessor line
+_DIRECTIVE_HEAD = re.compile(r"[ \t]*#")
 
 
 @dataclass
@@ -379,43 +362,71 @@ class _FunctionInfo:
 
 class _DeclarationMarks:
     """Where a declaration can start and which '(' each ')' closes, in
-    masked text."""
+    masked text. Both are read on demand near the offset asked about: a
+    ')' is paired by a scan back from it, and a declaration's start is
+    searched for back to the line holding the nearest bound before it."""
 
     def __init__(self, masked: str):
+        self.masked = masked
         #: the masked text reversed, for regex steps backwards
         self.reverse = masked[::-1]
-        #: (start, end) of each preprocessor line, end at its newline; a later
-        #: line starts at the newline before it, where no name can start
-        first = _FIRST_DIRECTIVE.match(masked)
-        self.directives = [first.span()] if first else []
-        self.directives += [m.span() for m in _DIRECTIVE.finditer(masked)]
-        #: ')' offset -> offset of the '(' it closes; a ')' that closes
-        #: nothing has no entry. A forward stack, so an entry depends on the
-        #: text before its ')' only.
-        self.opener: dict[int, int] = {}
-        find = masked.find
-        open_parens: list[int] = []
-        o, c = find("("), find(")")
-        while c >= 0:
-            if 0 <= o < c:
-                open_parens.append(o)
-                o = find("(", o + 1)
+        #: one past the last ')' found to close nothing: the forward stack
+        #: is empty there, so no ')' after it closes a '(' before it
+        self._floor = 0
+        #: (offset, start of its line) of the last line start looked up
+        self._line = (0, 0)
+
+    def opener(self, c: int) -> int:
+        """Offset of the '(' that the ')' at c closes, -1 if it closes
+        nothing: the pairing of a forward stack, so a ')' that closes
+        nothing does not count. A backward depth scan finds it; a layout
+        asks about each ')' once."""
+        rfind = self.masked.rfind
+        floor = self._floor if c >= self._floor else 0
+        depth = 1
+        o, k = rfind("(", floor, c), rfind(")", floor, c)
+        while o >= 0:
+            if k > o:
+                depth += 1
+                k = rfind(")", floor, k)
             else:
-                if open_parens:
-                    self.opener[c] = open_parens.pop()
-                c = find(")", c + 1)
+                depth -= 1
+                if not depth:
+                    break
+                o = rfind("(", floor, o)
+        else:
+            self._floor = max(self._floor, c + 1)
+        return o
+
+    def _line_start(self, offset: int) -> int:
+        """Where the line holding offset starts; lookups at rising offsets
+        read each newline once."""
+        last, start = self._line if offset >= self._line[0] else (0, 0)
+        nl = self.masked.rfind("\n", last, offset)
+        self._line = offset, nl + 1 if nl >= 0 else start
+        return self._line[1]
 
     def decl_start(self, name_start: int) -> int:
         """Offset just after the last ';', '}', '{' or preprocessor line
         before name_start; a preprocessor line running on past name_start
-        counts as ending there. The search reads back to the nearest bound
-        only."""
-        bound = _BOUND.search(self.reverse, len(self.reverse) - name_start)
-        anchor = len(self.reverse) - 1 - bound.start() if bound else -1
-        k = bisect.bisect_left(self.directives, (name_start,))
-        if k:
-            anchor = max(anchor, min(self.directives[k - 1][1], name_start) - 1)
-        return anchor + 1
+        counts as ending there. The search reads back to the start of the
+        line holding the nearest bound only."""
+        masked = self.masked
+        bound = _BOUND.search(self.reverse, len(masked) - name_start)
+        b = len(masked) - 1 - bound.start() if bound else -1
+        # a '#' after only spaces and tabs on its line: the last one on a
+        # line after the bound's, else the head of the bound's own line
+        h = masked.rfind("#", b + 1, name_start)
+        while h >= 0 and (nl := masked.rfind("\n", b + 1, h)) >= 0:
+            if _DIRECTIVE_HEAD.match(masked, nl + 1):
+                break
+            h = masked.rfind("#", b + 1, nl)
+        else:
+            h = self._line_start(max(b, 0))
+            if not _DIRECTIVE_HEAD.match(masked, h):
+                return b + 1
+        end = masked.find("\n", h, name_start)
+        return max(b + 1, end if end >= 0 else name_start)
 
 
 def _function_at_brace(masked: str, brace_pos: int,
@@ -430,12 +441,12 @@ def _function_at_brace(masked: str, brace_pos: int,
         j = last - _SPACE.match(rev, last - j).end()
         if j < 0 or masked[j] != ")":
             return None
-        j = marks.opener.get(j, -1)
+        j = marks.opener(j)
         if j < 0:
             return None
         j = last - _SPACE.match(rev, last - j + 1).end()
         if j >= 0 and masked[j] == ")":
-            group = marks.opener.get(j, -1)
+            group = marks.opener(j)
             lone = group >= 0 and _LONE_NAME.fullmatch(masked, group + 1, j)
             typed = lone and _TYPE_END.match(rev, last - group + 1)
             if (typed and not typed[1][-1].isdigit()
@@ -726,13 +737,26 @@ def parse_annotations(annotated_source: str, file: str = "<source>") -> Specific
     Loop clauses anchor to the next loop of the enclosing function, contract
     clauses to the next function definition, logic declarations to file
     scope. Non-annotation comments are ignored.
+
+    Past the lexer, a parse reads only near its annotations: the brace
+    pairs they anchor to, the heads of those functions, and the newlines
+    between one clause and the next for line numbers.
     """
     masked, comments = _lex(annotated_source)
     layout = _Layout(masked)
-    # where each line starts (and one past the end): the line of an offset
-    # is the count of starts at or before it
-    line_starts = list(accumulate(
-        map((1).__add__, map(len, annotated_source.split("\n"))), initial=0))
+    at, line = 0, 1   # the offset last numbered, and its line
+
+    def line_of(offset: int) -> int:
+        # counted on from the last offset, or back: a behavior whose
+        # `assumes` follows its other clauses ends past the next one's start
+        nonlocal at, line
+        if offset >= at:
+            line += annotated_source.count("\n", at, offset)
+        else:
+            line -= annotated_source.count("\n", offset, at)
+        at = offset
+        return line
+
     annotations = []
     for comment in comments:
         content, base = comment.content, comment.content_offset
@@ -746,8 +770,7 @@ def parse_annotations(annotated_source: str, file: str = "<source>") -> Specific
             anchor = anchors.get(anchor_type)
             if anchor is None:
                 anchor = anchors[anchor_type] = _resolve_anchor(kind, comment, layout)
-            span = _shared_span(file, bisect.bisect_right(line_starts, base + clause.start),
-                                bisect.bisect_right(line_starts, base + end - 1))
+            span = _shared_span(file, line_of(base + clause.start), line_of(base + end - 1))
             annotations.append(Annotation(kind, clause.text(content), anchor, span))
     return SpecificationSet(annotations)
 

@@ -20,7 +20,6 @@ from specloop import (
     Loop,
     SourceSpan,
     SpecificationSet,
-    classify_construct,
     parse_annotations,
     strip_annotations,
     weave,
@@ -37,7 +36,8 @@ import strategies
 
 
 # --------------------------------------------------------------------------
-# classify_construct
+# construct classification: the clause split maps each clause keyword to its
+# kind through KIND_OF_KEYWORD
 # --------------------------------------------------------------------------
 
 SUPPORTED = {
@@ -64,26 +64,34 @@ UNSUPPORTED = [
 ]
 
 
+def _classify(keyword):
+    """The kind of the first clause the split reads from a clause headed by
+    keyword; a behavior header ends at the ':' and takes the clause after."""
+    return acsl._split_clauses(f"{keyword} b: requires x;")[0].kind
+
+
 def test_classify_direct_keyword():
-    assert classify_construct("requires") is ConstructKind.REQUIRES
+    assert _classify("requires") is ConstructKind.REQUIRES
 
 
 def test_classify_loop_variant_tokens():
-    assert classify_construct(("loop", "variant")) is ConstructKind.LOOP_VARIANT
+    assert _classify("loop \n\t variant") is ConstructKind.LOOP_VARIANT
 
 
 def test_classify_ghost_is_an_error():
     with pytest.raises(ClassificationError):
-        classify_construct("ghost")
+        _classify("ghost")
 
 
 def test_classifier_is_total_over_the_acsl_clause_list():
-    # brute force: exactly the eleven studied keywords classify, the rest error
+    # brute force: exactly the eleven studied keywords classify, the rest
+    # error; `axiomatic` opens a block, whose own errors are tested below
     for keyword, kind in SUPPORTED.items():
-        assert classify_construct(keyword) is kind
+        assert _classify(keyword) is kind
     for keyword in UNSUPPORTED:
-        with pytest.raises(ClassificationError):
-            classify_construct(keyword)
+        if keyword != "axiomatic":
+            with pytest.raises(ClassificationError):
+                _classify(keyword)
 
 
 def test_exactly_eleven_kinds_partitioned():
@@ -357,6 +365,15 @@ def test_parse_spans_are_per_clause():
     by_kind = {a.kind: a for a in spec}
     assert by_kind[ConstructKind.REQUIRES].span == SourceSpan("spans.c", 1, 1)
     assert by_kind[ConstructKind.ENSURES].span == SourceSpan("spans.c", 2, 2)
+
+
+def test_a_behavior_span_ends_at_its_last_assumes():
+    # the line numbers of the clause after it are counted back from there
+    spec = parse_annotations("/*@ behavior b:\n ensures y;\n assumes x > 0;\n"
+                             " requires z; */\nint f(int x) { return x; }\n")
+    assert [(a.kind, a.span.start_line, a.span.end_line) for a in spec] == [
+        (ConstructKind.BEHAVIOR, 1, 3), (ConstructKind.ENSURES, 2, 2),
+        (ConstructKind.REQUIRES, 4, 4)]
 
 
 def test_parse_totality_no_silent_drops(annotated_dir):
@@ -816,14 +833,32 @@ def _ref_function_at_brace(masked, brace_pos):
         name = masked[j + 1:name_end]
     if not name or name[0].isdigit() or name in acsl._C_KEYWORDS:
         return None
-    head = masked[:j + 1]
-    anchor = max(head.rfind(";"), head.rfind("}"), head.rfind("{"))
-    for m in re.finditer(r"(?m)^[ \t]*#[^\n]*$", head):
-        anchor = max(anchor, m.end() - 1)
-    decl_start = anchor + 1
+    decl_start = _ref_decl_start(masked, j + 1)
     while decl_start < brace_pos and masked[decl_start].isspace():
         decl_start += 1
     return name, decl_start
+
+
+def _ref_decl_start(masked, name_start):
+    """Just after the last ';', '}', '{' or preprocessor line before
+    name_start, a line running past name_start cut there."""
+    head = masked[:name_start]
+    anchor = max(head.rfind(";"), head.rfind("}"), head.rfind("{"))
+    for m in re.finditer(r"(?m)^[ \t]*#[^\n]*$", head):
+        anchor = max(anchor, m.end() - 1)
+    return anchor + 1
+
+
+def _ref_openers(masked):
+    """')' offset -> offset of the '(' a forward stack pairs it with, -1
+    for a ')' that closes nothing."""
+    openers, stack = {}, []
+    for i, ch in enumerate(masked):
+        if ch == "(":
+            stack.append(i)
+        elif ch == ")":
+            openers[i] = stack.pop() if stack else -1
+    return openers
 
 
 def _ref_collect_loops(masked, body_start, body_end):
@@ -974,6 +1009,11 @@ _C_FRAGMENTS = [
     "/* { ; } */", "/* \" ' */", "/*@ requires x > 0; */",
     "/*@ loop invariant i >= 0; */", "//@ ensures \\result >= 0;\n",
     "// } { \" \n", "/*@ @ assigns \\nothing; @*/", "/*", "*/", "//",
+    # annotations over several lines: a behavior whose `assumes` follows
+    # its `ensures`, so its span ends past the next clause's start, and an
+    # axiomatic block
+    "/*@ behavior b:\n    ensures y;\n    assumes x > 0;\n    requires z; */",
+    "/*@ axiomatic A {\n    predicate p(integer x) = x > 0;\n\n    axiom a: p(1);\n  } */",
     # comments closed by a run of '*', or holding '*' and '/' apart
     "/***/", "/*@*/", "/*@ a **/", "/* * / */", "/*@ x */ */",
     # string and char literals, escaped quotes, unterminated ones
@@ -1005,6 +1045,26 @@ def test_layout_scan_matches_the_reference(text):
     ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_layout_scan_matches_the_reference_on_fixtures(path):
     _assert_same_layout(path.read_text())
+
+
+_marks_text = st.lists(st.sampled_from(
+    ["(", ")", "{", "}", ";", "#", "\n", " ", "\t", "a", "fn", "x_1"]),
+    max_size=60).map("".join)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_marks_text, st.data())
+def test_declaration_marks_match_the_reference(text, data):
+    # the scan floor and the line-start lookup depend on the order of the
+    # questions, so hypothesis draws it; each is asked twice
+    openers = _ref_openers(text)
+    questions = [("opener", c) for c in openers]
+    questions += [("decl_start", m.start()) for m in re.finditer(r"\w+", text)]
+    marks = acsl._DeclarationMarks(text)
+    for method, offset in data.draw(st.permutations(questions * 2)):
+        expected = (openers[offset] if method == "opener"
+                    else _ref_decl_start(text, offset))
+        assert getattr(marks, method)(offset) == expected, (method, offset)
 
 
 def _ref_parse(source, file):
@@ -1260,42 +1320,6 @@ _REF_LOOP = {"invariant": ConstructKind.LOOP_INVARIANT,
              "variant": ConstructKind.LOOP_VARIANT, "assigns": ConstructKind.LOOP_ASSIGNS}
 
 
-
-def _ref_classify_construct(clause_keyword):
-    if not isinstance(clause_keyword, str):
-        clause_keyword = " ".join(clause_keyword)
-    tokens = clause_keyword.split()
-    if len(tokens) == 1 and tokens[0] in _REF_SIMPLE:
-        return _REF_SIMPLE[tokens[0]]
-    if len(tokens) == 2 and tokens[0] == "loop" and tokens[1] in _REF_LOOP:
-        return _REF_LOOP[tokens[1]]
-    if tokens == ["behavior"]:
-        return ConstructKind.BEHAVIOR
-    raise ClassificationError(f"not a supported construct keyword: {clause_keyword!r}")
-
-
-_KEYWORD_WORDS = sorted({word for kind in ConstructKind for word in kind.keyword.split()})
-_JUNK_WORDS = ["", "ghost", "assumes", "axiomatic", "Requires", "loop_invariant",
-               "invariantx", "loopinvariant", "é"]
-_SEPARATORS = ["", " ", "  ", "\t", "\n", "\u00a0", "\u2028"]
-
-
-def test_classify_construct_matches_the_reference():
-    """Every one- and two-word combination of the keywords' words and junk
-    words, as a string and as a token sequence, with whitespace variants
-    between and around the words."""
-    words = _KEYWORD_WORDS + _JUNK_WORDS
-    for first in words:
-        for second in [None, *words]:
-            for sep in _SEPARATORS:
-                for pad in ("", " ", "\n\t", "\u00a0"):
-                    head = first if second is None else first + sep + second
-                    tokens = (first,) if second is None else (pad + first, second + sep)
-                    for keyword in (pad + head + pad, tokens, list(tokens)):
-                        assert (_outcome(classify_construct, keyword)
-                                == _outcome(_ref_classify_construct, keyword)), keyword
-
-
 def _ref_split_clauses(content):
     clauses = []
     open_behavior = None
@@ -1537,4 +1561,54 @@ def test_layout_cost_grows_linearly_without_semicolons():
 
     small = cost(16 * 1024)
     large = cost(128 * 1024)
+    assert large <= 12 * small, f"8x the input took {large / small:.1f}x the time"
+
+
+def test_head_cost_grows_linearly_past_parentheses_that_close_nothing():
+    # no ')' before a brace closes a '(', so each scan for one reads back to
+    # where the last such scan began, not over every group before it
+    def cost(n):
+        text = ("/*@ requires x > 0; */\n" + "g(x)) {}\n" * n
+                + "int f(int x) { return x; }\n")
+        best, spec = _best_cost(parse_annotations, text)
+        assert [a.anchor for a in spec] == [FunctionContract("f")]
+        return best
+
+    small = cost(500)
+    large = cost(4000)
+    assert large <= 12 * small, f"8x the input took {large / small:.1f}x the time"
+
+
+@pytest.mark.parametrize("scan", [declared_functions, parse_annotations],
+                         ids=lambda scan: scan.__name__)
+def test_head_cost_grows_linearly_with_deep_parentheses(scan):
+    # a loop clause in every body, so a parse reads every head too
+    def cost(n):
+        text = "".join(
+            f"int h{i}(int a, int (*g)(int (*)(int (*)(int))), int b) {{\n"
+            f"    //@ loop invariant a >= 0;\n    while (a) a--;\n    return b;\n}}\n"
+            for i in range(n))
+        best, found = _best_cost(scan, text)
+        assert len(found) == n
+        return best
+
+    small = cost(500)
+    large = cost(4000)
+    assert large <= 12 * small, f"8x the input took {large / small:.1f}x the time"
+
+
+@pytest.mark.parametrize("line", [
+    # '#'s in the middle of the line between each bound and the name
+    lambda i: f"a # b # c # d\nint f{i}(void) {{}}\n",
+    # one line: every bound lies on it, and so does every name
+    lambda i: f"int f{i}(void) {{}}" + " " * 1000,
+], ids=["hash-mid-line", "one-line"])
+def test_declaration_start_cost_grows_linearly(line):
+    def cost(n):
+        best, names = _best_cost(declared_functions, "".join(map(line, range(n))))
+        assert names == [f"f{i}" for i in range(n)]
+        return best
+
+    small = cost(500)
+    large = cost(4000)
     assert large <= 12 * small, f"8x the input took {large / small:.1f}x the time"
