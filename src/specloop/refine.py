@@ -88,61 +88,118 @@ class RunRecord:
             "tool_calls": self.tool_calls,
             "elapsed": round(self.elapsed, 6),
             "iterations": self.iterations,
-            "final_spec": [_annotation_to_dict(a) for a in self.final_spec],
+            "final_spec": [_annotation_to_stored(a) for a in self.final_spec],
             "error": self.error,
         }
 
     @classmethod
     def from_dict(cls, data: dict, built: dict | None = None) -> "RunRecord":
         """The record stored as `data`. Records loaded with one `built` dict
-        share one `Annotation` per distinct stored annotation."""
+        share one `Annotation` per distinct stored annotation. A field of
+        the wrong type raises TypeError, and an unknown value ValueError."""
         built = {} if built is None else built
+        program_id, config_name = data["program_id"], data["config"]
+        run_index, compliant = data["run_index"], data["compliant"]
+        tool_calls, iterations = data["tool_calls"], data["iterations"]
+        elapsed, error = data["elapsed"], data.get("error")
+        if ((type(program_id), type(config_name), type(run_index), type(compliant),
+             type(tool_calls), type(iterations)) != _FIELD_TYPES
+                or type(elapsed) not in (float, int)
+                or not (error is None or type(error) is str)):
+            raise TypeError(_misfit(data))
         return cls(
-            program_id=data["program_id"],
-            config_name=data["config"],
+            program_id=program_id,
+            config_name=config_name,
             paradigm=Paradigm(data["paradigm"]),
-            run_index=data["run_index"],
-            compliant=data["compliant"],
+            run_index=run_index,
+            compliant=compliant,
             outcome=RunOutcome(data["outcome"]),
-            tool_calls=data["tool_calls"],
-            elapsed=data["elapsed"],
-            iterations=data["iterations"],
+            tool_calls=tool_calls,
+            elapsed=elapsed,
+            iterations=iterations,
             final_spec=SpecificationSet(
-                _annotation_from_dict(a, built) for a in data["final_spec"]),
-            error=data.get("error"),
+                _annotations_from_stored(data["final_spec"], built)),
+            error=error,
         )
 
 
-def _annotation_to_dict(a: Annotation) -> dict:
-    if isinstance(a.anchor, FunctionContract):
-        anchor = {"kind": "function", "function": a.anchor.function}
-    elif isinstance(a.anchor, Loop):
-        anchor = {"kind": "loop", "function": a.anchor.function,
-                  "ordinal": a.anchor.ordinal}
-    else:
-        anchor = {"kind": "global"}
-    return {"construct": a.kind.keyword, "text": a.text, "anchor": anchor}
+#: the type each of these stored fields must have; `elapsed` is a number
+#: and `error` a string or null
+_FIELDS = ("program_id", "config", "run_index", "compliant", "tool_calls",
+           "iterations")
+_FIELD_TYPES = (str, str, int, bool, int, int)
 
 
-def _annotation_from_dict(d: dict, built: dict) -> Annotation:
-    """The annotation stored as `d`: the one `built` holds under the same
-    stored fields, else a new one, which `built` then keeps."""
-    raw = d["anchor"]
-    key = (d["construct"], d["text"], raw["kind"], raw.get("function"),
-           raw.get("ordinal"))
-    annotation = built.get(key)
-    if annotation is not None:
-        return annotation
-    if raw["kind"] == "function":
-        anchor = FunctionContract(raw["function"])
-    elif raw["kind"] == "loop":
-        anchor = Loop(raw["function"], raw["ordinal"])
-    else:
-        anchor = GLOBAL
+def _misfit(data: dict) -> str:
+    """What `from_dict` rejects in the types of `data`'s fields."""
+    for name, wanted in zip(_FIELDS, _FIELD_TYPES):
+        if type(data[name]) is not wanted:
+            return f"{name} {data[name]!r} is not of type {wanted.__name__}"
+    return (f"elapsed {data['elapsed']!r} is not a number, or error "
+            f"{data.get('error')!r} is not a string")
+
+
+# A stored annotation is a JSON array: [construct, text] at file scope,
+# [construct, text, function] in a function contract and [construct, text,
+# function, ordinal] on a loop. Lines written before this form hold
+# {"construct", "text", "anchor": {"kind", "function", "ordinal"}} objects.
+
+def _annotation_to_stored(a: Annotation) -> list:
+    """The JSON array `records.jsonl` stores for `a`."""
+    anchor = a.anchor
+    if isinstance(anchor, Loop):
+        return [a.kind.keyword, a.text, anchor.function, anchor.ordinal]
+    if isinstance(anchor, FunctionContract):
+        return [a.kind.keyword, a.text, anchor.function]
+    return [a.kind.keyword, a.text]
+
+
+def _annotations_from_stored(items: list, built: dict) -> list[Annotation]:
+    """The annotations stored as `items`: for each, the one `built` holds
+    under the same stored fields, else a new one, which `built` then keeps.
+    An item of the wrong shape raises TypeError, and an unknown construct
+    ValueError."""
+    annotations = []
+    for item in items:
+        key = tuple(item) if type(item) is list else _from_legacy(item)
+        annotation = built.get(key)
+        # an ordinal stored as true or 1.0 equals a kept key's ordinal 1
+        if annotation is None or len(key) == 4 and type(key[3]) is not int:
+            annotation = built[key] = _annotation_of(key)
+        annotations.append(annotation)
+    return annotations
+
+
+def _annotation_of(key: tuple) -> Annotation:
+    """A new annotation from the fields of one stored array, once their
+    types are checked."""
+    if not 2 <= len(key) <= 4:
+        raise TypeError(f"a stored annotation holds 2 to 4 items, not {len(key)}")
+    construct, text, *place = key
+    if type(text) is not str:
+        raise TypeError(f"annotation text {text!r} is not a string")
+    if place and type(place[0]) is not str:
+        raise TypeError(f"anchor function {place[0]!r} is not a string")
+    if len(place) == 2 and type(place[1]) is not int:
+        raise TypeError(f"loop ordinal {place[1]!r} is not an int")
+    anchor = (Loop(*place) if len(place) == 2 else
+              FunctionContract(*place) if place else GLOBAL)
     # the enum lookup only raises its ValueError for an unknown construct
-    kind = KIND_OF_KEYWORD.get(d["construct"]) or ConstructKind(d["construct"])
-    annotation = built[key] = Annotation(kind, d["text"], anchor)
-    return annotation
+    kind = KIND_OF_KEYWORD.get(construct) or ConstructKind(construct)
+    return Annotation(kind, text, anchor)
+
+
+def _from_legacy(item: dict) -> tuple:
+    """The array form, as a tuple, of an annotation stored as an object."""
+    construct, text, anchor = item["construct"], item["text"], item["anchor"]
+    kind = anchor["kind"]
+    if kind == "function":
+        return construct, text, anchor["function"]
+    if kind == "loop":
+        return construct, text, anchor["function"], anchor["ordinal"]
+    if kind == "global":
+        return construct, text
+    raise ValueError(f"unknown anchor kind {kind!r}")
 
 
 #: encodes one line of `records.jsonl`, as `json.dumps(obj, sort_keys=True)`

@@ -3,7 +3,9 @@ configurations x paradigms x N runs, persisting one record per run.
 
 Each finished run appends one line, its record and its verifier calls, to
 a line-delimited file, so an interrupted experiment resumes by skipping
-already-persisted cells.
+already-persisted cells. A resume decodes only what it reads: the calls
+are stored as one JSON-encoded string that loading leaves undecoded, and
+each annotation of a final specification as a flat array.
 """
 
 from __future__ import annotations
@@ -139,14 +141,23 @@ class RecordStore:
     """Append-only JSONL persistence with a single serialized writer.
 
     Each append writes one line per run: the record's fields and a
-    `verifier_calls` list, one entry per verifier call in attempt order.
-    The first append opens the file; it stays open until `close`, and each
-    line is flushed as it is written.
+    `verifier_calls` string, the JSON encoding of a list with one entry per
+    verifier call in attempt order. A final specification is a list of
+    arrays: `[construct, text]` at file scope, `[construct, text, function]`
+    in a function contract, `[construct, text, function, ordinal]` on a
+    loop. The first append opens the file; it stays open until `close`, and
+    each line is flushed as it is written.
 
     An undecodable last line without its newline is an interrupted append:
     `load` skips it and the first `append` cuts it off, so its cell re-runs.
-    Any other line that does not decode, or is not a run record, raises
-    CorruptRecords naming its number. `load` does not read `verifier_calls`.
+    Any other line that does not decode, or is not a run record of the
+    stored shape, raises CorruptRecords naming its number. `load` does not
+    decode `verifier_calls`.
+
+    Lines written before these forms still load: annotations stored as
+    `{"construct", "text", "anchor"}` objects and `verifier_calls` stored
+    as a nested list, or not stored at all. A file mixing both forms
+    resumes, and no line is rewritten.
 
     One `load` builds each distinct stored annotation once: records it
     returns share one `Annotation` object per equal stored annotation. An
@@ -183,8 +194,9 @@ class RecordStore:
 
     def append(self, record: RunRecord, calls: list[dict]) -> None:
         """Persist one run: its record and its verifier calls (as
-        `RunLogger.close` returns them)."""
-        line = JSON_LINE.encode({**record.to_dict(), "verifier_calls": calls})
+        `RunLogger.close` returns them), the calls as one JSON string."""
+        line = JSON_LINE.encode({**record.to_dict(),
+                                 "verifier_calls": JSON_LINE.encode(calls)})
         with self._lock:
             if self._file is None:
                 self.path.parent.mkdir(parents=True, exist_ok=True)

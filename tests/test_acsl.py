@@ -1506,7 +1506,7 @@ def test_contract_lookup_cost_grows_linearly_past_pairs_that_open_no_function():
     def cost(n):
         text = ("/*@ requires x > 0; */\n" * n + "struct S { int a; };\n" * n
                 + "int f(int x) { return x; }\n")
-        best, spec = _best_cost(parse_annotations, text)
+        best, spec = _best_cost(parse_annotations, text, 15)
         assert [a.anchor for a in spec] == [FunctionContract("f")]
         return best
 

@@ -606,6 +606,8 @@ def test_stub_grid_events_mark_cache_hits(toy_corpus, replay_oracle, wp_stub,
                              tmp_path / "out")
     lines = [json.loads(line) for line in
              (tmp_path / "out" / "records.jsonl").read_text().splitlines()]
+    for line in lines:   # the calls are stored as one JSON string
+        line["verifier_calls"] = json.loads(line["verifier_calls"])
     assert sum(len(line["verifier_calls"]) for line in lines) == \
         sum(r.tool_calls for r in records)
     # run 2 repeats run 1's inputs, and is charged run 1's verifier time

@@ -2,10 +2,12 @@ from __future__ import annotations
 
 import gc
 import json
+import operator
 import re
 import shutil
 import tempfile
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -35,10 +37,12 @@ from specloop import (
     load_dataset,
     run_experiment,
 )
+from specloop.acsl import UNPLACED
 from specloop.cli import main as cli_main
 from specloop.refine import JSON_LINE
 from specloop.runner import RecordStore
 
+import strategies
 import toyworld
 from specloop.errors import (
     CorpusError,
@@ -380,7 +384,9 @@ def test_store_holds_its_files_open_and_flushes_each_append(
     plan = little_plan(configs=("CB",), runs_per_cell=1)
     records = run_experiment(plan, toy_corpus[:2], replay_oracle, rule_verifier)
     calls = [[{"attempt": 0, "status": "Verified"}], []]
-    lines = [json.dumps({**r.to_dict(), "verifier_calls": c}, sort_keys=True) + "\n"
+    lines = [json.dumps({**r.to_dict(),
+                         "verifier_calls": json.dumps(c, sort_keys=True)},
+                        sort_keys=True) + "\n"
              for r, c in zip(records, calls)]
     store = RecordStore(tmp_path / "records.jsonl")
     store.append(records[0], calls[0])
@@ -478,11 +484,195 @@ def test_a_load_keeps_equal_texts_under_other_anchors_apart(tmp_path):
 def test_an_unknown_stored_construct_raises_at_load(tmp_path):
     line = _stored(Annotation(ConstructKind.REQUIRES, "requires x >= 0;",
                               FunctionContract("f"))).to_dict()
-    line["final_spec"][0]["construct"] = "presumes"
     path = tmp_path / "records.jsonl"
-    path.write_text(JSON_LINE.encode(line) + "\n")
-    with pytest.raises(ValueError, match="presumes"):
+    # the array form, and the object form of older lines
+    for stored in (["presumes", "requires x >= 0;", "f"],
+                   _legacy("presumes", "requires x >= 0;", kind="function",
+                           function="f")):
+        path.write_text(JSON_LINE.encode(line | {"final_spec": [stored]}) + "\n")
+        with pytest.raises(ValueError, match="presumes"):
+            RecordStore(path).load()
+
+
+def _legacy(construct: str, text: str, **anchor) -> dict:
+    """An annotation in the object form lines held before the array form."""
+    return {"construct": construct, "text": text, "anchor": anchor}
+
+
+def _annotation_to_dict(a: Annotation) -> dict:
+    """The object form of an annotation: the writer of older record lines,
+    kept as the reference the array form must load alike with."""
+    if isinstance(a.anchor, FunctionContract):
+        anchor = {"kind": "function", "function": a.anchor.function}
+    elif isinstance(a.anchor, Loop):
+        anchor = {"kind": "loop", "function": a.anchor.function,
+                  "ordinal": a.anchor.ordinal}
+    else:
+        anchor = {"kind": "global"}
+    return {"construct": a.kind.keyword, "text": a.text, "anchor": anchor}
+
+
+def _legacy_line(record: RunRecord, calls: list[dict]) -> str:
+    """A record line as written before annotations were stored as arrays
+    and verifier calls as a JSON string."""
+    return JSON_LINE.encode({
+        **record.to_dict(),
+        "final_spec": [_annotation_to_dict(a) for a in record.final_spec],
+        "verifier_calls": calls}) + "\n"
+
+
+_INVARIANT = ["loop invariant", "loop invariant 0 <= i;", "f", 1]
+
+
+@pytest.mark.parametrize("field, value, error", [
+    # a resume looks a cell up by these; a string run index would re-run it
+    ("run_index", "1", "TypeError: run_index '1' is not of type int"),
+    ("run_index", True, "TypeError: run_index True is not of type int"),
+    ("program_id", 7, "TypeError: program_id 7 is not of type str"),
+    ("config", None, "TypeError: config None is not of type str"),
+    ("compliant", 1, "TypeError: compliant 1 is not of type bool"),
+    ("tool_calls", "2", "TypeError: tool_calls '2' is not of type int"),
+    ("elapsed", "0.5", "TypeError: elapsed '0.5' is not a number"),
+    ("error", 5, "TypeError: elapsed 0.0 is not a number, or error 5"),
+    # the object form of older lines
+    ("final_spec", [_legacy("predicate", "predicate p = \\true;", kind="lop")],
+     "ValueError: unknown anchor kind 'lop'"),
+    ("final_spec", [_legacy(*_INVARIANT[:2], kind="loop", function=7, ordinal="two")],
+     "TypeError: anchor function 7 is not a string"),
+    ("final_spec", [_legacy(*_INVARIANT[:2], kind="loop", function="f", ordinal="two")],
+     "TypeError: loop ordinal 'two' is not an int"),
+    ("final_spec", [_legacy("requires", "requires x >= 0;", kind="function",
+                            function=None)],
+     "TypeError: anchor function None is not a string"),
+    # the array form
+    ("final_spec", [["requires"]], "TypeError: a stored annotation holds 2 to 4 items, not 1"),
+    ("final_spec", [[*_INVARIANT, 2]], "TypeError: a stored annotation holds 2 to 4 items, not 5"),
+    ("final_spec", [["requires", 5, "f"]], "TypeError: annotation text 5 is not a string"),
+    ("final_spec", [["requires", "requires x >= 0;", 7]],
+     "TypeError: anchor function 7 is not a string"),
+    ("final_spec", [["requires", "requires x >= 0;"]],
+     "ValueError: requires annotations must anchor to a function"),
+    ("final_spec", [[*_INVARIANT[:3], "two"]], "TypeError: loop ordinal 'two' is not an int"),
+    # after an equal annotation with ordinal 1, whose stored key these equal
+    ("final_spec", [_INVARIANT, [*_INVARIANT[:3], True]],
+     "TypeError: loop ordinal True is not an int"),
+    ("final_spec", [_INVARIANT, [*_INVARIANT[:3], 1.0]],
+     "TypeError: loop ordinal 1.0 is not an int"),
+])
+def test_a_stored_value_of_the_wrong_type_raises_naming_its_line(tmp_path, field,
+                                                                 value, error):
+    good = _stored(Annotation(ConstructKind.LOOP_INVARIANT, _INVARIANT[1],
+                              Loop("f", 1))).to_dict()
+    path = tmp_path / "records.jsonl"
+    path.write_text(JSON_LINE.encode(good) + "\n"
+                    + JSON_LINE.encode(good | {field: value}) + "\n")
+    with pytest.raises(CorruptRecords) as info:
         RecordStore(path).load()
+    assert str(info.value).startswith(f"{path}, line 2: not a run record ({error}")
+
+
+_RECORDS = st.builds(
+    RunRecord,
+    program_id=st.text(max_size=8),
+    config_name=st.sampled_from(["CB", "CV", "CA", "CF"]),
+    paradigm=st.sampled_from(Paradigm),
+    run_index=st.integers(1, 9),
+    compliant=st.booleans(),
+    outcome=st.sampled_from(RunOutcome),
+    tool_calls=st.integers(0, 20),
+    # rounded as the store rounds it
+    elapsed=st.floats(0, 1e4).map(lambda t: round(t, 6)),
+    iterations=st.integers(0, 20),
+    final_spec=strategies.specs(),
+    error=st.none() | st.text(max_size=8),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.tuples(_RECORDS, st.booleans()), max_size=6))
+def test_stored_records_load_equal_sharing_equal_annotations(drawn):
+    calls = [{"attempt": 0, "status": "Verified"}]
+    with tempfile.TemporaryDirectory() as tmp:
+        store = RecordStore(Path(tmp) / "records.jsonl")
+        with store.path.open("a") as older:   # lines as older writers left them
+            for record, legacy in drawn:
+                if legacy:
+                    older.write(_legacy_line(record, calls))
+        for record, legacy in drawn:
+            if not legacy:
+                store.append(record, calls)
+        store.close()
+        loaded = store.load()
+    want = ([r for r, legacy in drawn if legacy]
+            + [r for r, legacy in drawn if not legacy])
+    assert loaded == want
+    for got, record in zip(loaded, want):
+        assert got.final_spec.annotations == record.final_spec.annotations
+        assert [a.span for a in got.final_spec] == [UNPLACED] * len(got.final_spec)
+    annotations = [a for r in loaded for a in r.final_spec]
+    assert len({id(a) for a in annotations}) == len(set(annotations))
+
+
+#: a record's run key, as it is stored
+_RUN_OF = operator.attrgetter("program_id", "config_name", "paradigm.value", "run_index")
+
+
+#: a toy-corpus grid (CB and CV, both paradigms, one run per cell) and its
+#: summary, as written before annotations were stored as arrays and
+#: verifier calls as a JSON string; never rewritten
+OLDER_RECORDS = Path(__file__).parent / "fixtures" / "records"
+
+
+def test_an_older_records_file_loads_to_a_fresh_grids_records(toy_corpus,
+                                                              replay_oracle,
+                                                              rule_verifier):
+    plan = ExperimentPlan(configs=("CB", "CV"), runs_per_cell=1)
+    fresh = run_experiment(plan, toy_corpus, replay_oracle, rule_verifier)
+    older = RecordStore(OLDER_RECORDS / "records.jsonl").load()
+
+    def timeless(records):
+        return {_RUN_OF(r): replace(r, elapsed=0.0) for r in records}
+
+    assert len(older) == len(fresh) == 40
+    assert timeless(older) == timeless(fresh)
+
+
+def test_an_older_records_file_reports_its_checked_in_summary(tmp_path):
+    assert cli_main(["report", "--records", str(OLDER_RECORDS / "records.jsonl"),
+                     "--out", str(tmp_path)]) == 0
+    assert (tmp_path / "report" / "summary.json").read_bytes() == \
+        (OLDER_RECORDS / "report" / "summary.json").read_bytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_older_lines_then_a_torn_grid_resume_appending_only_missing_cells(
+        data, finished_grid, toy_corpus, replay_oracle):
+    plan, written = finished_grid
+    lines = written.splitlines(keepends=True)
+    old = data.draw(st.integers(0, len(lines)))
+    older = "".join(
+        _legacy_line(RunRecord.from_dict(stored), json.loads(stored["verifier_calls"]))
+        for stored in map(json.loads, lines[:old])).encode()
+    rest = b"".join(lines[old:])
+    cut = data.draw(st.integers(0, len(rest)))
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp)
+        (out / "records.jsonl").write_bytes(older + rest[:cut])
+        records = run_experiment(plan, toy_corpus, replay_oracle,
+                                 MockVerifier(always_failing=toyworld.ALWAYS_FAILING),
+                                 out)
+        after = (out / "records.jsonl").read_bytes()
+        stored = RecordStore(out / "records.jsonl").load()
+    assert after.startswith(older)
+    assert sorted(map(_RUN_OF, stored)) == sorted(map(_RUN_OF, records))
+    assert len(after.splitlines()) == len(lines)
+    # the lines this resume appended, and the whole lines the crash left
+    # after the older ones, are in the array form
+    for line in after[len(older):].splitlines():
+        newer = json.loads(line)
+        assert isinstance(newer["verifier_calls"], str)
+        assert all(isinstance(a, list) for a in newer["final_spec"])
 
 
 _JSON_VALUES = st.recursive(
@@ -502,14 +692,14 @@ _RUN_KEY = ("program_id", "config", "paradigm", "run_index")
 
 
 def _calls_by_run(path: Path) -> dict[tuple, list[dict]]:
-    """Each stored run's verifier calls, after checking that no run is
-    stored twice."""
+    """Each stored run's verifier calls, decoded from the JSON string its
+    line holds, after checking that no run is stored twice."""
     runs: dict[tuple, list[dict]] = {}
     for line in path.read_text().splitlines():
         stored = json.loads(line)
         key = tuple(stored[k] for k in _RUN_KEY)
         assert key not in runs, f"run {key} is stored twice"
-        runs[key] = stored["verifier_calls"]
+        runs[key] = json.loads(stored["verifier_calls"])
     return runs
 
 
@@ -859,7 +1049,14 @@ def test_a_record_of_the_wrong_shape_raises_naming_its_line(
             RecordStore(path).load()
 
 
-@pytest.mark.parametrize("text", [b"{}\n", b"garbage\n{}\n", b'{"a": "\xff"}\n'])
+@pytest.mark.parametrize("text", [
+    b"{}\n", b"garbage\n{}\n", b'{"a": "\xff"}\n',
+    # a resume would not find this run's cell and would run it again
+    pytest.param(JSON_LINE.encode(_stored(Annotation(
+        ConstructKind.REQUIRES, "requires x >= 0;", FunctionContract("abs_val")))
+        .to_dict() | {"program_id": "abs_val", "run_index": "1"}).encode() + b"\n",
+        id="run-index-a-string"),
+])
 def test_cli_report_and_resume_refuse_a_corrupt_records_file(
         persona_dir, mock_rules_file, tmp_path, capsys, text):
     out = tmp_path / "out"
