@@ -11,7 +11,7 @@ import json
 import sys
 from pathlib import Path
 
-from .config import CANONICAL_NAMES, TemplateStore, canonical_config
+from .config import BUNDLED_TEMPLATES, CANONICAL_NAMES, TemplateStore, canonical_config
 from .errors import SpecloopError
 from .metrics import emit_reports
 from .oracle import HttpChatOracle, HttpOracleSettings, Oracle, ReplayOracle
@@ -47,32 +47,33 @@ def _build_verifier(args: argparse.Namespace) -> Verifier:
 def _add_run_parser(subparsers) -> None:
     p = subparsers.add_parser("run", help="execute an experiment grid")
     p.add_argument("--dataset", required=True, help="corpus directory")
-    p.add_argument("--configs", default="CB,CV,CA,CF",
+    p.add_argument("--configs", default=",".join(ExperimentPlan.configs),
                    help="comma-separated configuration names")
-    p.add_argument("--paradigms", default="delete,modify",
+    p.add_argument("--paradigms",
+                   default=",".join(d.value for d in ExperimentPlan.paradigms),
                    help="comma-separated refinement paradigms (delete, modify)")
-    p.add_argument("--runs", type=int, default=5,
+    p.add_argument("--runs", type=int, default=ExperimentPlan.runs_per_cell,
                    help="independent runs per cell")
     p.add_argument("--oracle", required=True,
                    help="'http' (settings from ORACLE_* env vars) or a replay "
                         "fixture directory")
     p.add_argument("--verifier", choices=("framac", "mock"), default="framac")
-    p.add_argument("--max-iters", type=int, default=5,
+    p.add_argument("--max-iters", type=int, default=RunLimits.max_repair_iterations,
                    help="repair iteration budget (modification paradigm)")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--run-wall-budget", type=float, default=3600.0,
+    p.add_argument("--run-wall-budget", type=float, default=RunLimits.wall_budget,
                    help="per-run wall budget in seconds")
-    p.add_argument("--workers", type=int, default=0,
+    p.add_argument("--workers", type=int, default=ExperimentPlan.workers,
                    help="concurrent runs (0 = sized by the oracle and verifier)")
     p.add_argument("--templates", default=None,
                    help="directory overriding the bundled prompt templates")
     p.add_argument("--mock-fixtures", default=None,
                    help="JSON rule file for the mock verifier")
-    p.add_argument("--framac-path", default="frama-c")
-    p.add_argument("--prover", default="alt-ergo")
-    p.add_argument("--prover-timeout", type=int, default=10)
-    p.add_argument("--verifier-wall-budget", type=float, default=120.0)
-    p.add_argument("--verifier-processes", type=int, default=4)
+    p.add_argument("--framac-path", default=FramaCSettings.executable)
+    p.add_argument("--prover", default=FramaCSettings.prover)
+    p.add_argument("--prover-timeout", type=int, default=FramaCSettings.prover_timeout)
+    p.add_argument("--verifier-wall-budget", type=float, default=FramaCSettings.wall_budget)
+    p.add_argument("--verifier-processes", type=int, default=FramaCSettings.max_processes)
 
 
 def _add_report_parser(subparsers) -> None:
@@ -101,30 +102,30 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    configs = tuple(name.strip() for name in args.configs.split(",") if name.strip())
     try:
         paradigms = tuple(Paradigm(p.strip())
                           for p in args.paradigms.split(",") if p.strip())
     except ValueError as exc:   # "'modfy' is not a valid Paradigm"
         raise SpecloopError(f"{exc}; expected delete or modify") from None
     try:
+        # building the plan loads every template its grid fills, so a bad
+        # grid or template raises here, before `--out` exists
         plan = ExperimentPlan(
-            configs=configs,
+            configs=tuple(n.strip() for n in args.configs.split(",") if n.strip()),
             paradigms=paradigms,
             runs_per_cell=args.runs,
             limits=RunLimits(max_repair_iterations=args.max_iters,
                              wall_budget=args.run_wall_budget),
             workers=args.workers,
+            templates=TemplateStore(args.templates) if args.templates else BUNDLED_TEMPLATES,
         )
         verifier = _build_verifier(args)
     except (ValueError, OSError) as exc:
-        # an empty list, a count or budget out of range, or a fixtures file
-        # that cannot be read, decoded or used
+        # an empty or repeated list, a count or budget out of range, or a
+        # fixtures file that cannot be read, decoded or used
         raise SpecloopError(str(exc)) from None
     corpus = load_dataset(args.dataset)
     oracle = _build_oracle(args.oracle)
-    templates = TemplateStore(args.templates) if args.templates else None
-    plan.check_templates(templates)   # before anything is written
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -134,9 +135,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
             json.dumps(oracle.settings.record(), indent=2, sort_keys=True) + "\n",
             encoding="utf-8")
 
-    records = run_experiment(plan, corpus, oracle, verifier,
-                             out_dir=args.out, templates=templates)
-    emit_reports(records, args.out, persona=args.oracle, configs=configs)
+    records = run_experiment(plan, corpus, oracle, verifier, out_dir=args.out)
+    emit_reports(records, args.out, persona=args.oracle, configs=plan.configs)
 
     errored = sum(1 for r in records if r.outcome is RunOutcome.ERRORED)
     verified = sum(1 for r in records if r.outcome is RunOutcome.VERIFIED)

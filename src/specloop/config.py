@@ -174,11 +174,12 @@ def _check_placeholders(path, text: str, fields: frozenset[str]) -> None:
                               f"conversion or format spec")
 
 
-_DEFAULT_STORE = TemplateStore()
+#: the templates bundled with the package, read once at import
+BUNDLED_TEMPLATES = TemplateStore()
 
 
 def build_generation_prompt(program, config: Configuration,
-                            template_store: TemplateStore | None = None) -> str:
+                            template_store: TemplateStore = BUNDLED_TEMPLATES) -> str:
     """Instantiate the generation prompt for a program under a configuration.
 
     Deterministic for fixed inputs: the template's {program},
@@ -190,7 +191,7 @@ def build_generation_prompt(program, config: Configuration,
 
 def build_repair_prompt(program, spec: SpecificationSet, report,
                         config: Configuration,
-                        template_store: TemplateStore | None = None) -> str:
+                        template_store: TemplateStore = BUNDLED_TEMPLATES) -> str:
     """Instantiate the repair prompt from the current specification set and
     the verifier feedback (failing goal names and raw output excerpt)."""
     return _fill("repair", program, config, template_store,
@@ -199,9 +200,8 @@ def build_repair_prompt(program, spec: SpecificationSet, report,
 
 
 def _fill(phase: str, program, config: Configuration,
-          template_store: TemplateStore | None, **fields: str) -> str:
-    template = (template_store or _DEFAULT_STORE).load(phase, config.name)
-    return template.format(
+          template_store: TemplateStore, **fields: str) -> str:
+    return template_store.load(phase, config.name).format(
         program=program.source,
         permitted_keywords=config.permitted_keywords,
         mandatory_instruction=mandatory_instruction(config),

@@ -22,10 +22,10 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from .errors import IncompleteGrid, UndefinedMetric
+from .config import CANONICAL_NAMES
+from .errors import ConfigError, IncompleteGrid, UndefinedMetric
 from .refine import Paradigm, RunOutcome, RunRecord
 
-_CONFIG_ORDER = ("CB", "CV", "CA", "CF")
 _VENN_CONFIGS = ("CB", "CV", "CA")
 _METRIC_COLUMNS = ("nvp", "nsvp", "nvtc", "rt")
 
@@ -171,17 +171,12 @@ def _split_cells(records: Iterable[RunRecord]) -> dict[tuple[str, Paradigm], lis
     return dict(cells)
 
 
-def _compute_cells(records: Iterable[RunRecord]) -> dict[tuple[str, Paradigm], CellMetrics]:
-    return {key: compute_cell(cell) for key, cell in _split_cells(records).items()}
-
-
 # --------------------------------------------------------------------------
 # Verified-set algebra and optimal-configuration proportions
 # --------------------------------------------------------------------------
 
-def _named_cells(records: Iterable[RunRecord], configs: Sequence[str],
-                 paradigm: Paradigm) -> dict[str, CellMetrics]:
-    cells = _split_cells(records)
+def _named_cells(cells: Mapping[tuple[str, Paradigm], list[RunRecord]],
+                 configs: Sequence[str], paradigm: Paradigm) -> dict[str, CellMetrics]:
     for name in configs:
         if (name, paradigm) not in cells:
             raise IncompleteGrid(f"no records for {name} under {paradigm.value}")
@@ -210,7 +205,7 @@ def venn_sets(records: Iterable[RunRecord],
               paradigm: Paradigm = Paradigm.DELETION) -> dict:
     """Exclusive region cardinalities of the verified-program sets for the
     named configurations under one paradigm, plus the raw sets."""
-    return _venn(_named_cells(records, configs, paradigm), paradigm)
+    return _venn(_named_cells(_split_cells(records), configs, paradigm), paradigm)
 
 
 def _optimal(named: Mapping[str, CellMetrics], metric: str) -> dict[str, float]:
@@ -236,7 +231,7 @@ def optimal_config_proportions(records: Iterable[RunRecord],
     of the metric wins; ties split fractionally. Proportions sum to 1."""
     if metric not in ("nvtc", "rt"):
         raise ValueError("metric must be 'nvtc' or 'rt'")
-    return _optimal(_named_cells(records, configs, paradigm), metric)
+    return _optimal(_named_cells(_split_cells(records), configs, paradigm), metric)
 
 
 # --------------------------------------------------------------------------
@@ -273,12 +268,12 @@ class MetricsTable:
 
 
 def build_table(persona_records: Mapping[str, Iterable[RunRecord]],
-                configs: Sequence[str] = _CONFIG_ORDER,
+                configs: Sequence[str] = CANONICAL_NAMES,
                 average_exclude: Sequence[str] = ()) -> MetricsTable:
     return MetricsTable(
         personas=tuple(persona_records),
         configs=tuple(configs),
-        cells={persona: _compute_cells(records)
+        cells={persona: {k: compute_cell(v) for k, v in _split_cells(records).items()}
                for persona, records in persona_records.items()},
         average_exclude=tuple(average_exclude),
     )
@@ -353,21 +348,23 @@ def _write_json(path: Path, data) -> None:
 
 def emit_reports(records: Sequence[RunRecord], out_dir: str | Path,
                  persona: str = "oracle",
-                 configs: Sequence[str] = _CONFIG_ORDER) -> dict:
+                 configs: Sequence[str] = CANONICAL_NAMES) -> dict:
     """Write the consolidated summary, the human-readable table and the
     plotting data files under out_dir/report. Returns the summary dict.
 
     Raises IncompleteGrid, before writing any file, when there are no
     records or no configurations, or when a configuration in `configs` has
-    no records under a paradigm the records hold."""
+    no records under a paradigm the records hold; and ConfigError when
+    `configs` names one twice."""
     if not records or not configs:
         raise IncompleteGrid(f"no {'records' if not records else 'configurations'} to report")
+    for i, config in enumerate(configs):
+        if config in configs[:i]:
+            raise ConfigError(f"report repeats {config!r}")
     split = _split_cells(records)
     held = [p for p in Paradigm if any(paradigm is p for _, paradigm in split)]
-    for config, paradigm in itertools.product(configs, held):
-        if (config, paradigm) not in split:
-            raise IncompleteGrid(f"no records for {config} under {paradigm.value}")
-    cells = {key: compute_cell(cell) for key, cell in split.items() if key[0] in configs}
+    cells = {(config, paradigm): cell for paradigm in held
+             for config, cell in _named_cells(split, configs, paradigm).items()}
     summary: dict = {"cells": [cells[(config, paradigm)].to_dict()
                                for paradigm in held for config in configs]}
     if all(c in configs for c in _VENN_CONFIGS):

@@ -23,6 +23,7 @@ from .acsl import (
     SpecificationSet,
 )
 from .config import (
+    BUNDLED_TEMPLATES,
     Configuration,
     TemplateStore,
     build_generation_prompt,
@@ -279,7 +280,7 @@ def _close_over_dependents(spec: SpecificationSet,
 def refine_modify(program, spec: SpecificationSet, report: VerifierReport,
                   oracle: Oracle, config: Configuration, *,
                   attempt_index: int,
-                  templates: TemplateStore | None = None) -> SpecificationSet:
+                  templates: TemplateStore = BUNDLED_TEMPLATES) -> SpecificationSet:
     """Modification step: ask the oracle for a full replacement set given
     the verifier feedback. Oracle errors propagate to the run outcome."""
     prompt = build_repair_prompt(program, spec, report, config, templates)
@@ -295,7 +296,7 @@ def run_once(program, config: Configuration, paradigm: Paradigm,
              oracle: Oracle, verifier: Verifier,
              limits: RunLimits = RunLimits(), *,
              run_index: int = 1,
-             templates: TemplateStore | None = None,
+             templates: TemplateStore = BUNDLED_TEMPLATES,
              logger: RunLogger | None = None) -> RunRecord:
     """Execute propose -> verify -> (refine -> verify)* and record the outcome.
 

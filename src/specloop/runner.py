@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import IO, Sequence
 
 from .acsl import declared_functions
-from .config import TemplateStore, canonical_config
+from .config import BUNDLED_TEMPLATES, CANONICAL_NAMES, TemplateStore, canonical_config
 from .errors import (AcslError, CorpusError, CorruptRecords, DuplicateId,
                      EmptyCorpus, MissingTargetFunction)
 from .oracle import Oracle
@@ -94,19 +94,31 @@ def load_dataset(directory: str | Path) -> list[Program]:
 
 @dataclass(frozen=True)
 class ExperimentPlan:
-    configs: tuple[str, ...] = ("CB", "CV", "CA", "CF")
-    paradigms: tuple[Paradigm, ...] = (Paradigm.DELETION, Paradigm.MODIFICATION)
+    """A grid and the prompt templates its runs fill. Building one raises,
+    before any cell runs, for an empty or repeated configuration or
+    paradigm, an unknown configuration, or a template the runs need that
+    the store lacks (a repair template only if modification is planned)."""
+    configs: tuple[str, ...] = CANONICAL_NAMES
+    paradigms: tuple[Paradigm, ...] = tuple(Paradigm)
     runs_per_cell: int = 5
     limits: RunLimits = field(default_factory=RunLimits)
     workers: int = 0  # 0 = as many as the oracle and verifier can use
+    templates: TemplateStore = BUNDLED_TEMPLATES
 
     def __post_init__(self) -> None:
         if not self.configs or not self.paradigms or self.runs_per_cell < 1:
             raise ValueError("plan needs configs, paradigms and a positive run count")
         if self.workers < 0:
             raise ValueError("workers must not be negative (0 sizes the pool)")
+        for names in (self.configs, [p.value for p in self.paradigms]):
+            for i, name in enumerate(names):
+                if name in names[:i]:
+                    raise ValueError(f"plan repeats {name!r}")
         for name in self.configs:
             canonical_config(name)   # an unknown name raises before any cell
+            self.templates.load("generate", name)
+            if Paradigm.MODIFICATION in self.paradigms:
+                self.templates.load("repair", name)
 
     def worker_count(self, *components: Oracle | Verifier) -> int:
         """`workers` if set, else the components' largest `concurrency`
@@ -114,18 +126,6 @@ class ExperimentPlan:
         processors = os.cpu_count() or 1
         return self.workers if self.workers > 0 else min(
             processors, max((c.concurrency for c in components), default=processors))
-
-    def check_templates(self, templates: TemplateStore | None) -> None:
-        """Load each template file the plan's runs will fill, so a missing
-        one fails before the first run; the bundled templates cover every
-        canonical configuration."""
-        if templates is None:
-            return
-        phases = (("generate", "repair") if Paradigm.MODIFICATION in self.paradigms
-                  else ("generate",))
-        for phase in phases:
-            for config_name in self.configs:
-                templates.load(phase, config_name)
 
     def cells(self, corpus: Sequence[Program]) -> list[tuple[Program, str, Paradigm, int]]:
         return [
@@ -233,8 +233,7 @@ def _end_last_line(path: Path) -> None:
 
 def run_experiment(plan: ExperimentPlan, corpus: Sequence[Program],
                    oracle: Oracle, verifier: Verifier,
-                   out_dir: str | Path | None = None,
-                   templates: TemplateStore | None = None) -> list[RunRecord]:
+                   out_dir: str | Path | None = None) -> list[RunRecord]:
     """Execute every (program, config, paradigm, run) cell of the plan.
 
     With an out_dir, each finished run appends its record and its verifier
@@ -244,7 +243,6 @@ def run_experiment(plan: ExperimentPlan, corpus: Sequence[Program],
     """
     if not corpus:
         raise EmptyCorpus("experiment needs a non-empty corpus")
-    plan.check_templates(templates)
 
     store = RecordStore(Path(out_dir) / "records.jsonl") if out_dir else None
     done: dict[tuple, RunRecord] = {
@@ -264,7 +262,7 @@ def run_experiment(plan: ExperimentPlan, corpus: Sequence[Program],
         record = run_once(
             program, canonical_config(config_name), paradigm,
             oracle, verifier, plan.limits,
-            run_index=run_index, templates=templates, logger=logger,
+            run_index=run_index, templates=plan.templates, logger=logger,
         )
         if store:
             store.append(record, logger.close())

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import specloop
+import specloop.cli
 from specloop import (
     Annotation,
     ConstructKind,
@@ -26,12 +27,14 @@ from specloop import (
     HttpOracleSettings,
     Loop,
     MockVerifier,
+    OraclePhase,
     Paradigm,
     Program,
     ReplayOracle,
     RunLimits,
     RunOutcome,
     RunRecord,
+    ScriptedOracle,
     SpecificationSet,
     TemplateStore,
     load_dataset,
@@ -52,6 +55,7 @@ from specloop.errors import (
     MalformedAnnotation,
     MissingTargetFunction,
     MissingTemplate,
+    SpecloopError,
     UnknownConfiguration,
 )
 
@@ -271,17 +275,31 @@ def test_a_missing_planned_template_fails_before_any_cell(
     root = _bundled_templates_copy(tmp_path)
     (root / "repair-CB.txt").unlink()
     templates = TemplateStore(root)
-    out = tmp_path / "out"
-    plan = little_plan(configs=("CB",),
-                       paradigms=(Paradigm.DELETION, Paradigm.MODIFICATION))
     with pytest.raises(MissingTemplate, match="repair-CB.txt"):
-        run_experiment(plan, toy_corpus, replay_oracle, rule_verifier,
-                       out_dir=out, templates=templates)
-    assert not (out / "records.jsonl").exists()
+        little_plan(configs=("CB",), templates=templates,
+                    paradigms=(Paradigm.DELETION, Paradigm.MODIFICATION))
     # deletion never repairs, so it needs no repair template
-    records = run_experiment(little_plan(configs=("CB",)), toy_corpus,
-                             replay_oracle, rule_verifier, templates=templates)
+    plan = little_plan(configs=("CB",), templates=templates)
+    records = run_experiment(plan, toy_corpus, replay_oracle, rule_verifier)
     assert len(records) == 20
+
+
+def test_the_plan_s_templates_fill_every_prompt(
+        toy_corpus, replay_oracle, rule_verifier, tmp_path):
+    root = _bundled_templates_copy(tmp_path)
+    for path in root.glob("*-CB.txt"):
+        path.write_text("ours " + path.read_text(encoding="utf-8"), encoding="utf-8")
+    requests = []
+
+    def script(request):
+        requests.append(request)
+        return replay_oracle.complete(request)
+
+    plan = little_plan(configs=("CB",), paradigms=tuple(Paradigm),
+                       runs_per_cell=1, templates=TemplateStore(root))
+    run_experiment(plan, toy_corpus, ScriptedOracle(script), rule_verifier)
+    assert {r.phase for r in requests} == set(OraclePhase)
+    assert all(r.prompt.startswith("ours ") for r in requests)
 
 
 def test_cli_refuses_a_missing_planned_template_before_writing_anything(
@@ -986,6 +1004,7 @@ def test_cli_report_defaults_to_the_configurations_the_records_hold(
     ("CB,CX", "'CX'"),
     ("CB,CV", "no records for CV under delete"),
     (",", "no configurations to report"),
+    ("CB,CB", "report repeats 'CB'"),
 ])
 def test_cli_report_rejects_configurations_before_writing(cb_records, tmp_path,
                                                           capsys, configs, bad):
@@ -1135,6 +1154,29 @@ def test_cli_rejects_a_bad_grid_before_any_run(persona_dir, mock_rules_file,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("option,value,names,bad", [
+    ("--configs", "CB,CV,CB", dict(configs=("CB", "CV", "CB")),
+     "plan repeats 'CB'"),
+    ("--paradigms", "delete,delete",
+     dict(paradigms=(Paradigm.DELETION, Paradigm.DELETION)),
+     "plan repeats 'delete'"),
+])
+def test_a_repeated_configuration_or_paradigm_is_refused_before_any_run(
+        persona_dir, mock_rules_file, tmp_path, capsys, option, value, names, bad):
+    with pytest.raises(ValueError, match=re.escape(bad)):
+        ExperimentPlan(**names)
+    corpus = Path(__file__).parent / "fixtures" / "toy_corpus"
+    out = tmp_path / "out"
+    code = cli_main([
+        "run", "--dataset", str(corpus), "--runs", "1", option, value,
+        "--oracle", str(persona_dir), "--verifier", "mock",
+        "--mock-fixtures", str(mock_rules_file), "--out", str(out),
+    ])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {bad}\n"
+    assert not out.exists()
+
+
 def test_cli_refuses_a_template_with_an_unknown_field_before_any_run(
         persona_dir, mock_rules_file, tmp_path, capsys):
     templates = _bundled_templates_copy(tmp_path)
@@ -1232,6 +1274,25 @@ def test_cli_rejects_bad_verifier_and_oracle_settings_before_any_run(
     err = capsys.readouterr().err
     assert err.startswith("error: ") and bad in err
     assert not out.exists()
+
+
+def test_cli_run_defaults_are_the_dataclass_defaults(persona_dir, tmp_path,
+                                                     monkeypatch, capsys):
+    built = []
+
+    def capture(plan, corpus, oracle, verifier, out_dir):
+        built.extend((plan, verifier))
+        raise SpecloopError("captured")
+
+    monkeypatch.setattr(specloop.cli, "run_experiment", capture)
+    corpus = Path(__file__).parent / "fixtures" / "toy_corpus"
+    assert cli_main(["run", "--dataset", str(corpus), "--oracle", str(persona_dir),
+                     "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == "error: captured\n"
+    plan, verifier = built
+    assert plan == ExperimentPlan()
+    assert plan.limits == RunLimits()
+    assert verifier.settings == FramaCSettings()
 
 
 def test_plan_rejects_an_unknown_configuration():
