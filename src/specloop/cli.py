@@ -120,12 +120,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
             templates=TemplateStore(args.templates) if args.templates else BUNDLED_TEMPLATES,
         )
         verifier = _build_verifier(args)
+        oracle = _build_oracle(args.oracle)
     except (ValueError, OSError) as exc:
-        # an empty or repeated list, a count or budget out of range, or a
-        # fixtures file that cannot be read, decoded or used
+        # an empty or repeated list, a count, budget or temperature out of
+        # range, or a fixtures file that cannot be read, decoded or used
         raise SpecloopError(str(exc)) from None
     corpus = load_dataset(args.dataset)
-    oracle = _build_oracle(args.oracle)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -151,6 +151,9 @@ class TemplateStore:
             if fields is not None:
                 _check_placeholders(entry, text, fields)
 
+    def __repr__(self) -> str:
+        return f"TemplateStore({str(self._root)!r})"
+
     def load(self, phase: str, config_name: str) -> str:
         filename = f"{phase}-{config_name}.txt"
         try:

@@ -88,10 +88,6 @@ class DuplicateId(CorpusError):
     """Two programs in the corpus share the same id."""
 
 
-class MissingTargetFunction(CorpusError):
-    """A manifest names a target function absent from the program."""
-
-
 class CorruptRecords(SpecloopError, ValueError):
     """A records file holds a line, other than a torn last one, that is not
     a run record."""

@@ -139,8 +139,10 @@ class ReplayOracle(Oracle):
 
         <root>/<program_id>/<config>/<phase>-<attempt>.txt
 
-    e.g. ``prog1/CB/generate-0.txt``, ``prog1/CB/repair-1.txt``. Other
-    names, and files outside a program and config directory, are ignored.
+    e.g. ``prog1/CB/generate-0.txt``, ``prog1/CB/repair-1.txt``; an
+    attempt is written in ASCII digits without leading zeros. Other names
+    (``generate-00.txt`` among them), and files outside a program and
+    config directory, are ignored.
     Files are read eagerly, so the fixtures are read-only afterwards and
     safe to share across threads. Each fixture text is parsed on first use
     and its spec kept, at most one per file; a text that does not parse is
@@ -182,7 +184,8 @@ class ReplayOracle(Oracle):
         return spec
 
 
-_FIXTURE_NAME = re.compile(r"(generate|repair)-(\d+)\.txt")
+# one spelling per attempt number, so each key comes from exactly one file
+_FIXTURE_NAME = re.compile(r"(generate|repair)-(0|[1-9][0-9]*)\.txt")
 
 
 def _entries(path) -> list[os.DirEntry]:
@@ -209,17 +212,17 @@ class HttpOracleSettings:
     base_url: str
     model: str
     api_key: str = ""
-    temperature: float = 0.0
+    temperature: float = 0.0  # finite: NaN or inf makes every request body invalid JSON
     max_tokens: int = 4096
     timeout: float = 120.0
     retries: int = 3          # attempts on transient failures before OracleUnavailable
     backoff: float = 1.0      # initial backoff, doubled per retry
 
     def __post_init__(self) -> None:
-        if not (self.retries >= 1 and self.backoff >= 0
-                and self.max_tokens >= 1 and self.timeout > 0):
+        if not (self.retries >= 1 and self.backoff >= 0 and self.max_tokens >= 1
+                and self.timeout > 0 and abs(self.temperature) < float("inf")):
             raise ValueError("oracle settings need retries >= 1, backoff >= 0, "
-                             "max_tokens >= 1 and timeout > 0")
+                             "max_tokens >= 1, timeout > 0 and a finite temperature")
 
     @classmethod
     def from_env(cls) -> "HttpOracleSettings":

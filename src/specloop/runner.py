@@ -21,7 +21,7 @@ from typing import IO, Sequence
 from .acsl import declared_functions
 from .config import BUNDLED_TEMPLATES, CANONICAL_NAMES, TemplateStore, canonical_config
 from .errors import (AcslError, CorpusError, CorruptRecords, DuplicateId,
-                     EmptyCorpus, MissingTargetFunction)
+                     EmptyCorpus)
 from .oracle import Oracle
 from .refine import JSON_LINE, Paradigm, RunLimits, RunLogger, RunRecord, run_once
 from .verifier import Verifier
@@ -29,32 +29,21 @@ from .verifier import Verifier
 
 @dataclass(frozen=True)
 class Program:
-    """A C program and the function its specification is for; an empty
-    target_function names the last function the source defines."""
+    """A C program of the corpus; its source must define a function."""
     id: str
     source: str
-    target_function: str
     category: str
 
     def __post_init__(self) -> None:
-        functions = declared_functions(self.source)
-        if not self.target_function:
-            if not functions:
-                raise MissingTargetFunction(
-                    f"program {self.id!r}: no function definition found")
-            object.__setattr__(self, "target_function", functions[-1])
-        elif self.target_function not in functions:
-            raise MissingTargetFunction(
-                f"program {self.id!r}: function {self.target_function!r} "
-                f"is not defined in the source")
+        if not declared_functions(self.source):
+            raise CorpusError(f"program {self.id!r}: no function definition found")
 
 
 def load_dataset(directory: str | Path) -> list[Program]:
-    """Load a corpus laid out as <root>/<category>/<program-id>.c.
-
-    An optional sibling <program-id>.json manifest may name the target
-    function; by default the last function defined in the file is the
-    target. Programs are ordered by id.
+    """Load a corpus laid out as <root>/<category>/<program-id>.c, ordered
+    by id. Other files, an <id>.json beside a program among them, are not
+    read. A program that is not UTF-8, that the layout scan rejects or that
+    defines no function raises CorpusError.
     """
     root = Path(directory)
     programs: dict[str, Program] = {}
@@ -68,23 +57,8 @@ def load_dataset(directory: str | Path) -> list[Program]:
             source = path.read_text(encoding="utf-8")
         except UnicodeDecodeError as exc:
             raise CorpusError(f"program {path}: {exc}") from None
-        manifest = path.with_suffix(".json")
-        if manifest.is_file():
-            try:
-                data = json.loads(manifest.read_text(encoding="utf-8"))
-            except ValueError as exc:   # not JSON, or not UTF-8
-                raise CorpusError(f"manifest {manifest}: {exc}") from None
-            target = data.get("target_function") if isinstance(data, dict) else None
-            if not isinstance(target, str) or not target:
-                raise MissingTargetFunction(
-                    f"manifest {manifest} has no \"target_function\" string")
-        else:
-            target = ""   # the last function defined
         try:
-            programs[program_id] = Program(
-                id=program_id, source=source,
-                target_function=target, category=path.parent.name,
-            )
+            programs[program_id] = Program(program_id, source, path.parent.name)
         except AcslError as exc:   # the layout scan rejects the text
             raise CorpusError(f"program {path}: {exc}") from None
     if not programs:

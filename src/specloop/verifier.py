@@ -289,6 +289,8 @@ class MockVerifier(Verifier):
 
     def __init__(self, always_failing: Iterable[str] = (),
                  wall_time: float = 0.0):
+        if not 0 <= wall_time < float("inf"):
+            raise ValueError(f"wall_time must be a finite number >= 0, not {wall_time!r}")
         self._rules = tuple(always_failing)
         self._wall_time = wall_time
 
@@ -306,7 +308,10 @@ class MockVerifier(Verifier):
             raise ValueError(f"{path}: always_failing must be a list of strings")
         if type(wall_time) not in (int, float):
             raise ValueError(f"{path}: wall_time must be a number")
-        return cls(rules, wall_time)
+        try:
+            return cls(rules, wall_time)
+        except ValueError as exc:   # a number out of range
+            raise ValueError(f"{path}: {exc}") from None
 
     def verify(self, program, spec: SpecificationSet) -> VerifierReport:
         rules = self._rules

@@ -289,7 +289,7 @@ def test_c08_end_to_end_determinism(toy_corpus, persona_dir, tmp_path):
                     reason="frama-c executable not installed")
 def test_c09_real_verifier_smoke():
     program = Program(id="id_fn", source="int id(int x) { return x; }\n",
-                      target_function="id", category="smoke")
+                      category="smoke")
     fn = FunctionContract("id")
     good = SpecificationSet([
         Annotation(K.REQUIRES, "requires \\true;", fn),

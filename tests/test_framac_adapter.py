@@ -271,7 +271,7 @@ def test_a_program_comment_the_parser_rejects_ends_the_run_errored(wp_stub):
     """verify re-parses the woven program for its spans; a program comment
     that does not parse is the run's ToolError, not an exception."""
     program = Program("prog", "/*@ frobnicate x; */\nint f(int n) { return n; }\n",
-                      "f", "toy")
+                      "toy")
     completion = ("```c\n/*@ requires n >= 0; */\n"
                   "int f(int n) { return n; }\n```")
     verifier = FramaCVerifier(FramaCSettings(executable=str(wp_stub),
@@ -321,7 +321,7 @@ def test_a_tool_run_killed_after_a_valid_goal_is_not_verified(fake_framac,
     verifier = FramaCVerifier(settings_)
     completion = ("```c\n/*@ requires x >= 0;\n    ensures \\result == x; */\n"
                   "int f(int x) { return x; }\n```")
-    program = Program("prog", "int f(int x) { return x; }\n", "f", "toy")
+    program = Program("prog", "int f(int x) { return x; }\n", "toy")
     record = run_once(program, canonical_config("CB"), Paradigm.DELETION,
                       ScriptedOracle(lambda request: completion), verifier)
     assert record.outcome is RunOutcome.ERRORED

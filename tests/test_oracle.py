@@ -138,6 +138,20 @@ def test_replay_reads_only_fixture_names_in_config_directories(tmp_path):
     assert ReplayOracle(tmp_path / "absent")._fixtures == {}
 
 
+def test_each_replay_key_comes_from_exactly_one_file(tmp_path):
+    cell = tmp_path / "prog1" / "CB"
+    cell.mkdir(parents=True)
+    for name in ("generate-0.txt", "generate-00.txt", "generate-\u0660.txt",
+                 "repair-1.txt", "repair-01.txt", "repair-\uff11.txt",
+                 "repair-10.txt", "repair-010.txt"):
+        (cell / name).write_text(name, encoding="utf-8")
+    assert ReplayOracle(tmp_path)._fixtures == {
+        ("prog1", "CB", "generate", 0): "generate-0.txt",
+        ("prog1", "CB", "repair", 1): "repair-1.txt",
+        ("prog1", "CB", "repair", 10): "repair-10.txt",
+    }
+
+
 def test_replay_repair_chain(toy_corpus, persona_dir, replay_oracle):
     flagged = [p for p in toy_corpus if toyworld.roles(toy_corpus)[p.id]["bad"]
                and not toyworld.roles(toy_corpus)[p.id]["never_fixed"]]
@@ -481,6 +495,8 @@ def test_http_content_that_is_not_text_is_malformed(sleeps, content):
 @pytest.mark.parametrize("setting", [
     {"retries": 0}, {"backoff": -1.0}, {"backoff": float("nan")},
     {"max_tokens": 0}, {"timeout": 0.0}, {"timeout": -5.0},
+    {"temperature": float("nan")}, {"temperature": float("inf")},
+    {"temperature": float("-inf")},
 ])
 def test_http_settings_out_of_range_are_refused(setting):
     with pytest.raises(ValueError, match="oracle settings need"):

@@ -42,6 +42,7 @@ from specloop import (
 )
 from specloop.acsl import UNPLACED
 from specloop.cli import main as cli_main
+from specloop.config import BUNDLED_TEMPLATES
 from specloop.refine import JSON_LINE
 from specloop.runner import RecordStore
 
@@ -53,7 +54,6 @@ from specloop.errors import (
     DuplicateId,
     EmptyCorpus,
     MalformedAnnotation,
-    MissingTargetFunction,
     MissingTemplate,
     SpecloopError,
     UnknownConfiguration,
@@ -69,8 +69,6 @@ def test_load_toy_corpus(toy_corpus):
     assert [p.id for p in toy_corpus] == sorted(p.id for p in toy_corpus)
     categories = {p.category for p in toy_corpus}
     assert categories == {"arithmetic", "arrays", "comparison", "loops"}
-    by_id = {p.id: p for p in toy_corpus}
-    assert by_id["gauss_sum"].target_function == "gauss_sum"
 
 
 def test_load_empty_directory(tmp_path):
@@ -85,50 +83,6 @@ def test_duplicate_id_across_categories(tmp_path):
         (d / "same.c").write_text("int same(void) { return 0; }\n")
     with pytest.raises(DuplicateId):
         load_dataset(tmp_path)
-
-
-def test_manifest_overrides_target_function(tmp_path):
-    d = tmp_path / "cat"
-    d.mkdir()
-    (d / "prog.c").write_text(
-        "int helper(void) { return 1; }\nint main_fn(void) { return helper(); }\n")
-    (d / "prog.json").write_text(json.dumps({"target_function": "helper"}))
-    [program] = load_dataset(tmp_path)
-    assert program.target_function == "helper"
-
-
-def test_manifest_naming_missing_function(tmp_path):
-    d = tmp_path / "cat"
-    d.mkdir()
-    (d / "prog.c").write_text("int real(void) { return 0; }\n")
-    (d / "prog.json").write_text(json.dumps({"target_function": "ghost_fn"}))
-    with pytest.raises(MissingTargetFunction):
-        load_dataset(tmp_path)
-
-
-@pytest.mark.parametrize("manifest,error,message", [
-    ("{}", MissingTargetFunction, 'has no "target_function" string'),
-    ('{"target_function": 3}', MissingTargetFunction, 'has no "target_function" string'),
-    ('["target_function"]', MissingTargetFunction, 'has no "target_function" string'),
-    ('{"target_function": ""}', MissingTargetFunction, 'has no "target_function" string'),
-    ("not json", CorpusError, "Expecting value"),
-])
-def test_a_bad_manifest_is_a_corpus_error_naming_it(tmp_path, capsys, manifest,
-                                                     error, message):
-    d = tmp_path / "corpus" / "cat"
-    d.mkdir(parents=True)
-    (d / "prog.c").write_text("int real(void) { return 0; }\n")
-    (d / "prog.json").write_text(manifest)
-    with pytest.raises(error, match=message) as caught:
-        load_dataset(tmp_path / "corpus")
-    assert str(d / "prog.json") in str(caught.value)
-    out = tmp_path / "out"
-    assert cli_main(["run", "--dataset", str(tmp_path / "corpus"),
-                     "--oracle", str(tmp_path), "--verifier", "mock",
-                     "--out", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: manifest ") and message in err
-    assert not out.exists()
 
 
 def test_a_program_that_is_not_utf8_is_a_corpus_error_naming_it(tmp_path, capsys):
@@ -167,41 +121,44 @@ def test_a_program_the_layout_scan_rejects_is_a_corpus_error_naming_it(
     assert not out.exists()
     # a Program built in code raises the scan's own error, as before
     with pytest.raises(MalformedAnnotation, match=re.escape(message)):
-        Program("prog", source, "", "cat")
+        Program("prog", source, "cat")
 
 
-def test_default_target_is_last_function(tmp_path):
+def test_a_program_must_define_a_function():
+    with pytest.raises(CorpusError, match="program 'x': no function definition found"):
+        Program("x", "int v = 0;", "c")
+
+
+def test_a_program_with_no_function_is_a_corpus_error(tmp_path, capsys):
+    d = tmp_path / "corpus" / "cat"
+    d.mkdir(parents=True)
+    (d / "prog.c").write_text("int v = 0;\n")
+    with pytest.raises(CorpusError, match="program 'prog': no function definition found"):
+        load_dataset(tmp_path / "corpus")
+    out = tmp_path / "out"
+    assert cli_main(["run", "--dataset", str(tmp_path / "corpus"),
+                     "--oracle", str(tmp_path), "--verifier", "mock",
+                     "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: program 'prog': no function definition found\n")
+    assert not out.exists()
+
+
+def test_a_file_beside_a_program_is_not_read(tmp_path):
     d = tmp_path / "cat"
     d.mkdir()
-    (d / "prog.c").write_text(
-        "int first(void) { return 1; }\nint last(void) { return 2; }\n")
+    (d / "prog.c").write_text("int f(void) { return 0; }\n")
+    (d / "prog.json").write_text("not json")
     [program] = load_dataset(tmp_path)
-    assert program.target_function == "last"
+    assert (program.id, program.category) == ("prog", "cat")
 
 
-def test_program_validates_target():
-    with pytest.raises(MissingTargetFunction):
-        Program(id="x", source="int f(void) { return 0; }",
-                target_function="g", category="c")
-
-
-def test_program_without_a_target_takes_the_last_function():
-    program = Program(id="x", source="int f(void) { return 0; }\nint g(void) { return 1; }",
-                      target_function="", category="c")
-    assert program.target_function == "g"
-    with pytest.raises(MissingTargetFunction, match="no function definition found"):
-        Program(id="x", source="int v = 0;", target_function="", category="c")
-
-
-@pytest.mark.parametrize("manifest", [False, True])
-def test_load_dataset_scans_each_program_once(tmp_path, monkeypatch, manifest):
+def test_load_dataset_scans_each_program_once(tmp_path, monkeypatch):
     d = tmp_path / "cat"
     d.mkdir()
     for name in ("one", "two"):
         (d / f"{name}.c").write_text(
             "int helper(void) { return 1; }\nint last(void) { return helper(); }\n")
-        if manifest:
-            (d / f"{name}.json").write_text(json.dumps({"target_function": "helper"}))
     scans = []
     scan = specloop.acsl._scan_layout
     monkeypatch.setattr(specloop.acsl, "_scan_layout",
@@ -210,8 +167,7 @@ def test_load_dataset_scans_each_program_once(tmp_path, monkeypatch, manifest):
     declared = specloop.runner.declared_functions
     monkeypatch.setattr(specloop.runner, "declared_functions",
                         lambda source: calls.append(source) or declared(source))
-    corpus = load_dataset(tmp_path)
-    assert [p.target_function for p in corpus] == ["helper" if manifest else "last"] * 2
+    assert [p.id for p in load_dataset(tmp_path)] == ["one", "two"]
     assert len(scans) == len(calls) == 2
 
 
@@ -1219,6 +1175,9 @@ _FIXTURES_FILES = {
     "rules-not-strings.json": '{"always_failing": ["x", 1]}\n',
     "rules-a-string.json": '{"always_failing": "x"}\n',
     "wall-time-text.json": '{"wall_time": "fast"}\n',
+    "wall-time-nan.json": '{"wall_time": NaN}\n',
+    "wall-time-infinite.json": '{"wall_time": Infinity}\n',
+    "wall-time-negative.json": '{"wall_time": -5}\n',
     "verdicts.json": '{"verdicts": {}}\n',
     "misspelt-rules.json": '{"always_fail": ["x"]}\n',
 }
@@ -1231,6 +1190,9 @@ _FIXTURES_FILES = {
     ("rules-not-strings.json", "always_failing must be a list of strings"),
     ("rules-a-string.json", "always_failing must be a list of strings"),
     ("wall-time-text.json", "wall_time must be a number"),
+    ("wall-time-nan.json", "wall_time must be a finite number >= 0, not nan"),
+    ("wall-time-infinite.json", "wall_time must be a finite number >= 0, not inf"),
+    ("wall-time-negative.json", "wall_time must be a finite number >= 0, not -5"),
     ("verdicts.json", "unknown mock fixtures field 'verdicts'"),
     ("misspelt-rules.json", "unknown mock fixtures field 'always_fail'"),
 ])
@@ -1258,6 +1220,10 @@ def test_cli_rejects_an_unreadable_mock_fixtures_file_before_any_run(
     (["--oracle", "http"], {"ORACLE_BASE_URL": "http://localhost:9",
                             "ORACLE_TEMPERATURE": "warm"},
      "ORACLE_TEMPERATURE is not a number"),
+    (["--oracle", "http"], {"ORACLE_BASE_URL": "http://localhost:9",
+                            "ORACLE_TEMPERATURE": "nan"}, "a finite temperature"),
+    (["--oracle", "http"], {"ORACLE_BASE_URL": "http://localhost:9",
+                            "ORACLE_TEMPERATURE": "inf"}, "a finite temperature"),
 ])
 def test_cli_rejects_bad_verifier_and_oracle_settings_before_any_run(
         persona_dir, wp_stub, tmp_path, capsys, monkeypatch, args, env, bad):
@@ -1293,6 +1259,15 @@ def test_cli_run_defaults_are_the_dataclass_defaults(persona_dir, tmp_path,
     assert plan == ExperimentPlan()
     assert plan.limits == RunLimits()
     assert verifier.settings == FramaCSettings()
+
+
+def test_a_plan_s_repr_names_its_template_root(tmp_path):
+    root = _bundled_templates_copy(tmp_path)
+    bundled = Path(specloop.__file__).parent / "templates"
+    for templates, named in [(BUNDLED_TEMPLATES, bundled), (TemplateStore(root), root)]:
+        text = repr(ExperimentPlan(configs=("CB",), templates=templates))
+        assert f"templates=TemplateStore({str(named)!r})" in text
+        assert " at 0x" not in text
 
 
 def test_plan_rejects_an_unknown_configuration():

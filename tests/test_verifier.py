@@ -225,6 +225,12 @@ def _rules(draw, spec: SpecificationSet):
                          | st.text(max_size=3), max_size=3))
 
 
+@pytest.mark.parametrize("wall_time", [float("nan"), float("inf"), -5])
+def test_a_mock_wall_time_must_be_a_finite_number_not_below_0(wall_time):
+    with pytest.raises(ValueError, match="wall_time must be a finite number >= 0"):
+        MockVerifier(wall_time=wall_time)
+
+
 @settings(max_examples=300, deadline=None)
 @given(spec=strategies.specs(), data=st.data())
 def test_rule_mode_matches_the_reference(spec, data):

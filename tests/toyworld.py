@@ -26,6 +26,7 @@ from specloop import (
     SpecificationSet,
     weave,
 )
+from specloop.acsl import declared_functions
 
 BAD_ENSURES = "ensures \\result == 424242;"
 BAD_LEMMA = "lemma toy_never: \\forall integer z; z > z;"
@@ -44,7 +45,8 @@ def toy_annotations(program: Program, config_name: str, *,
                     bad: bool = False, omit_logical: bool = False,
                     bad_lemma: bool = False) -> SpecificationSet:
     """Deterministic specification set for a toy program under a config."""
-    fn = FunctionContract(program.target_function)
+    name = declared_functions(program.source)[-1]
+    fn = FunctionContract(name)
     anns = [
         Annotation(ConstructKind.REQUIRES, "requires \\true;", fn),
         Annotation(ConstructKind.ENSURES,
@@ -52,7 +54,7 @@ def toy_annotations(program: Program, config_name: str, *,
         Annotation(ConstructKind.ASSIGNS, "assigns \\nothing;", fn),
     ]
     if program.id in LOOPY:
-        loop = Loop(program.target_function, 1)
+        loop = Loop(name, 1)
         anns += [
             Annotation(ConstructKind.LOOP_INVARIANT, "loop invariant \\true;", loop),
             Annotation(ConstructKind.LOOP_ASSIGNS, "loop assigns \\nothing;", loop),
