@@ -153,12 +153,16 @@ def test_a_file_beside_a_program_is_not_read(tmp_path):
     assert (program.id, program.category) == ("prog", "cat")
 
 
-def test_load_dataset_scans_each_program_once(tmp_path, monkeypatch):
+@pytest.mark.parametrize("manifest", [False, True])
+def test_load_dataset_scans_each_program_once(tmp_path, monkeypatch, manifest):
+    # a leftover <id>.json beside a program is ignored and costs no scan
     d = tmp_path / "cat"
     d.mkdir()
     for name in ("one", "two"):
         (d / f"{name}.c").write_text(
             "int helper(void) { return 1; }\nint last(void) { return helper(); }\n")
+        if manifest:
+            (d / f"{name}.json").write_text(json.dumps({"target_function": "helper"}))
     scans = []
     scan = specloop.acsl._scan_layout
     monkeypatch.setattr(specloop.acsl, "_scan_layout",
