@@ -17,8 +17,10 @@ from __future__ import annotations
 
 import itertools
 import json
-from collections import defaultdict
+import math
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
+from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -61,12 +63,14 @@ class CellMetrics:
     #: quadrant counts over samples, compliance x verification outcome;
     #: errored samples land in the failed quadrants and are also tallied
     distribution: Mapping[str, int] = field(hash=False)
-    # per-program means over runs in program order, for the optimal shares
-    mean_tool_calls: Mapping[str, float] = field(hash=False, repr=False)
-    mean_elapsed: Mapping[str, float] = field(hash=False, repr=False)
+    #: program id -> its records in run-index order, programs in id order;
+    #: every value above derives from it
+    grid: Mapping[str, tuple[RunRecord, ...]] = field(hash=False, repr=False)
 
-    def value(self, column: str) -> float:
-        return getattr(self, column)
+    def program_means(self, column: str) -> dict[str, float]:
+        """Per-program mean over runs of a record field, in program order."""
+        get = attrgetter(column)
+        return {p: math.fsum(map(get, runs)) / len(runs) for p, runs in self.grid.items()}
 
     def to_dict(self) -> dict:
         return {
@@ -88,64 +92,52 @@ class CellMetrics:
 def compute_cell(records: Sequence[RunRecord]) -> CellMetrics:
     """Validate that records are one (config, paradigm) cell over a full
     program x run grid without duplicates, and compute all of its metrics
-    in the same pass."""
+    from that grid. No value depends on the order of the records: floats
+    are added with math.fsum."""
     if not records:
         raise IncompleteGrid("no records in cell")
-    cells: set[tuple[str, Paradigm]] = set()
-    duplicate: RunRecord | None = None
-    runs_by_program: dict[str, set[int]] = defaultdict(set)
-    noncompliant: set[str] = set()
-    wins: dict[str, int] = defaultdict(int)
-    elapsed_by_run: dict[int, float] = defaultdict(float)
-    calls_by_program: dict[str, int] = defaultdict(int)
-    elapsed_by_program: dict[str, float] = defaultdict(float)
-    dist = dict.fromkeys(("compliant_verified", "compliant_failed",
-                          "noncompliant_verified", "noncompliant_failed", "errored"), 0)
-    for r in records:
-        cells.add((r.config_name, r.paradigm))
-        seen = runs_by_program[r.program_id]
-        if r.run_index in seen and duplicate is None:
-            duplicate = r
-        seen.add(r.run_index)
-        verified = r.outcome is RunOutcome.VERIFIED
-        if verified:
-            wins[r.program_id] += 1
-        if not r.compliant:
-            noncompliant.add(r.program_id)
-        side = "compliant" if r.compliant else "noncompliant"
-        dist[f"{side}_{'verified' if verified else 'failed'}"] += 1
-        dist["errored"] += r.outcome is RunOutcome.ERRORED
-        elapsed_by_run[r.run_index] += r.elapsed
-        calls_by_program[r.program_id] += r.tool_calls
-        elapsed_by_program[r.program_id] += r.elapsed
-    if len(cells) != 1:
+    config_name, paradigm = records[0].config_name, records[0].paradigm
+    # by identity first: hashing an Enum member runs Python code
+    if any(r.paradigm is not paradigm or r.config_name != config_name for r in records):
+        cells = {(r.config_name, r.paradigm) for r in records}
         raise IncompleteGrid(f"records span {len(cells)} cells, expected exactly 1")
-    config_name, paradigm = next(iter(cells))
-    if duplicate is not None:
-        raise IncompleteGrid(f"{config_name}/{paradigm.value}: duplicate record "
-                             f"for {duplicate.program_id!r} run {duplicate.run_index}")
-    index_sets = {frozenset(v) for v in runs_by_program.values()}
+    by_program: dict[str, dict[int, RunRecord]] = defaultdict(dict)
+    for r in records:
+        runs = by_program[r.program_id]
+        if r.run_index in runs:
+            raise IncompleteGrid(f"{config_name}/{paradigm.value}: duplicate record "
+                                 f"for {r.program_id!r} run {r.run_index}")
+        runs[r.run_index] = r
+    index_sets = {frozenset(runs) for runs in by_program.values()}
     if len(index_sets) != 1:
         raise IncompleteGrid(
             f"{config_name}/{paradigm.value}: programs cover different run indexes")
-    runs = sorted(next(iter(index_sets)))
-    programs = sorted(runs_by_program)
-    stable = sum(1 for count in wins.values() if count >= 2)
+    order = sorted(next(iter(index_sets)))
+    grid = {p: tuple(map(by_program[p].__getitem__, order)) for p in sorted(by_program)}
+    quadrants = Counter([(r.compliant, r.outcome is RunOutcome.VERIFIED) for r in records])
+    dist = {"compliant_verified": quadrants[True, True],
+            "compliant_failed": quadrants[True, False],
+            "noncompliant_verified": quadrants[False, True],
+            "noncompliant_failed": quadrants[False, False],
+            "errored": sum(r.outcome is RunOutcome.ERRORED for r in records)}
+    wins = {p: [r.outcome for r in runs].count(RunOutcome.VERIFIED) for p, runs in grid.items()}
+    verified = frozenset(p for p, count in wins.items() if count)
+    stable = sum(count >= 2 for count in wins.values())
     return CellMetrics(
         config_name=config_name,
         paradigm=paradigm,
         csccr=(dist["compliant_verified"] + dist["compliant_failed"]) / len(records),
-        csccr_per_program=(len(programs) - len(noncompliant)) / len(programs),
-        nvp=len(wins),
+        csccr_per_program=sum(all([r.compliant for r in runs])
+                              for runs in grid.values()) / len(grid),
+        nvp=len(verified),
         nsvp=stable,
-        nvtc=sum(calls_by_program.values()) / len(runs),
-        rt=sum(elapsed_by_run[i] for i in runs) / len(runs),
-        reduction_rate=reduction_rate(len(wins), stable),
-        verified_program_set=frozenset(wins),
+        nvtc=sum(r.tool_calls for r in records) / len(order),
+        rt=math.fsum(r.elapsed for r in records) / len(order),
+        reduction_rate=reduction_rate(len(verified), stable),
+        verified_program_set=verified,
         errored=dist["errored"],
         distribution=dist,
-        mean_tool_calls={p: calls_by_program[p] / len(runs) for p in programs},
-        mean_elapsed={p: elapsed_by_program[p] / len(runs) for p in programs},
+        grid=grid,
     )
 
 
@@ -209,8 +201,8 @@ def venn_sets(records: Iterable[RunRecord],
 
 
 def _optimal(named: Mapping[str, CellMetrics], metric: str) -> dict[str, float]:
-    means = {name: (cell.mean_tool_calls if metric == "nvtc" else cell.mean_elapsed)
-             for name, cell in named.items()}
+    column = "tool_calls" if metric == "nvtc" else "elapsed"
+    means = {name: cell.program_means(column) for name, cell in named.items()}
     programs = list(next(iter(means.values())))
     if any(list(m) != programs for m in means.values()):
         raise IncompleteGrid("configurations cover different program sets")
@@ -255,7 +247,7 @@ class MetricsTable:
             if cell is None:
                 raise UndefinedMetric(
                     f"{persona} has no {config} cell under {paradigm.value}")
-            rows.append(cell.value(column))
+            rows.append(getattr(cell, column))
         if not rows:
             raise UndefinedMetric("no personas contribute to the average")
         return sum(rows) / len(rows)
@@ -270,6 +262,11 @@ class MetricsTable:
 def build_table(persona_records: Mapping[str, Iterable[RunRecord]],
                 configs: Sequence[str] = CANONICAL_NAMES,
                 average_exclude: Sequence[str] = ()) -> MetricsTable:
+    """Raises ValueError when `average_exclude` names a persona that is not
+    a row."""
+    unknown = [p for p in average_exclude if p not in persona_records]
+    if unknown:
+        raise ValueError(f"average_exclude names personas that are not rows: {unknown}")
     return MetricsTable(
         personas=tuple(persona_records),
         configs=tuple(configs),
@@ -313,7 +310,7 @@ def render_table(table: MetricsTable) -> str:
         for persona in table.personas:
             cells = [table.cells[persona].get((config, paradigm)) for config in table.configs]
             out.append(line(persona, [
-                ["-"] * 4 if cell is None else [fmt(cell.value(c), c) for c in _METRIC_COLUMNS]
+                ["-"] * 4 if cell is None else [fmt(getattr(cell, c), c) for c in _METRIC_COLUMNS]
                 for cell in cells]))
         out.append(line("Average", [
             [average(config, paradigm, c) for c in _METRIC_COLUMNS]

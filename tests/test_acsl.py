@@ -310,6 +310,13 @@ def test_parse_unknown_clause_keyword():
         parse_annotations("/*@ terminates \\true; */\nint f(int x) { return x; }\n")
 
 
+def test_parse_a_contract_clause_inside_an_axiomatic_block():
+    with pytest.raises(ClassificationError,
+                       match="^'requires' is not valid inside an axiomatic block$"):
+        parse_annotations("/*@ axiomatic A { requires x > 0; } */\n"
+                          "int f(int x) { return x; }\n")
+
+
 @pytest.mark.parametrize("header", [
     "axiomatic A requires x > 0; ensures y; {", "axiomatic A B {", "axiomatic 9 {",
     "axiomatic A", "axiomatic",
@@ -1478,41 +1485,45 @@ def _large_annotated_program(size: int) -> str:
     return "".join(parts)
 
 
-def _best_cost(scan, text, times=5):
-    """(least process time of `times` scan(text) calls, what the scan returned)"""
-    best = float("inf")
+def _assert_cost_grows_linearly(prepare, check, small, large, times=5):
+    """Time prepare(n)() for n = small and n = large, 8x the input, in
+    alternation and `times` times each, so both sizes meet the same speed
+    phases of the machine: the least process time of the large call stays
+    within 12x the small one's. check(n, result) checks each result."""
+    calls = {n: prepare(n) for n in (small, large)}
+    best = dict.fromkeys(calls, float("inf"))
     for _ in range(times):
-        started = time.process_time()
-        result = scan(text)
-        best = min(best, time.process_time() - started)
-    return best, result
+        for n, call in calls.items():
+            started = time.process_time()
+            result = call()
+            best[n] = min(best[n], time.process_time() - started)
+            check(n, result)
+    assert best[large] <= 12 * best[small], \
+        f"8x the input took {best[large] / best[small]:.1f}x the time"
 
 
 def test_parse_cost_grows_linearly():
-    def cost(text):
-        best, spec = _best_cost(parse_annotations, text)
+    def check(size, spec):
         assert len(spec) == 4
-        return best
 
-    small = cost(_large_annotated_program(16 * 1024))
-    large = cost(_large_annotated_program(128 * 1024))
-    assert large <= 12 * small, f"8x the input took {large / small:.1f}x the time"
+    _assert_cost_grows_linearly(
+        lambda size: functools.partial(parse_annotations, _large_annotated_program(size)),
+        check, 16 * 1024, 128 * 1024)
 
 
 def test_contract_lookup_cost_grows_linearly_past_pairs_that_open_no_function():
     # every contract comment comes before every struct: the search for the
     # next function reads each struct's braces once per parse, not once per
     # comment
-    def cost(n):
-        text = ("/*@ requires x > 0; */\n" * n + "struct S { int a; };\n" * n
-                + "int f(int x) { return x; }\n")
-        best, spec = _best_cost(parse_annotations, text, 15)
-        assert [a.anchor for a in spec] == [FunctionContract("f")]
-        return best
+    def prepare(n):
+        return functools.partial(
+            parse_annotations, "/*@ requires x > 0; */\n" * n
+            + "struct S { int a; };\n" * n + "int f(int x) { return x; }\n")
 
-    small = cost(500)
-    large = cost(4000)
-    assert large <= 12 * small, f"8x the input took {large / small:.1f}x the time"
+    def check(n, spec):
+        assert [a.anchor for a in spec] == [FunctionContract("f")]
+
+    _assert_cost_grows_linearly(prepare, check, 500, 4000, 15)
 
 
 def _contracted_program(n: int) -> str:
@@ -1526,75 +1537,69 @@ def _contracted_program(n: int) -> str:
 
 
 def test_strip_cost_grows_linearly():
-    def cost(n):
-        best, bare = _best_cost(strip_annotations, _contracted_program(n), 15)
+    def check(n, bare):
         assert "/*@" not in bare and bare.count("for (") == n
-        return best
 
-    small = cost(125)
-    large = cost(1000)
-    assert large <= 12 * small, f"8x the input took {large / small:.1f}x the time"
+    _assert_cost_grows_linearly(
+        lambda n: functools.partial(strip_annotations, _contracted_program(n)),
+        check, 125, 1000, 15)
 
 
 def test_weave_cost_grows_linearly():
-    def cost(n):
+    def prepare(n):
         text = _contracted_program(n)
         spec = parse_annotations(text)
-        best, woven = _best_cost(functools.partial(weave, spec=spec),
-                                 strip_annotations(text), 15)
-        assert len(spec) == 3 * n and woven.count("/*@") == 2 * n
-        return best
+        assert len(spec) == 3 * n
+        return functools.partial(weave, strip_annotations(text), spec=spec)
 
-    small = cost(125)
-    large = cost(1000)
-    assert large <= 12 * small, f"8x the input took {large / small:.1f}x the time"
+    def check(n, woven):
+        assert woven.count("/*@") == 2 * n
+
+    _assert_cost_grows_linearly(prepare, check, 125, 1000, 15)
 
 
 def test_layout_cost_grows_linearly_without_semicolons():
     # each declaration start is found by reading back to the '}' before it
-    def cost(size):
+    def text(size):
         functions = "".join(f"int h{i}(void){{}}\n" for i in range(size // 16))
-        text = functions[:size].rpartition("\n")[0]
-        best, names = _best_cost(declared_functions, text)
-        assert names[0] == "h0" and len(names) == text.count("}")
-        return best
+        return functions[:size].rpartition("\n")[0]
 
-    small = cost(16 * 1024)
-    large = cost(128 * 1024)
-    assert large <= 12 * small, f"8x the input took {large / small:.1f}x the time"
+    def check(size, names):
+        assert names[0] == "h0" and len(names) == text(size).count("}")
+
+    _assert_cost_grows_linearly(
+        lambda size: functools.partial(declared_functions, text(size)),
+        check, 16 * 1024, 128 * 1024)
 
 
 def test_head_cost_grows_linearly_past_parentheses_that_close_nothing():
     # no ')' before a brace closes a '(', so each scan for one reads back to
     # where the last such scan began, not over every group before it
-    def cost(n):
-        text = ("/*@ requires x > 0; */\n" + "g(x)) {}\n" * n
-                + "int f(int x) { return x; }\n")
-        best, spec = _best_cost(parse_annotations, text)
-        assert [a.anchor for a in spec] == [FunctionContract("f")]
-        return best
+    def prepare(n):
+        return functools.partial(
+            parse_annotations, "/*@ requires x > 0; */\n" + "g(x)) {}\n" * n
+            + "int f(int x) { return x; }\n")
 
-    small = cost(500)
-    large = cost(4000)
-    assert large <= 12 * small, f"8x the input took {large / small:.1f}x the time"
+    def check(n, spec):
+        assert [a.anchor for a in spec] == [FunctionContract("f")]
+
+    _assert_cost_grows_linearly(prepare, check, 500, 4000)
 
 
 @pytest.mark.parametrize("scan", [declared_functions, parse_annotations],
                          ids=lambda scan: scan.__name__)
 def test_head_cost_grows_linearly_with_deep_parentheses(scan):
     # a loop clause in every body, so a parse reads every head too
-    def cost(n):
-        text = "".join(
+    def prepare(n):
+        return functools.partial(scan, "".join(
             f"int h{i}(int a, int (*g)(int (*)(int (*)(int))), int b) {{\n"
             f"    //@ loop invariant a >= 0;\n    while (a) a--;\n    return b;\n}}\n"
-            for i in range(n))
-        best, found = _best_cost(scan, text)
-        assert len(found) == n
-        return best
+            for i in range(n)))
 
-    small = cost(500)
-    large = cost(4000)
-    assert large <= 12 * small, f"8x the input took {large / small:.1f}x the time"
+    def check(n, found):
+        assert len(found) == n
+
+    _assert_cost_grows_linearly(prepare, check, 500, 4000)
 
 
 @pytest.mark.parametrize("line", [
@@ -1604,11 +1609,9 @@ def test_head_cost_grows_linearly_with_deep_parentheses(scan):
     lambda i: f"int f{i}(void) {{}}" + " " * 1000,
 ], ids=["hash-mid-line", "one-line"])
 def test_declaration_start_cost_grows_linearly(line):
-    def cost(n):
-        best, names = _best_cost(declared_functions, "".join(map(line, range(n))))
+    def check(n, names):
         assert names == [f"f{i}" for i in range(n)]
-        return best
 
-    small = cost(500)
-    large = cost(4000)
-    assert large <= 12 * small, f"8x the input took {large / small:.1f}x the time"
+    _assert_cost_grows_linearly(
+        lambda n: functools.partial(declared_functions, "".join(map(line, range(n)))),
+        check, 500, 4000)

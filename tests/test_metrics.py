@@ -5,6 +5,8 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from specloop import (
     Paradigm,
@@ -60,11 +62,33 @@ def test_csccr_upper_bound():
     assert compute_cell(full_grid(compliant=True)).csccr == 1.0
 
 
-def test_csccr_permutation_invariant():
-    records = synth.make_compliance_records(117)
-    shuffled = records[:]
-    random.Random(7).shuffle(shuffled)
-    assert compute_cell(shuffled).csccr == compute_cell(records).csccr
+@st.composite
+def _small_grids(draw):
+    """CB, CV and CA under deletion over the same programs and runs, with
+    elapsed values drawn from a pool in which ties, and sums whose float
+    value depends on the order of the terms, are common."""
+    n_programs = draw(st.integers(1, 4))
+    n_runs = draw(st.integers(1, 3))
+    return [record(f"p{i}", r, config=config,
+                   verified=draw(st.booleans()), compliant=draw(st.booleans()),
+                   errored=draw(st.booleans()), tool_calls=draw(st.integers(0, 3)),
+                   elapsed=draw(st.sampled_from((0.1, 0.2, 0.3, 0.7))))
+            for config in ("CB", "CV", "CA")
+            for i in range(n_programs) for r in range(1, n_runs + 1)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_csccr_permutation_invariant(data):
+    records = data.draw(_small_grids())
+    shuffled = data.draw(st.permutations(records))
+    for config in ("CB", "CV", "CA"):
+        cell = compute_cell([r for r in records if r.config_name == config])
+        again = compute_cell([r for r in shuffled if r.config_name == config])
+        assert again.to_dict() == cell.to_dict()
+        assert again.rt.hex() == cell.rt.hex()
+    assert (optimal_config_proportions(shuffled, "rt")
+            == optimal_config_proportions(records, "rt"))
 
 
 def test_csccr_incomplete_grid():
@@ -72,11 +96,19 @@ def test_csccr_incomplete_grid():
     with pytest.raises(IncompleteGrid,
                        match="^CB/delete: programs cover different run indexes$"):
         compute_cell(records[:-1])
-    with pytest.raises(IncompleteGrid):
+    with pytest.raises(IncompleteGrid, match="^no records in cell$"):
         compute_cell([])
     with pytest.raises(IncompleteGrid,
                        match="^CB/delete: duplicate record for 'p0' run 1$"):
         compute_cell(records + [records[0]])
+    # the first duplicate in record order, before the uneven run indexes
+    with pytest.raises(IncompleteGrid,
+                       match="^CB/delete: duplicate record for 'p1' run 1$"):
+        compute_cell(records[:-1] + [records[5], records[0]])
+    # a second cell, before any duplicate
+    with pytest.raises(IncompleteGrid,
+                       match="^records span 2 cells, expected exactly 1$"):
+        compute_cell(records + [records[0], record("p0", 1, config="CV")])
 
 
 # --------------------------------------------------------------------------
@@ -306,6 +338,21 @@ def test_proportions_three_way_tie():
     costs = {c: {"p0": 2, "p1": 2} for c in ("CB", "CV", "CA")}
     result = optimal_config_proportions(records_with_costs(costs))
     assert result == pytest.approx({"CB": 1 / 3, "CV": 1 / 3, "CA": 1 / 3})
+    # the same elapsed values in another run order: summed in run order,
+    # 0.3 + 0.2 + 0.1 is less than 0.1 + 0.2 + 0.3 and CV would win alone
+    elapsed = {"CB": (0.1, 0.2, 0.3), "CV": (0.3, 0.2, 0.1), "CA": (0.1, 0.2, 0.3)}
+    records = [record("p0", r, config=config, elapsed=seconds)
+               for config, runs in elapsed.items()
+               for r, seconds in enumerate(runs, start=1)]
+    assert optimal_config_proportions(records, "rt") == pytest.approx(
+        {"CB": 1 / 3, "CV": 1 / 3, "CA": 1 / 3})
+
+
+def test_proportions_need_the_same_programs_in_every_configuration():
+    costs = {"CB": {"p0": 1}, "CV": {"p0": 1}, "CA": {"p0": 1, "p1": 1}}
+    with pytest.raises(IncompleteGrid,
+                       match="^configurations cover different program sets$"):
+        optimal_config_proportions(records_with_costs(costs))
 
 
 def test_proportions_random_against_brute_force():
@@ -373,6 +420,11 @@ def test_a_persona_missing_a_cell_leaves_that_average_undefined():
     excluded = build_table({"a": full, "b": without_cv}, configs=("CB", "CV"),
                            average_exclude=("b",))
     assert excluded.average("CV", Paradigm.DELETION, "nvtc") == 4.0
+
+
+def test_build_table_refuses_to_exclude_a_persona_that_is_not_a_row():
+    with pytest.raises(ValueError, match=r"not rows: \['typo', 'b'\]$"):
+        build_table({"a": full_grid()}, average_exclude=("typo", "a", "b"))
 
 
 def test_summarize_shape(tmp_path):

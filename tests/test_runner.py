@@ -891,7 +891,10 @@ def test_cli_exit_one_on_errored_records(persona_dir, mock_rules_file,
     assert code == 1
 
 
-def test_cli_report_subcommand(persona_dir, mock_rules_file, tmp_path):
+@pytest.mark.parametrize("workers", ["0", "4"])
+def test_cli_report_subcommand(persona_dir, mock_rules_file, tmp_path, workers):
+    # with four workers the records file is written in completion order, so
+    # `report` reads the records in another order than `run` held them
     corpus = Path(__file__).parent / "fixtures" / "toy_corpus"
     out = tmp_path / "out"
     assert cli_main([
@@ -899,16 +902,18 @@ def test_cli_report_subcommand(persona_dir, mock_rules_file, tmp_path):
         "--paradigms", "delete,modify", "--runs", "2",
         "--oracle", str(persona_dir), "--verifier", "mock",
         "--mock-fixtures", str(mock_rules_file), "--out", str(out),
+        "--workers", workers,
     ]) == 0
     redo = tmp_path / "redo"
     assert cli_main([
         "report", "--records", str(out / "records.jsonl"),
         "--configs", "CB,CV,CA", "--out", str(redo),
     ]) == 0
-    first = json.loads((out / "report" / "summary.json").read_text())
-    second = json.loads((redo / "report" / "summary.json").read_text())
-    assert _strip_volatile(first) == _strip_volatile(second)
-    assert (redo / "report" / "venn.json").is_file()
+    # table.txt is left out: its row label differs between `run` and `report`
+    for name in ("summary.json", "venn.json", "optimal_nvtc.json", "optimal_rt.json",
+                 "sample_distribution.json"):
+        assert (redo / "report" / name).read_bytes() == \
+            (out / "report" / name).read_bytes(), name
     assert (redo / "report" / "table.txt").is_file()
 
 
@@ -1052,14 +1057,6 @@ def test_cli_report_and_resume_refuse_a_corrupt_records_file(
         assert err.startswith(f"error: {out / 'records.jsonl'}, line 1: ")
     assert (out / "records.jsonl").read_bytes() == text
     assert not (tmp_path / "redo").exists()
-
-
-def _strip_volatile(node):
-    if isinstance(node, dict):
-        return {k: _strip_volatile(v) for k, v in node.items() if k != "rt"}
-    if isinstance(node, list):
-        return [_strip_volatile(v) for v in node]
-    return node
 
 
 def test_cli_bad_oracle_persona(tmp_path):
